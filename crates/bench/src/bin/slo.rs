@@ -8,10 +8,10 @@
 //! Serves one seeded two-phase AlexNet stream on a 4-device Titan-Black
 //! fleet twice: once with the deadline-aware tenant scheduler (an
 //! interactive minority, a standard tenant, and a best-effort bulk
-//! tenant), once with `MEMCNN_SLO_DISABLE=1` forcing the class-blind
-//! scheduler on the identical config. Attribution is a pure function of
-//! the seed, so the blind run's per-class latencies are recovered post
-//! hoc and every per-class delta is pure scheduling, not workload noise.
+//! tenant), once class-blind: the identical config with `tenants`
+//! cleared. Attribution is a pure function of the seed, so the blind
+//! run's per-class latencies are recovered post hoc and every per-class
+//! delta is pure scheduling, not workload noise.
 //!
 //! Three gates, all fatal (exit 1):
 //!
@@ -131,9 +131,8 @@ fn main() {
         policy.max_queue_delay * 1e3
     );
 
-    // Deadline-aware run, then the class-blind oracle on the SAME config
-    // (the knob forces the blind scheduler; attribution stays post hoc).
-    std::env::remove_var("MEMCNN_SLO_DISABLE");
+    // Deadline-aware run, then the class-blind run on the SAME config
+    // with the tenants cleared (attribution stays post hoc).
     let aware = run_slo_fleet(
         &ctx,
         &net,
@@ -144,7 +143,6 @@ fn main() {
         tenants.clone(),
     )
     .expect("aware run");
-    std::env::set_var("MEMCNN_SLO_DISABLE", "1");
     let blind = run_slo_fleet(
         &ctx,
         &net,
@@ -152,10 +150,9 @@ fn main() {
         workload.clone(),
         Placement::QueueWeighted,
         k,
-        tenants.clone(),
+        Vec::new(),
     )
     .expect("blind run");
-    std::env::remove_var("MEMCNN_SLO_DISABLE");
 
     let slo = aware.slo.as_ref().expect("aware run must carry an SLO report");
     let classes = compare_classes(&aware, &blind, &workload, &tenants);

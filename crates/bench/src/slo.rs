@@ -3,9 +3,8 @@
 //! `fleet` binary's bursty table reuses.
 //!
 //! The comparison runs the same seeded bursty stream twice on the same
-//! fleet: once with the deadline-aware tenant scheduler, once with
-//! `MEMCNN_SLO_DISABLE=1` forcing the class-blind path (the equivalence
-//! oracle, so the blind run is byte-identical to a tenant-free config).
+//! fleet: once with the deadline-aware tenant scheduler, once class-blind
+//! (the same config with no tenants).
 //! Because tenant attribution is a pure function of `(seed, request id)`
 //! and never perturbs the stream, the blind run's per-class latencies
 //! can be recovered post hoc with [`tenant_tags`] — both runs served the

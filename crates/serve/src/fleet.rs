@@ -35,10 +35,11 @@
 //! FleetConfig)`: bit-identical across `MEMCNN_THREADS` and to the
 //! retained sequential loop (`MEMCNN_FLEET_SEQUENTIAL=1`).
 //!
-//! **Exactness anchor**: with K = 1 and one network, every branch below
-//! reduces to the single-device loop's arithmetic on the same values in
-//! the same order, and `tests/fleet.rs` asserts the resulting report is
-//! byte-identical to [`serve`](crate::server::serve)'s.
+//! **One loop**: this is the crate's only serving event loop.
+//! [`serve`](crate::server::serve) is its K = 1 projection (one device,
+//! one network, round-robin placement, no adaptive delay, no device
+//! faults), and tenant lanes are a mode of the same loop;
+//! `tests/serve.rs` pins `serve()`'s reports to recorded digests.
 
 use crate::adaptive::AdaptivePolicy;
 use crate::batch::{bucket_for, buckets, BatchPolicy};
@@ -100,12 +101,12 @@ pub struct FleetConfig {
     /// SLO tenants. Empty (the default) keeps the class-blind loop and
     /// a report byte-identical to the pre-tenant one; non-empty turns on
     /// per-tenant lanes, deadline-aware commit, admission control, and
-    /// the weighted-fair tiebreak (unless `MEMCNN_SLO_DISABLE=1`).
+    /// the weighted-fair tiebreak.
     pub tenants: Vec<TenantSpec>,
     /// Whole-device lifecycle faults (crash / hang / drain, plus the
-    /// repair/warmup healer). `None` — or a no-op plan, or
-    /// `MEMCNN_HEALTH_DISABLE=1` — keeps the health layer off and the
-    /// report byte-identical to the pre-health one.
+    /// repair/warmup healer). `None` — or a no-op plan — keeps the
+    /// health layer off and the report byte-identical to the pre-health
+    /// one.
     pub device_faults: Option<DeviceFaultPlan>,
 }
 
@@ -186,7 +187,7 @@ impl FleetConfig {
 /// One completed batch on one device, tagged with its network.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct FleetBatch {
-    /// The batch record (same shape as the single-device server's).
+    /// The batch record (the shape `serve` reports).
     pub record: BatchRecord,
     /// Index of the network the batch executed.
     pub network: u32,
@@ -198,8 +199,7 @@ pub struct NetworkBuckets {
     /// Network name.
     pub network: String,
     /// Per-bucket aggregates, ascending by bucket (every compiled
-    /// bucket appears, batches or not — mirroring the single-device
-    /// report).
+    /// bucket appears, batches or not).
     pub buckets: Vec<BucketStats>,
 }
 
@@ -258,11 +258,10 @@ pub struct FleetReport {
     /// whole track — is monotonically non-decreasing in time.
     pub timeline: MetricsTimeline,
     /// Per-tenant accounting, fairness, and SLO violations; `None` for
-    /// class-blind runs (no tenants, or `MEMCNN_SLO_DISABLE=1`).
+    /// class-blind runs (no tenants).
     pub slo: Option<SloReport>,
     /// Device-lifecycle recovery tallies; `None` when no live
-    /// `DeviceFaultPlan` (none configured, a no-op plan, or
-    /// `MEMCNN_HEALTH_DISABLE=1`).
+    /// `DeviceFaultPlan` (none configured, or a no-op plan).
     pub health: Option<HealthReport>,
 }
 
@@ -336,7 +335,7 @@ impl FleetReport {
 }
 
 /// Per-(device, network) serving state: the plan cache and the routed
-/// per-tenant lanes with the single-device loop's degradation state.
+/// per-tenant lanes with the pair's degradation state.
 /// Class-blind runs have exactly one lane, so the lane loop reduces
 /// structurally to the old single-queue arithmetic; the plan cache and
 /// the degradation state (cap, pin, streak) stay per-pair — lanes share
@@ -436,10 +435,9 @@ impl DeviceState {
     }
 }
 
-/// The single-device window-growth rule on one pair's queue: launch at
+/// The window-growth rule on one lane's queue: launch at
 /// `max(gpu_free, min(T_full, T_deadline))`, growing the admission
-/// window arrival by arrival. Identical arithmetic to the single-device
-/// loop (that is what the K = 1 byte-identity test pins down).
+/// window arrival by arrival.
 pub(crate) fn window_launch(
     queue: &[Request],
     next: usize,
@@ -467,11 +465,10 @@ pub(crate) fn window_launch(
 }
 
 /// Deadline-based shedding of one lane's overdue queue prefix, against
-/// the device's current `gpu_free` (the single-device rule: only
-/// head-of-line requests shed; requests behind a fresh head wait their
-/// turn). Shed requests keep the 0.0 latency sentinel. Returns how many
-/// requests it shed (the caller keeps the fleet-wide running total for
-/// the timeline).
+/// the device's current `gpu_free` (only head-of-line requests shed;
+/// requests behind a fresh head wait their turn). Shed requests keep the
+/// 0.0 latency sentinel. Returns how many requests it shed (the caller
+/// keeps the fleet-wide running total for the timeline).
 fn shed_overdue(
     lane: &mut Lane,
     dev: &mut DeviceState,
@@ -756,8 +753,7 @@ fn device_best(
     best.filter(|&(launch, _, _)| launch < dev.halt)
 }
 
-/// Commit the earliest launchable batch on lane `(d, n, t)`: the
-/// single-device loop body, verbatim, on this lane's queue and this
+/// Commit the earliest launchable batch on lane `(d, n, t)` against this
 /// device's clock. Returns `Ok(true)` when a batch committed and
 /// `Ok(false)` when a plan-time OOM halved the pair's cap instead (the
 /// caller re-selects; the sequential loop's `continue`).
@@ -847,7 +843,7 @@ fn commit_pair<S: EffectSink>(
         &ctx.pol,
         bucket,
         launch,
-        Some(d),
+        d,
     )?;
 
     match outcome {
@@ -984,8 +980,8 @@ fn commit_pair<S: EffectSink>(
             sink.emit(Op::DownshiftGauge { d, launch });
         }
     }
-    // `gpu_free` moved: every network's queue on this device gets
-    // the single-device loop's top-of-iteration overdue check.
+    // `gpu_free` moved: every network's queue on this device gets the
+    // head-of-line overdue check.
     let mut overdue = 0usize;
     for pair in pairs_d.iter_mut() {
         for (t2, lane) in pair.lanes.iter_mut().enumerate() {
@@ -1158,10 +1154,9 @@ struct FleetRun<'e, 'a> {
     max: usize,
     k: usize,
     nn: usize,
-    /// `Some` only on SLO runs (tenants configured and not disabled).
+    /// `Some` only on SLO runs (tenants configured).
     slo_run: Option<SloRun>,
-    /// `Some` only with a live device-fault plan (configured, non-noop,
-    /// and not disabled via `MEMCNN_HEALTH_DISABLE`).
+    /// `Some` only with a live (configured, non-noop) device-fault plan.
     health: Option<HealthRun>,
     /// The tournament index behind [`FleetRun::global_best`]: cached
     /// per-device tentative-launch keys, refreshed only for devices
@@ -1937,6 +1932,18 @@ pub fn serve_fleet(
     nets: &[Network],
     cfg: &FleetConfig,
 ) -> Result<FleetReport, EngineError> {
+    run_fleet(engines, nets, cfg, trace::Track::Fleet)
+}
+
+/// [`serve_fleet`] with the Perfetto track its metrics timeline mirrors
+/// onto as counters (`Track::Serve` for [`serve`](crate::server::serve)'s
+/// one-device view; batch spans stay on `Track::Fleet` either way).
+pub(crate) fn run_fleet(
+    engines: &[&Engine],
+    nets: &[Network],
+    cfg: &FleetConfig,
+    counter_track: trace::Track,
+) -> Result<FleetReport, EngineError> {
     if engines.is_empty() {
         return Err(EngineError::Fatal("fleet needs at least one device".to_string()));
     }
@@ -1950,15 +1957,11 @@ pub fn serve_fleet(
     let max = cfg.policy.max_batch_images.max(1);
     let fplan = cfg.faults.filter(|p| !p.is_noop());
     let pol = cfg.fault_policy;
-    let dplan = if crate::health::health_disabled() {
-        None
-    } else {
-        cfg.device_faults.clone().filter(|p| !p.is_noop())
-    };
+    let dplan = cfg.device_faults.clone().filter(|p| !p.is_noop());
 
     // MemoryAware needs each (device, network)'s feasible batch cap up
     // front; the other policies never read it, so they skip the probe
-    // compiles entirely (keeping K = 1 byte-identity with `serve`).
+    // compiles entirely (which is why `serve` places round-robin).
     let bucket_list = buckets(&cfg.policy);
     let caps: Vec<Vec<usize>> = (0..k)
         .map(|d| {
@@ -1979,7 +1982,7 @@ pub fn serve_fleet(
     // One lane per tenant when SLO scheduling is active; a single lane
     // otherwise, which makes every lane loop below reduce structurally
     // to the pre-tenant arithmetic (the byte-identity tests pin this).
-    let slo_active = !cfg.tenants.is_empty() && !crate::slo::slo_disabled();
+    let slo_active = !cfg.tenants.is_empty();
     let nlanes = if slo_active { cfg.tenants.len() } else { 1 };
     let tags: Vec<u32> = if slo_active {
         tenant_tags(cfg.workload.seed, requests.len(), &cfg.tenants)
@@ -2145,14 +2148,13 @@ pub fn serve_fleet(
     let FleetRun { pairs, devs, g, slo_run, health, .. } = run;
     let Globals { latencies, placements, rec, slo: g_slo, .. } = g;
 
-    // Aggregate accounting, mirroring the single-device counter names so
-    // a K = 1 fleet bumps exactly what `serve` would.
+    // Aggregate accounting under the `serve.*` / `fault.*` counter names.
     let mut agg = FaultStats::default();
     let mut shed_requests = 0usize;
     let mut plan_ooms = 0u64;
     let mut total_batches = 0usize;
-    for dev in &devs {
-        debug_assert!(dev.stats.balanced(), "device fault accounting out of balance");
+    for (d, dev) in devs.iter().enumerate() {
+        dev.stats.check_balanced(format_args!("device {d}"))?;
         agg.injected += dev.stats.injected;
         agg.retried += dev.stats.retried;
         agg.degraded += dev.stats.degraded;
@@ -2184,7 +2186,7 @@ pub fn serve_fleet(
     perf::add("fault.shed", agg.shed);
     perf::add("serve.degraded.enter", agg.degraded_entries);
     perf::add("serve.degraded.exit", agg.degraded_exits);
-    debug_assert!(agg.balanced(), "fleet fault accounting out of balance: {agg:?}");
+    agg.check_balanced("fleet")?;
 
     let devices: Vec<DeviceReport> = devs
         .iter()
@@ -2299,7 +2301,7 @@ pub fn serve_fleet(
                 &failed_over,
                 &in_transit,
                 device_seconds,
-            ))
+            )?)
         }
         _ => None,
     };
@@ -2319,7 +2321,7 @@ pub fn serve_fleet(
     let timeline = rec.finish();
     // Mirror the timeline onto the Perfetto counter tracks (a no-op when
     // tracing is inactive).
-    timeline.emit_trace_counters(trace::Track::Fleet);
+    timeline.emit_trace_counters(counter_track);
     Ok(FleetReport {
         config: cfg.clone(),
         networks: nets.iter().map(|n| n.name.clone()).collect(),

@@ -182,9 +182,8 @@ impl HealthRun {
 
 /// The health section of a [`FleetReport`](crate::fleet::FleetReport):
 /// recovery tallies for a run with a live `DeviceFaultPlan`. Omitted
-/// (`None`) when no plan is configured, the plan is a no-op, or
-/// `MEMCNN_HEALTH_DISABLE=1` — keeping those reports byte-identical to
-/// the pre-health wire format.
+/// (`None`) when no plan is configured or the plan is a no-op — keeping
+/// those reports byte-identical to the pre-health wire format.
 #[derive(Clone, Debug, Serialize)]
 pub struct HealthReport {
     /// `* → Down` transitions across the fleet.
@@ -209,55 +208,9 @@ pub struct HealthReport {
     pub states: Vec<HealthState>,
 }
 
-/// Whether `MEMCNN_HEALTH_DISABLE` forces the health layer off even
-/// when a `DeviceFaultPlan` is configured — the escape hatch and the
-/// no-op oracle: a disabled run must replay the plan-free schedule
-/// field for field (only the config echo differs). Read on every call
-/// (like `MEMCNN_SLO_DISABLE`, not once-locked) so tests can pin both
-/// modes in one process.
-pub(crate) fn health_disabled() -> bool {
-    health_disable_from(std::env::var("MEMCNN_HEALTH_DISABLE").ok().as_deref())
-}
-
-/// Parse a `MEMCNN_HEALTH_DISABLE` value, warning on stderr and keeping
-/// the health layer active when it is present but not a recognized
-/// boolean. Pure so the fallback is unit-testable; the `Once`
-/// guarantees the warning fires at most once per process.
-fn health_disable_from(raw: Option<&str>) -> bool {
-    match raw {
-        None => false,
-        Some("1") | Some("true") => true,
-        Some("0") | Some("false") => false,
-        Some(v) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "memcnn: ignoring malformed MEMCNN_HEALTH_DISABLE={v:?} \
-                     (want 1/0/true/false); keeping the health layer active"
-                );
-            });
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disable_knob_parses_and_malformed_falls_back() {
-        assert!(!health_disable_from(None));
-        assert!(health_disable_from(Some("1")));
-        assert!(health_disable_from(Some("true")));
-        assert!(!health_disable_from(Some("0")));
-        assert!(!health_disable_from(Some("false")));
-        // Malformed values warn once on stderr and keep the health
-        // layer active (the MEMCNN_FLEET_SEQUENTIAL fallback convention).
-        assert!(!health_disable_from(Some("yes")));
-        assert!(!health_disable_from(Some("")));
-        assert!(!health_disable_from(Some(" 1 ")));
-    }
 
     #[test]
     fn halt_is_the_next_crash_or_hang_never_a_drain() {

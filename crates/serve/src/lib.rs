@@ -16,10 +16,13 @@
 //!    (`Engine::plan_at`: layout DP + mechanism selection at that `N`)
 //!    and reuses it for every later batch in the bucket — so the server
 //!    observably flips between CHWN and NCHW plans as load changes.
-//! 4. [`server`] advances a simulated clock through the event loop and
-//!    reports p50/p95/p99 latency, throughput, queue depth, bucket
-//!    occupancy, and plan-cache hits/misses (via `trace::perf`), plus a
-//!    `Track::Serve` span per launched batch when tracing is active.
+//! 4. [`serve`] runs one device through the event loop on a simulated
+//!    clock and reports p50/p95/p99 latency, throughput, queue depth,
+//!    bucket occupancy, and plan-cache hits/misses (via `trace::perf`).
+//!    It is the K = 1 projection of [`serve_fleet`], the crate's only
+//!    event loop: its report is device 0 of a one-device fleet, and its
+//!    metrics timeline is the fleet's (`dev0.*` series), mirrored onto
+//!    the `Track::Serve` counter track when tracing is active.
 //!
 //! Everything is a pure function of `(engine config, network,
 //! ServeConfig)`: same inputs give bit-identical reports, independent of
@@ -39,12 +42,12 @@
 //! (round-robin, least-loaded, memory-aware), and an optional
 //! [`adaptive`] estimator that re-derives `max_queue_delay` from the
 //! observed inter-arrival EMA at workload phase boundaries. The fleet
-//! event loop is single-threaded and bit-deterministic; a K = 1 fleet
-//! reproduces [`serve`]'s report byte for byte.
+//! event loop is bit-deterministic whether devices step sequentially or
+//! in parallel, and [`serve`] is literally its K = 1 view.
 //!
 //! # Multi-tenant SLO scheduling
 //!
-//! [`tenant`] + [`slo`] add service classes on top of either loop:
+//! [`tenant`] + [`slo`] add service classes to the same loop:
 //! tenants declared in the config ([`TenantSpec`] with
 //! `Interactive{p99_budget}` / `Standard` / `BestEffort` classes and
 //! arrival weights), deterministic per-request attribution that never
@@ -53,9 +56,8 @@
 //! weighted-fair deficit tiebreak when classes contend for a device
 //! slot, and per-tenant accounting with the
 //! `admitted == completed + shed + rejected + in_flight` balance
-//! invariant. `MEMCNN_SLO_DISABLE=1` forces the class-blind scheduler
-//! as an exact equivalence oracle; with no tenants configured the
-//! reports are byte-identical to the tenant-free builds.
+//! invariant. With no tenants configured the reports are byte-identical
+//! to the tenant-free builds.
 //!
 //! # Device failures & failover
 //!
@@ -66,9 +68,9 @@
 //! spares come back with cold plan caches (the recompilation cost is
 //! charged on the simulated clock), and the balance invariant extends
 //! to `admitted == completed + shed + rejected + in_flight +
-//! failed_over_in_transit`. `MEMCNN_HEALTH_DISABLE=1` switches the
-//! layer off as the no-op oracle; everything stays bit-deterministic
-//! across `MEMCNN_THREADS` and vs `MEMCNN_FLEET_SEQUENTIAL=1`.
+//! failed_over_in_transit`. A `None` or no-op plan leaves the layer off;
+//! everything stays bit-deterministic across `MEMCNN_THREADS` and vs
+//! `MEMCNN_FLEET_SEQUENTIAL=1`.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]

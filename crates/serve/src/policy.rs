@@ -18,6 +18,7 @@
 //! injected fault is accounted exactly once as retried, degraded, or shed
 //! ([`FaultStats::balanced`]) — is what the chaos tests enforce.
 
+use memcnn_core::EngineError;
 use serde::Serialize;
 
 /// Tunable fault-handling policy for a serving run.
@@ -85,6 +86,19 @@ impl FaultStats {
     pub fn balanced(&self) -> bool {
         self.injected == self.retried + self.degraded + self.shed
     }
+
+    /// [`FaultStats::balanced`] as a typed error, checked in release
+    /// builds too: `EngineError::Fatal` naming `scope` and the tallies.
+    pub(crate) fn check_balanced(&self, scope: impl std::fmt::Display) -> Result<(), EngineError> {
+        if self.balanced() {
+            return Ok(());
+        }
+        Err(EngineError::Fatal(format!(
+            "{scope} fault accounting out of balance: injected {} != retried {} + degraded {} \
+             + shed {}",
+            self.injected, self.retried, self.degraded, self.shed
+        )))
+    }
 }
 
 #[cfg(test)]
@@ -104,7 +118,16 @@ mod tests {
         let mut s =
             FaultStats { injected: 5, retried: 2, degraded: 2, shed: 1, ..Default::default() };
         assert!(s.balanced());
+        assert_eq!(s.check_balanced("fleet"), Ok(()));
         s.injected += 1;
         assert!(!s.balanced());
+        assert_eq!(
+            s.check_balanced(format_args!("device {}", 3)),
+            Err(EngineError::Fatal(
+                "device 3 fault accounting out of balance: injected 6 != retried 2 + degraded 2 \
+                 + shed 1"
+                    .to_string()
+            ))
+        );
     }
 }

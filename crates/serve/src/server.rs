@@ -1,47 +1,45 @@
-//! The discrete-event serving loop: one simulated device draining an
-//! open-loop request stream through the dynamic batcher and the per-bucket
-//! plan cache.
+//! Single-device serving: the [`ServeConfig`]/[`ServeReport`] surface and
+//! the launch-attempt helpers the event loop shares.
 //!
-//! All time is simulated. A batch's service time is its bucket plan's
+//! [`serve`] has no event loop of its own. It is the K = 1 projection of
+//! [`serve_fleet`](crate::fleet::serve_fleet): one engine, one network,
+//! round-robin placement, a fixed queue delay, and no device faults. All
+//! time is simulated. A batch's service time is its bucket plan's
 //! simulated forward time (`Plan::total_time` — layers plus inserted
-//! layout transformations), and queueing delay falls out of the event
-//! loop. The loop itself is single-threaded and touches the engine only
-//! through `PlanCache`, whose plans are bit-identical across thread counts
-//! (the PR-2 cache guarantee), so an entire run is a pure function of
-//! `(engine config, network, ServeConfig)`.
+//! layout transformations), and queueing delay falls out of the fleet's
+//! event loop, so an entire run is a pure function of `(engine config,
+//! network, ServeConfig)`.
 //!
 //! # Fault handling
 //!
 //! With a [`FaultPlan`] in the config, every batch launch rolls the plan
-//! (through [`Engine::execute_attempt`]) and the loop answers faults with
-//! the [`FaultPolicy`]'s degradation ladder instead of failing the run:
-//! transients retry with deterministic backoff, execute-time OOM downshifts
-//! the bucket and pins it (degraded mode) until a clean streak passes,
-//! plan-time OOM permanently lowers the batch cap (the library home of the
-//! bench's OOM-aware fallback), and hopeless work is shed — requests whose
-//! queue wait exceeds the shed deadline, or batches whose retry budget ran
-//! out. Every fault is accounted exactly once in [`FaultStats`]
-//! (`injected == retried + degraded + shed`), mirrored to the global perf
-//! registry (`fault.injected/retried/degraded/shed`, `serve.shed`,
-//! `serve.degraded.enter/exit`, `serve.plan.oom`), and emitted as a span
-//! on the `faults` Perfetto track. Because the fault stream is a pure
-//! function of `(seed, launch key, launch index)` and the loop is
-//! single-threaded, a faulted run replays bit-identically, independent of
-//! `MEMCNN_THREADS`.
+//! (through [`Engine::execute_attempt`]) and `launch_ladder` answers
+//! faults with the [`FaultPolicy`]'s degradation ladder instead of failing
+//! the run: transients retry with deterministic backoff, execute-time OOM
+//! downshifts the bucket and pins it (degraded mode) until a clean streak
+//! passes, plan-time OOM permanently lowers the batch cap (the library
+//! home of the bench's OOM-aware fallback), and hopeless work is shed —
+//! requests whose queue wait exceeds the shed deadline, or batches whose
+//! retry budget ran out. Every fault is accounted exactly once in
+//! [`FaultStats`] (`injected == retried + degraded + shed`), mirrored to
+//! the global perf registry (`fault.injected/retried/degraded/shed`,
+//! `serve.shed`, `serve.degraded.enter/exit`, `serve.plan.oom`), and
+//! emitted as a span on the `faults` Perfetto track. Because the fault
+//! stream is a pure function of `(seed, launch key, launch index)`, a
+//! faulted run replays bit-identically, independent of `MEMCNN_THREADS`.
 
-use crate::batch::{bucket_for, BatchPolicy};
+use crate::batch::BatchPolicy;
+use crate::fleet::{run_fleet, FleetConfig};
 use crate::metrics::{latency_stats_served, LatencyStats};
-use crate::plan_cache::PlanCache;
+use crate::placement::Placement;
 use crate::policy::{FaultPolicy, FaultStats};
 use crate::tenant::{SloReport, TenantSpec};
-use crate::workload::{self, Request, WorkloadConfig};
+use crate::workload::{Request, WorkloadConfig};
 use memcnn_core::{Engine, EngineError, Mechanism, Network, Plan};
 use memcnn_gpusim::FaultPlan;
-use memcnn_metrics::{MetricsTimeline, Recorder};
+use memcnn_metrics::MetricsTimeline;
 use memcnn_trace as trace;
-use memcnn_trace::perf;
 use serde::Serialize;
-use std::collections::BTreeSet;
 
 /// Everything a serving run needs besides the engine and the network.
 #[derive(Clone, Debug)]
@@ -57,10 +55,9 @@ pub struct ServeConfig {
     pub faults: Option<FaultPlan>,
     /// How the loop responds to faults and queue pressure.
     pub fault_policy: FaultPolicy,
-    /// SLO tenants. Empty (the default) keeps the class-blind loop and
-    /// a report byte-identical to the pre-tenant one; non-empty routes
-    /// the run through the SLO-aware scheduler (`serve::slo`) unless
-    /// `MEMCNN_SLO_DISABLE=1` forces the class-blind oracle.
+    /// SLO tenants. Empty (the default) keeps the class-blind scheduler
+    /// and a report byte-identical to the pre-tenant one; non-empty turns
+    /// on the fleet loop's per-tenant lanes (`serve::slo`).
     pub tenants: Vec<TenantSpec>,
 }
 
@@ -183,13 +180,14 @@ pub struct ServeReport {
     pub shed_requests: usize,
     /// Fault accounting for the run (all zero when injection is off).
     pub faults: FaultStats,
-    /// Gauge timelines sampled at the loop's event boundaries, plus the
-    /// run's latency histogram. Every sample is a pure function of
-    /// loop-local state on the simulated clock, so the timeline is
-    /// bit-identical across `MEMCNN_THREADS` like the rest of the report.
+    /// The one-device fleet timeline: `dev0.*` and fleet-wide gauges
+    /// sampled at routing and launch boundaries, plus the run's latency
+    /// histogram. Every sample is a pure function of loop state on the
+    /// simulated clock, so the timeline is bit-identical across
+    /// `MEMCNN_THREADS` like the rest of the report.
     pub timeline: MetricsTimeline,
     /// Per-tenant accounting, fairness, and SLO violations; `None` for
-    /// class-blind runs (no tenants, or `MEMCNN_SLO_DISABLE=1`).
+    /// class-blind runs (no tenants).
     pub slo: Option<SloReport>,
 }
 
@@ -328,8 +326,7 @@ where
     });
 }
 
-/// How one batch's launch-attempt loop ended. Shared by the
-/// single-device, fleet, and SLO serving loops.
+/// How one batch's launch-attempt loop ended.
 pub(crate) enum Outcome {
     /// The batch completed at `done`.
     Done { done: f64 },
@@ -349,13 +346,11 @@ pub(crate) struct LadderEnd {
     pub(crate) throttles: u32,
 }
 
-/// The launch-attempt ladder, shared verbatim by every serving loop:
-/// retry transients with deterministic backoff, downshift on execute-time
-/// OOM (bucket > 1), shed at retry exhaustion or OOM at bucket 1. Each
-/// attempt consumes one launch index from `launches` and accounts into
-/// `stats` exactly as the PR 4 single-device loop did; `device` tags the
-/// fault spans on fleet runs and is `None` on single-device ones (the
-/// K = 1 byte-identity test pins the arithmetic either way).
+/// The launch-attempt ladder: retry transients with deterministic
+/// backoff, downshift on execute-time OOM (bucket > 1), shed at retry
+/// exhaustion or OOM at bucket 1. Each attempt consumes one launch index
+/// from `launches` and accounts into `stats`; `device` tags the fault
+/// spans.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn launch_ladder(
     engine: &Engine,
@@ -366,12 +361,10 @@ pub(crate) fn launch_ladder(
     pol: &FaultPolicy,
     bucket: usize,
     launch: f64,
-    device: Option<usize>,
+    device: usize,
 ) -> Result<LadderEnd, EngineError> {
     let tag = |mut args: Vec<(trace::ArgValue, trace::ArgValue)>| {
-        if let Some(d) = device {
-            args.push(("device".into(), d.to_string().into()));
-        }
+        args.push(("device".into(), device.to_string().into()));
         args
     };
     let mut launch_at = launch;
@@ -445,6 +438,12 @@ pub(crate) fn launch_ladder(
 /// gives a bit-identical [`ServeReport`] — latencies, batch records, and
 /// fault statistics — independent of `MEMCNN_THREADS`.
 ///
+/// `serve` is the one-device view of [`serve_fleet`](crate::fleet::serve_fleet):
+/// it runs the fleet loop on `[engine]` and `[net]` with round-robin
+/// placement (no capacity probe compiles), a fixed queue delay, and no
+/// device faults, then projects the fleet report onto device 0. Its
+/// Perfetto counters stay on `Track::Serve`.
+///
 /// Errors are typed and terminal: plan-time OOM that cannot downshift
 /// further (bucket 1 does not fit) or a structurally infeasible plan.
 /// Injected faults never surface as `Err` — they are retried, degraded,
@@ -454,269 +453,32 @@ pub fn serve(
     net: &Network,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, EngineError> {
-    // Tenants route through the SLO-aware scheduler; the class-blind
-    // loop below is byte-for-byte the pre-tenant server (also the
-    // `MEMCNN_SLO_DISABLE=1` oracle when tenants are configured).
-    if !cfg.tenants.is_empty() && !crate::slo::slo_disabled() {
-        return crate::slo::serve_tenants(engine, net, cfg);
-    }
-    let requests = workload::generate(&cfg.workload);
-    perf::add("serve.requests", requests.len() as u64);
-    let max = cfg.policy.max_batch_images.max(1);
-    let fplan = cfg.faults.filter(|p| !p.is_noop());
-    let pol = cfg.fault_policy;
-    let mut cache = PlanCache::new(engine, net, cfg.mechanism);
-    let mut latencies = vec![0.0f64; requests.len()];
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut stats = FaultStats::default();
-    let mut shed_requests = 0usize;
-    let mut plan_ooms = 0u64;
-    let mut gpu_free = 0.0f64;
-    let mut next = 0usize;
-    // Monotonic launch-attempt counter: the fault stream's index. Every
-    // attempt (retries included) consumes one index, so retries roll
-    // fresh faults and the whole timeline is replayable from the seed.
-    let mut launches: u64 = 0;
-    // Permanent batch cap learned from plan-time OOM (buckets the device
-    // cannot even compile), and the circuit-breaker pin from execute-time
-    // OOM (buckets it currently cannot run).
-    let mut plan_cap = max;
-    let mut pin: Option<usize> = None;
-    let mut clean_streak: u64 = 0;
-    // Timeline instrumentation: every gauge below reads loop-local state
-    // at a simulated event boundary, so the timeline inherits the run's
-    // thread-count independence. Plan-cache hit accounting is loop-local
-    // too (a bucket seen before is a hit) — the *global* perf counters
-    // also see prewarm traffic and would not be deterministic here.
-    let mut rec = Recorder::default();
-    let mut seen_buckets: BTreeSet<usize> = BTreeSet::new();
-    let mut cache_lookups = 0u64;
-    let mut cache_hits = 0u64;
-    let mut busy = 0.0f64;
-
-    while next < requests.len() {
-        // Deadline-based load shedding: when the device frees up, drop
-        // head-of-line requests that have already waited past the shed
-        // deadline — serving them would only make everyone later.
-        if let Some(deadline) = pol.shed_deadline {
-            while next < requests.len() && gpu_free - requests[next].arrival > deadline {
-                let r = &requests[next];
-                fault_span(gpu_free, 0.0, || {
-                    (format!("shed request {}", r.id), vec![("reason".into(), "deadline".into())])
-                });
-                shed_requests += 1;
-                next += 1;
-                rec.gauge("shed.total", gpu_free, shed_requests as f64);
-            }
-            if next >= requests.len() {
-                break;
-            }
-        }
-
-        let emax = plan_cap.min(pin.unwrap_or(plan_cap)).max(1);
-        let oldest = requests[next].arrival;
-        let deadline = oldest + cfg.policy.max_queue_delay;
-        // The batch launches at max(gpu_free, min(T_full, T_deadline)):
-        // grow the admission window arrival by arrival until the batch is
-        // full or the oldest request's deadline stops the wait.
-        let mut launch = gpu_free.max(oldest);
-        loop {
-            let (j_after, _, full) = form(&requests, next, launch, emax);
-            if full || launch >= deadline {
-                break;
-            }
-            match requests.get(j_after) {
-                Some(r) if r.arrival <= deadline => launch = r.arrival,
-                _ => {
-                    launch = deadline;
-                    break;
-                }
-            }
-        }
-        let (j_end, images, _) = form(&requests, next, launch, emax);
-        debug_assert!(j_end > next, "a batch always serves at least one request");
-        let bucket = bucket_for(images, emax);
-        cache_lookups += 1;
-        if !seen_buckets.insert(bucket) {
-            cache_hits += 1;
-        }
-        let plan = match cache.get(bucket) {
-            Ok(plan) => plan,
-            Err(err @ EngineError::PlanOom { .. }) => {
-                // The bucket does not even compile on this device: lower
-                // the cap permanently and re-form (the library home of the
-                // bench binary's OOM-aware max-batch fallback).
-                if bucket <= 1 {
-                    return Err(err);
-                }
-                plan_ooms += 1;
-                fault_span(launch, 0.0, || {
-                    (
-                        format!("plan OOM at bucket {bucket}"),
-                        vec![("new_cap".into(), (bucket / 2).to_string().into())],
-                    )
-                });
-                plan_cap = (bucket / 2).max(1);
-                continue;
-            }
-            Err(err) => return Err(err),
-        };
-        let service = plan.total_time();
-
-        // Launch-attempt loop: retry transients with backoff, downshift on
-        // OOM, shed at exhaustion. Each attempt consumes one launch index.
-        let LadderEnd { outcome, attempts: attempt, throttles } = launch_ladder(
-            engine,
-            plan,
-            fplan.as_ref(),
-            &mut launches,
-            &mut stats,
-            &pol,
-            bucket,
-            launch,
-            None,
-        )?;
-
-        match outcome {
-            Outcome::Done { done } => {
-                for r in &requests[next..j_end] {
-                    latencies[r.id as usize] = done - r.arrival;
-                    rec.observe_latency(done - r.arrival);
-                }
-                // Queue pressure left behind: arrived by launch, not taken.
-                let mut depth = 0usize;
-                let mut k = j_end;
-                while k < requests.len() && requests[k].arrival <= launch {
-                    depth += 1;
-                    k += 1;
-                }
-                {
-                    let (idx, reqs) = (batches.len(), j_end - next);
-                    trace::record_span(|| trace::SpanEvent {
-                        name: format!("batch {idx} (N={bucket})"),
-                        track: trace::Track::Serve,
-                        ts_us: launch * 1e6,
-                        dur_us: service * 1e6,
-                        args: vec![
-                            ("requests".into(), reqs.to_string().into()),
-                            ("images".into(), images.to_string().into()),
-                            ("bucket".into(), bucket.to_string().into()),
-                        ],
-                    });
-                }
-                batches.push(BatchRecord {
-                    launch,
-                    done,
-                    requests: j_end - next,
-                    images,
-                    bucket,
-                    queue_depth: depth,
-                    attempts: attempt,
-                    throttled: throttles,
-                });
-                // Circuit breaker: a clean batch (no retries, no throttles)
-                // extends the recovery streak; enough of them unpin the
-                // bucket cap.
-                if pin.is_some() {
-                    if attempt == 0 && throttles == 0 {
-                        clean_streak += 1;
-                        if clean_streak >= pol.recovery_batches {
-                            stats.degraded_exits += 1;
-                            fault_span(done, 0.0, || {
-                                (
-                                    "leave degraded mode".to_string(),
-                                    vec![("clean_batches".into(), clean_streak.to_string().into())],
-                                )
-                            });
-                            pin = None;
-                            clean_streak = 0;
-                        }
-                    } else {
-                        clean_streak = 0;
-                    }
-                }
-                busy += done - launch;
-                rec.gauge("queue.depth", done, depth as f64);
-                rec.gauge("batch.images", done, images as f64);
-                rec.gauge("batch.bucket", done, bucket as f64);
-                rec.gauge("util", done, if done > 0.0 { busy / done } else { 0.0 });
-                rec.gauge("plan_cache.hit_rate", done, cache_hits as f64 / cache_lookups as f64);
-                rec.gauge("degraded", done, if pin.is_some() { 1.0 } else { 0.0 });
-                rec.gauge("shed.total", done, shed_requests as f64);
-                rec.sample_window(done);
-                gpu_free = done;
-                next = j_end;
-            }
-            Outcome::Shed { at } => {
-                // The batch's requests are dropped; their latencies keep
-                // the 0.0 sentinel. The device time burned is real.
-                shed_requests += j_end - next;
-                busy += at - launch;
-                rec.gauge("shed.total", at, shed_requests as f64);
-                rec.gauge("util", at, if at > 0.0 { busy / at } else { 0.0 });
-                gpu_free = at;
-                next = j_end;
-            }
-            Outcome::Downshift { at } => {
-                // Pin the halved bucket and re-form the same requests at
-                // the smaller cap; entering degraded mode is counted once
-                // per excursion (deeper downshifts just lower the pin).
-                if pin.is_none() {
-                    stats.degraded_entries += 1;
-                }
-                pin = Some((bucket / 2).max(1));
-                clean_streak = 0;
-                busy += at - launch;
-                rec.gauge("degraded", at, 1.0);
-                gpu_free = at;
-            }
-        }
-    }
-    perf::add("serve.batches", batches.len() as u64);
-    perf::add("serve.shed", shed_requests as u64);
-    perf::add("serve.plan.oom", plan_ooms);
-    perf::add("fault.injected", stats.injected);
-    perf::add("fault.retried", stats.retried);
-    perf::add("fault.degraded", stats.degraded);
-    perf::add("fault.shed", stats.shed);
-    perf::add("serve.degraded.enter", stats.degraded_entries);
-    perf::add("serve.degraded.exit", stats.degraded_exits);
-    debug_assert!(stats.balanced(), "fault accounting out of balance: {stats:?}");
-
-    // Per-bucket rollup against the compiled plans.
-    let mut buckets: Vec<BucketStats> = Vec::new();
-    for (&bucket, plan) in cache.plans() {
-        let hits: Vec<&BatchRecord> = batches.iter().filter(|b| b.bucket == bucket).collect();
-        let images: usize = hits.iter().map(|b| b.images).sum();
-        buckets.push(BucketStats {
-            bucket,
-            batches: hits.len(),
-            images,
-            fill: if hits.is_empty() { 0.0 } else { images as f64 / (hits.len() * bucket) as f64 },
-            conv_layouts: plan.conv_layout_signature(),
-            transforms: plan.transform_count(),
-            service_time: plan.total_time(),
-        });
-    }
-
-    let timeline = rec.finish();
-    // Mirror the timeline onto the Perfetto counter tracks (a no-op when
-    // tracing is inactive).
-    timeline.emit_trace_counters(trace::Track::Serve);
-
+    let fleet_cfg = FleetConfig {
+        workload: cfg.workload.clone(),
+        policy: cfg.policy,
+        adaptive: None,
+        placement: Placement::RoundRobin,
+        mechanism: cfg.mechanism,
+        faults: cfg.faults,
+        fault_policy: cfg.fault_policy,
+        tenants: cfg.tenants.clone(),
+        device_faults: None,
+    };
+    let fleet = run_fleet(&[engine], std::slice::from_ref(net), &fleet_cfg, trace::Track::Serve)?;
+    let dev = fleet.devices.into_iter().next().expect("a one-device fleet reports one device");
     Ok(ServeReport {
         network: net.name.clone(),
         config: cfg.clone(),
-        requests: requests.len(),
-        images: batches.iter().map(|b| b.images).sum(),
-        makespan: gpu_free,
-        latencies,
-        batches,
-        buckets,
-        shed_requests,
-        faults: stats,
-        timeline,
-        slo: None,
+        requests: fleet.requests,
+        images: dev.images,
+        makespan: fleet.makespan,
+        latencies: fleet.latencies,
+        batches: dev.batches.into_iter().map(|b| b.record).collect(),
+        buckets: dev.networks.into_iter().next().map_or_else(Vec::new, |n| n.buckets),
+        shed_requests: fleet.shed_requests,
+        faults: fleet.faults,
+        timeline: fleet.timeline,
+        slo: fleet.slo,
     })
 }
 

@@ -1,14 +1,15 @@
-//! The SLO-aware single-device serving loop: per-tenant lanes,
+//! SLO-aware scheduling pieces of the fleet loop: per-tenant lanes,
 //! deadline-driven batch commit, and weighted-fair slot arbitration.
 //!
-//! [`serve`](crate::server::serve) dispatches here when the config
-//! declares tenants (unless `MEMCNN_SLO_DISABLE=1` forces the
-//! class-blind loop as the equivalence oracle). The loop keeps the
-//! single-device server's event arithmetic — the same
+//! Tenants are a mode of the one serving loop
+//! ([`serve_fleet`](crate::fleet::serve_fleet), and
+//! [`serve`](crate::server::serve) as its K = 1 projection), not a
+//! separate scheduler. With tenants configured, every (device, network)
+//! pair splits its queue into one [`Lane`] per tenant and keeps the
+//! class-blind event arithmetic — the same
 //! `max(gpu_free, min(T_full, T_deadline))` window rule
 //! ([`window_launch`]), the same greedy FIFO [`form`], the same
-//! launch-attempt [`launch_ladder`](crate::server::launch_ladder) — but
-//! splits the queue into one lane per tenant:
+//! launch-attempt [`launch_ladder`](crate::server::launch_ladder):
 //!
 //! - **Deadline-aware commit**: each lane's window grows under its
 //!   class's commit budget ([`crate::tenant::TenantClass::commit_budget`]) instead of
@@ -18,65 +19,28 @@
 //!   cache, is also a layout decision (the paper's `Nt` thresholds).
 //! - **Weighted-fair tiebreak**: when two lanes' launches tie exactly
 //!   for the device slot, the larger fairness credit wins
-//!   ([`lane_beats`]); credits settle after every commit
-//!   ([`settle_credits`]), so a saturating interactive tenant cannot
-//!   starve best-effort lanes indefinitely (the starvation bound pinned
-//!   in `tests/slo.rs`).
+//!   ([`lane_beats`](crate::tenant::lane_beats)); credits settle after
+//!   every commit ([`settle_credits`](crate::tenant::settle_credits)), so
+//!   a saturating interactive tenant cannot starve best-effort lanes
+//!   indefinitely (the starvation bound pinned in `tests/slo.rs`).
 //! - **Admission control**: a deterministic per-tenant token bucket on
-//!   the arrival clock ([`Admission`]) rejects arrivals past the
-//!   tenant's rate limit before they queue; rejections keep the 0.0
-//!   latency sentinel and their own accounting column.
+//!   the arrival clock ([`Admission`](crate::tenant::Admission)) rejects
+//!   arrivals past the tenant's rate limit before they queue; rejections
+//!   keep the 0.0 latency sentinel and their own accounting column.
 //!
-//! Everything stays a pure function of `(engine config, network,
-//! ServeConfig)`: tenant attribution hashes `(seed, id)` without
-//! touching the workload RNG, lane selection and credits are plain
-//! arithmetic in commit order, and the report is bit-identical across
+//! Everything stays a pure function of `(engine configs, networks,
+//! config)`: tenant attribution hashes `(seed, id)` without touching the
+//! workload RNG, lane selection and credits are plain arithmetic in
+//! commit order, and the report is bit-identical across
 //! `MEMCNN_THREADS`.
 
-use crate::batch::bucket_for;
 use crate::fleet::window_launch;
 use crate::metrics::latency_stats;
-use crate::plan_cache::PlanCache;
-use crate::policy::FaultStats;
-use crate::server::{
-    fault_span, form, launch_ladder, BatchRecord, BucketStats, LadderEnd, Outcome, ServeConfig,
-    ServeReport,
-};
-use crate::tenant::{
-    fairness_of, lane_beats, settle_credits, tenant_tags, Admission, SloReport, TenantReport,
-};
-use crate::workload::{self, Request};
-use memcnn_core::{Engine, EngineError, Network};
-use memcnn_metrics::{GaugeId, Recorder};
-use memcnn_trace as trace;
+use crate::server::form;
+use crate::tenant::{fairness_of, SloReport, TenantReport};
+use crate::workload::Request;
+use memcnn_core::EngineError;
 use memcnn_trace::perf;
-use std::collections::BTreeSet;
-
-/// One lane's cached arbitration key: the tentative launch
-/// [`window_launch`] computed under the state fingerprint alongside it.
-/// The cache hit condition exploits the window rule's shape — the launch
-/// starts from `max(gpu_free, oldest)`, so while the device clock stays
-/// at or below the lane's oldest pending arrival the result does not
-/// depend on `gpu_free` at all, and an unchanged `(next, emax)` pair
-/// pins the rest of the inputs (the admitted queue itself is immutable
-/// once routed). Exact-`f64`-bits equality everywhere keeps the cached
-/// selection byte-identical to a fresh scan; debug builds assert it.
-struct LaneKey {
-    next: usize,
-    emax: usize,
-    gpu_free: f64,
-    launch: f64,
-}
-
-impl LaneKey {
-    /// Whether the cached launch is still exact for the current state.
-    fn valid(&self, next: usize, emax: usize, gpu_free: f64, oldest: f64) -> bool {
-        self.next == next
-            && self.emax == emax
-            && (self.gpu_free.to_bits() == gpu_free.to_bits()
-                || (self.gpu_free <= oldest && gpu_free <= oldest))
-    }
-}
 
 /// One tenant's FIFO lane: the routed queue and the served prefix.
 pub(crate) struct Lane {
@@ -102,10 +66,10 @@ impl Lane {
 /// Whether committing `(launch, images)` displaced a tentative larger
 /// batch on `lane`: the lane's own batch — formed from requests that
 /// had arrived by `launch` — would have launched later with more
-/// images. Only arrived work counts: the fleet routes exactly the
+/// images. Only arrived work counts: the loop routes exactly the
 /// `arrival <= launch` prefix before any commit (the route-first rule),
-/// while the single-device loop holds the whole admitted stream, so
-/// this shared cutoff is what makes both paths count identically.
+/// so the cutoff keeps the count independent of how far routing ran
+/// ahead.
 pub(crate) fn lane_preempts(
     lane: &Lane,
     budget: f64,
@@ -124,41 +88,10 @@ pub(crate) fn lane_preempts(
     l2 > launch && imgs2 > images
 }
 
-/// Whether `MEMCNN_SLO_DISABLE` forces the class-blind scheduler even
-/// when tenants are configured — the equivalence oracle: tenant tags
-/// never touch the RNG, so a disabled run is byte-identical to the same
-/// config with no tenants at all. Read on every call (like
-/// `MEMCNN_FLEET_SEQUENTIAL`, not once-locked) so tests and the bench
-/// can pin both schedulers in one process.
-pub(crate) fn slo_disabled() -> bool {
-    slo_disable_from(std::env::var("MEMCNN_SLO_DISABLE").ok().as_deref())
-}
-
-/// Parse a `MEMCNN_SLO_DISABLE` value, warning on stderr and keeping the
-/// SLO-aware scheduler when it is present but not a recognized boolean.
-/// Pure so the fallback is unit-testable; the `Once` guarantees the
-/// warning fires at most once per process.
-fn slo_disable_from(raw: Option<&str>) -> bool {
-    match raw {
-        None => false,
-        Some("1") | Some("true") => true,
-        Some("0") | Some("false") => false,
-        Some(v) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "memcnn: ignoring malformed MEMCNN_SLO_DISABLE={v:?} \
-                     (want 1/0/true/false); keeping the SLO-aware scheduler"
-                );
-            });
-            false
-        }
-    }
-}
-
 /// Assemble the per-tenant accounting section from independently
-/// tallied components (shared by the single-device and fleet loops).
-/// `in_flight` comes from residual lane depths — 0 for drained runs.
+/// tallied components. `in_flight` comes from residual lane depths — 0
+/// for drained runs. An unbalanced result is a typed
+/// `EngineError::Fatal`, in release builds too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn slo_report(
     tenants: &[crate::tenant::TenantSpec],
@@ -176,7 +109,7 @@ pub(crate) fn slo_report(
     failed_over: &[u64],
     in_transit: &[u64],
     device_seconds: f64,
-) -> SloReport {
+) -> Result<SloReport, EngineError> {
     let nt = tenants.len();
     let mut lat_by: Vec<Vec<f64>> = vec![Vec::new(); nt];
     for (i, &l) in latencies.iter().enumerate() {
@@ -221,435 +154,17 @@ pub(crate) fn slo_report(
     perf::add("slo.preempt", slo.preemptions);
     perf::add("slo.reject", slo.rejected);
     perf::add("slo.violation", slo.violations);
-    debug_assert!(slo.balanced(), "per-tenant accounting out of balance");
-    slo
-}
-
-/// Run the SLO-aware serving simulation to completion. Called by
-/// [`serve`](crate::server::serve) when `cfg.tenants` is non-empty;
-/// deterministic like the class-blind loop — same inputs give a
-/// bit-identical [`ServeReport`] (now carrying `Some(SloReport)`),
-/// independent of `MEMCNN_THREADS`.
-pub(crate) fn serve_tenants(
-    engine: &Engine,
-    net: &Network,
-    cfg: &ServeConfig,
-) -> Result<ServeReport, EngineError> {
-    let requests = workload::generate(&cfg.workload);
-    perf::add("serve.requests", requests.len() as u64);
-    let tenants = &cfg.tenants;
-    let nt = tenants.len();
-    let tags = tenant_tags(cfg.workload.seed, requests.len(), tenants);
-    let max = cfg.policy.max_batch_images.max(1);
-    let fplan = cfg.faults.filter(|p| !p.is_noop());
-    let pol = cfg.fault_policy;
-    let delay = cfg.policy.max_queue_delay;
-    let budgets: Vec<f64> = tenants.iter().map(|t| t.class.commit_budget(delay)).collect();
-    let ranks: Vec<u8> = tenants.iter().map(|t| t.class.rank()).collect();
-    let p99s: Vec<Option<f64>> = tenants.iter().map(|t| t.class.p99_budget()).collect();
-
-    // Admission on the arrival clock, before anything queues: the token
-    // bucket is a pure function of the (deterministic) arrival sequence,
-    // so the lane contents are replayable from the seed.
-    let mut admission = Admission::new(tenants);
-    let mut admitted = vec![0u64; nt];
-    let mut rejected = vec![0u64; nt];
-    let mut lanes: Vec<Lane> = (0..nt).map(|_| Lane::new()).collect();
-    for (i, r) in requests.iter().enumerate() {
-        let t = tags[i] as usize;
-        admitted[t] += 1;
-        if admission.admit(t, r.arrival) {
-            lanes[t].queue.push(*r);
-        } else {
-            rejected[t] += 1;
-            fault_span(r.arrival, 0.0, || {
-                (
-                    format!("reject request {}", r.id),
-                    vec![
-                        (trace::intern("reason").into(), trace::intern("admission").into()),
-                        (trace::intern("tenant").into(), trace::intern(&tenants[t].name).into()),
-                    ],
-                )
-            });
-        }
-    }
-
-    let mut cache = PlanCache::new(engine, net, cfg.mechanism);
-    let mut latencies = vec![0.0f64; requests.len()];
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut stats = FaultStats::default();
-    let mut shed_requests = 0usize;
-    let mut shed_by = vec![0u64; nt];
-    let mut plan_ooms = 0u64;
-    let mut gpu_free = 0.0f64;
-    let mut launches: u64 = 0;
-    let mut plan_cap = max;
-    let mut pin: Option<usize> = None;
-    let mut clean_streak: u64 = 0;
-    let mut rec = Recorder::default();
-    // Resolve every recorder handle once: per-sample emission becomes an
-    // index push, with no name lookup or `format!` on the commit path.
-    // Unused registrations drop out of the finished timeline, so the
-    // serialized output is unchanged.
-    let id_shed_total = rec.gauge_id("shed.total");
-    let id_queue_depth = rec.gauge_id("queue.depth");
-    let id_batch_images = rec.gauge_id("batch.images");
-    let id_batch_bucket = rec.gauge_id("batch.bucket");
-    let id_util = rec.gauge_id("util");
-    let id_hit_rate = rec.gauge_id("plan_cache.hit_rate");
-    let id_degraded = rec.gauge_id("degraded");
-    let id_violations = rec.gauge_id("slo.violations");
-    let tenant_keys: Vec<_> = tenants.iter().map(|t| rec.latency_key(&t.name)).collect();
-    let tenant_violation_ids: Vec<Option<GaugeId>> = tenants
-        .iter()
-        .map(|t| {
-            t.class.p99_budget().map(|_| rec.gauge_id(&format!("tenant.{}.violations", t.name)))
-        })
-        .collect();
-    let mut seen_buckets: BTreeSet<usize> = BTreeSet::new();
-    let mut cache_lookups = 0u64;
-    let mut cache_hits = 0u64;
-    let mut busy = 0.0f64;
-    // SLO accounting: fairness credits plus per-tenant tallies. Each
-    // component is tallied independently (completions at batch done,
-    // sheds at the shed sites, rejections above) so the balance check is
-    // a real invariant.
-    let mut credits = vec![0.0f64; nt];
-    let mut completed = vec![0u64; nt];
-    let mut images_by = vec![0u64; nt];
-    let mut violations = vec![0u64; nt];
-    let mut early = 0u64;
-    let mut preempts = 0u64;
-    // Cached per-lane arbitration keys: a lane recomputes its tentative
-    // launch only when its own `(next, emax)` fingerprint changed or the
-    // device clock moved past its oldest pending arrival (see
-    // [`LaneKey`]). Commits touch one lane; the others' keys survive.
-    let mut lane_keys: Vec<Option<LaneKey>> = (0..nt).map(|_| None).collect();
-
-    loop {
-        // Deadline-based load shedding, per lane at the device clock —
-        // the single-device rule applied to every head-of-line.
-        if let Some(deadline) = pol.shed_deadline {
-            for (t, lane) in lanes.iter_mut().enumerate() {
-                while lane.has_pending() && gpu_free - lane.queue[lane.next].arrival > deadline {
-                    let r = &lane.queue[lane.next];
-                    fault_span(gpu_free, 0.0, || {
-                        (
-                            format!("shed request {}", r.id),
-                            vec![
-                                (trace::intern("reason").into(), trace::intern("deadline").into()),
-                                (
-                                    trace::intern("tenant").into(),
-                                    trace::intern(&tenants[t].name).into(),
-                                ),
-                            ],
-                        )
-                    });
-                    shed_requests += 1;
-                    shed_by[t] += 1;
-                    lane.next += 1;
-                    rec.gauge_at(id_shed_total, gpu_free, shed_requests as f64);
-                }
-            }
-        }
-
-        let emax = plan_cap.min(pin.unwrap_or(plan_cap)).max(1);
-        // Lane arbitration: earliest launch under each lane's own commit
-        // budget; exact launch ties break by fairness credit, then class
-        // rank, then lane order (deterministic keep-first). Launches come
-        // from the incrementally settled [`LaneKey`] cache; credits and
-        // ranks are read fresh (they are O(1) lookups and change on every
-        // settle).
-        let mut best: Option<(f64, usize)> = None;
-        for (t, lane) in lanes.iter().enumerate() {
-            if !lane.has_pending() {
-                continue;
-            }
-            let oldest = lane.queue[lane.next].arrival;
-            let launch = match &lane_keys[t] {
-                Some(k) if k.valid(lane.next, emax, gpu_free, oldest) => k.launch,
-                _ => {
-                    let fresh = window_launch(&lane.queue, lane.next, gpu_free, emax, budgets[t]);
-                    lane_keys[t] = Some(LaneKey { next: lane.next, emax, gpu_free, launch: fresh });
-                    fresh
-                }
-            };
-            debug_assert_eq!(
-                launch.to_bits(),
-                window_launch(&lane.queue, lane.next, gpu_free, emax, budgets[t]).to_bits(),
-                "lane-key cache diverged from a fresh window_launch"
-            );
-            let take = match best {
-                None => true,
-                Some((bl, bt)) => {
-                    lane_beats((launch, credits[t], ranks[t]), (bl, credits[bt], ranks[bt]))
-                }
-            };
-            if take {
-                best = Some((launch, t));
-            }
-        }
-        let Some((launch, t)) = best else { break };
-        let (j_end, images, full) = form(&lanes[t].queue, lanes[t].next, launch, emax);
-        debug_assert!(j_end > lanes[t].next, "a committed batch serves at least one request");
-        let bucket = bucket_for(images, emax);
-        // Early commit: the class budget (tighter than the policy delay)
-        // fired before the batch filled — the deadline-aware rule
-        // launched a part-full batch to protect the budget. Computed
-        // here, applied only if the plan resolves below, so a plan-OOM
-        // re-selection is not double-counted.
-        let early_hit = !full
-            && budgets[t] < delay
-            && launch == lanes[t].queue[lanes[t].next].arrival + budgets[t];
-        // Preemption: this lane won the slot from a lane whose tentative
-        // batch would have launched later with more images — the
-        // large-bucket launch the deadline rule displaced.
-        let mut preempt_hit = false;
-        for (u, other) in lanes.iter().enumerate() {
-            if u != t && lane_preempts(other, budgets[u], gpu_free, emax, launch, images) {
-                preempt_hit = true;
-                break;
-            }
-        }
-        cache_lookups += 1;
-        if !seen_buckets.insert(bucket) {
-            cache_hits += 1;
-        }
-        let plan = match cache.get(bucket) {
-            Ok(plan) => plan,
-            Err(err @ EngineError::PlanOom { .. }) => {
-                if bucket <= 1 {
-                    return Err(err);
-                }
-                plan_ooms += 1;
-                fault_span(launch, 0.0, || {
-                    (
-                        format!("plan OOM at bucket {bucket}"),
-                        vec![(
-                            trace::intern("new_cap").into(),
-                            trace::intern(&(bucket / 2).to_string()).into(),
-                        )],
-                    )
-                });
-                plan_cap = (bucket / 2).max(1);
-                continue;
-            }
-            Err(err) => return Err(err),
-        };
-        let service = plan.total_time();
-        if early_hit {
-            early += 1;
-        }
-        if preempt_hit {
-            preempts += 1;
-        }
-
-        let LadderEnd { outcome, attempts: attempt, throttles } = launch_ladder(
-            engine,
-            plan,
-            fplan.as_ref(),
-            &mut launches,
-            &mut stats,
-            &pol,
-            bucket,
-            launch,
-            None,
-        )?;
-
-        match outcome {
-            Outcome::Done { done } => {
-                let reqs = j_end - lanes[t].next;
-                {
-                    let lane = &mut lanes[t];
-                    for r in &lane.queue[lane.next..j_end] {
-                        let latency = done - r.arrival;
-                        latencies[r.id as usize] = latency;
-                        rec.observe_latency(latency);
-                        rec.observe_latency_keyed_at(tenant_keys[t], latency);
-                        completed[t] += 1;
-                        images_by[t] += r.images as u64;
-                        if p99s[t].is_some_and(|b| latency > b) {
-                            violations[t] += 1;
-                        }
-                    }
-                    lane.next = j_end;
-                }
-                // Queue pressure left behind, across every lane.
-                let depth: usize = lanes
-                    .iter()
-                    .map(|l| l.pending().iter().filter(|r| r.arrival <= launch).count())
-                    .sum();
-                {
-                    let idx = batches.len();
-                    let tenant = &tenants[t].name;
-                    trace::record_span(|| trace::SpanEvent {
-                        name: format!("batch {idx} (N={bucket})"),
-                        track: trace::Track::Serve,
-                        ts_us: launch * 1e6,
-                        dur_us: service * 1e6,
-                        args: vec![
-                            (trace::intern("tenant").into(), trace::intern(tenant).into()),
-                            (
-                                trace::intern("requests").into(),
-                                trace::intern(&reqs.to_string()).into(),
-                            ),
-                            (
-                                trace::intern("images").into(),
-                                trace::intern(&images.to_string()).into(),
-                            ),
-                            (
-                                trace::intern("bucket").into(),
-                                trace::intern(&bucket.to_string()).into(),
-                            ),
-                        ],
-                    });
-                }
-                batches.push(BatchRecord {
-                    launch,
-                    done,
-                    requests: reqs,
-                    images,
-                    bucket,
-                    queue_depth: depth,
-                    attempts: attempt,
-                    throttled: throttles,
-                });
-                if pin.is_some() {
-                    if attempt == 0 && throttles == 0 {
-                        clean_streak += 1;
-                        if clean_streak >= pol.recovery_batches {
-                            stats.degraded_exits += 1;
-                            fault_span(done, 0.0, || {
-                                (
-                                    "leave degraded mode".to_string(),
-                                    vec![(
-                                        trace::intern("clean_batches").into(),
-                                        trace::intern(&clean_streak.to_string()).into(),
-                                    )],
-                                )
-                            });
-                            pin = None;
-                            clean_streak = 0;
-                        }
-                    } else {
-                        clean_streak = 0;
-                    }
-                }
-                busy += done - launch;
-                rec.gauge_at(id_queue_depth, done, depth as f64);
-                rec.gauge_at(id_batch_images, done, images as f64);
-                rec.gauge_at(id_batch_bucket, done, bucket as f64);
-                rec.gauge_at(id_util, done, if done > 0.0 { busy / done } else { 0.0 });
-                rec.gauge_at(id_hit_rate, done, cache_hits as f64 / cache_lookups as f64);
-                rec.gauge_at(id_degraded, done, if pin.is_some() { 1.0 } else { 0.0 });
-                rec.gauge_at(id_shed_total, done, shed_requests as f64);
-                rec.gauge_at(id_violations, done, violations.iter().sum::<u64>() as f64);
-                for (u, id) in tenant_violation_ids.iter().enumerate() {
-                    if let Some(id) = *id {
-                        rec.gauge_at(id, done, violations[u] as f64);
-                    }
-                }
-                rec.sample_window(done);
-                gpu_free = done;
-                settle_credits(&mut credits, tenants, |u| lanes[u].has_pending(), t, images);
-            }
-            Outcome::Shed { at } => {
-                let lane = &mut lanes[t];
-                let batch_shed = j_end - lane.next;
-                shed_requests += batch_shed;
-                shed_by[t] += batch_shed as u64;
-                lane.next = j_end;
-                busy += at - launch;
-                rec.gauge_at(id_shed_total, at, shed_requests as f64);
-                rec.gauge_at(id_util, at, if at > 0.0 { busy / at } else { 0.0 });
-                gpu_free = at;
-                settle_credits(&mut credits, tenants, |u| lanes[u].has_pending(), t, images);
-            }
-            Outcome::Downshift { at } => {
-                if pin.is_none() {
-                    stats.degraded_entries += 1;
-                }
-                pin = Some((bucket / 2).max(1));
-                clean_streak = 0;
-                busy += at - launch;
-                rec.gauge_at(id_degraded, at, 1.0);
-                gpu_free = at;
-            }
-        }
-    }
-    perf::add("serve.batches", batches.len() as u64);
-    perf::add("serve.shed", shed_requests as u64);
-    perf::add("serve.plan.oom", plan_ooms);
-    perf::add("fault.injected", stats.injected);
-    perf::add("fault.retried", stats.retried);
-    perf::add("fault.degraded", stats.degraded);
-    perf::add("fault.shed", stats.shed);
-    perf::add("serve.degraded.enter", stats.degraded_entries);
-    perf::add("serve.degraded.exit", stats.degraded_exits);
-    debug_assert!(stats.balanced(), "fault accounting out of balance: {stats:?}");
-
-    let mut buckets: Vec<BucketStats> = Vec::new();
-    for (&bucket, plan) in cache.plans() {
-        let hits: Vec<&BatchRecord> = batches.iter().filter(|b| b.bucket == bucket).collect();
-        let images: usize = hits.iter().map(|b| b.images).sum();
-        buckets.push(BucketStats {
-            bucket,
-            batches: hits.len(),
-            images,
-            fill: if hits.is_empty() { 0.0 } else { images as f64 / (hits.len() * bucket) as f64 },
-            conv_layouts: plan.conv_layout_signature(),
-            transforms: plan.transform_count(),
-            service_time: plan.total_time(),
-        });
-    }
-
-    let in_flight: Vec<u64> = lanes.iter().map(|l| (l.queue.len() - l.next) as u64).collect();
-    let slo = slo_report(
-        tenants,
-        &latencies,
-        &tags,
-        &admitted,
-        &rejected,
-        &completed,
-        &shed_by,
-        &in_flight,
-        &images_by,
-        &violations,
-        early,
-        preempts,
-        // No device lifecycle on the single-device path: nothing fails
-        // over, and `busy` is the one device's occupied seconds.
-        &vec![0u64; nt],
-        &vec![0u64; nt],
-        busy,
-    );
-
-    let timeline = rec.finish();
-    timeline.emit_trace_counters(trace::Track::Serve);
-
-    Ok(ServeReport {
-        network: net.name.clone(),
-        config: cfg.clone(),
-        requests: requests.len(),
-        images: batches.iter().map(|b| b.images).sum(),
-        makespan: gpu_free,
-        latencies,
-        batches,
-        buckets,
-        shed_requests,
-        faults: stats,
-        timeline,
-        slo: Some(slo),
-    })
+    slo.check_balanced()?;
+    Ok(slo)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::batch::BatchPolicy;
+    use crate::server::{serve, ServeConfig, ServeReport};
     use crate::tenant::TenantSpec;
     use crate::workload::{Arrival, Phase, WorkloadConfig};
-    use memcnn_core::{LayoutThresholds, NetworkBuilder};
+    use memcnn_core::{Engine, LayoutThresholds, Network, NetworkBuilder};
     use memcnn_gpusim::DeviceConfig;
     use memcnn_tensor::Shape;
 
@@ -674,20 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn disable_knob_parses_and_malformed_falls_back() {
-        assert!(!slo_disable_from(None));
-        assert!(slo_disable_from(Some("1")));
-        assert!(slo_disable_from(Some("true")));
-        assert!(!slo_disable_from(Some("0")));
-        assert!(!slo_disable_from(Some("false")));
-        // Malformed values warn once on stderr and keep the SLO-aware
-        // scheduler (the MEMCNN_FLEET_SEQUENTIAL fallback convention).
-        assert!(!slo_disable_from(Some("yes")));
-        assert!(!slo_disable_from(Some("")));
-        assert!(!slo_disable_from(Some(" 1 ")));
-    }
-
-    #[test]
     fn tenant_run_serves_everything_with_balanced_accounting() {
         let engine = tiny_engine();
         let net = tiny_net();
@@ -701,7 +202,7 @@ mod tests {
             BatchPolicy::new(32, 0.005),
         )
         .with_tenants(mix());
-        let report = serve_tenants(&engine, &net, &cfg).unwrap();
+        let report = serve(&engine, &net, &cfg).unwrap();
         assert!(report.requests > 0);
         assert!(report.latencies.iter().all(|&l| l > 0.0));
         let slo = report.slo.as_ref().unwrap();
@@ -718,7 +219,7 @@ mod tests {
         // Fairness is finite when nobody starved.
         assert!(slo.fairness.ratio >= 1.0);
         // Replays bit-identically.
-        let again = serve_tenants(&engine, &net, &cfg).unwrap();
+        let again = serve(&engine, &net, &cfg).unwrap();
         let bits =
             |r: &ServeReport| -> Vec<u64> { r.latencies.iter().map(|l| l.to_bits()).collect() };
         assert_eq!(bits(&report), bits(&again));
@@ -742,7 +243,7 @@ mod tests {
             BatchPolicy::new(32, 0.005),
         )
         .with_tenants(tenants);
-        let report = serve_tenants(&engine, &net, &cfg).unwrap();
+        let report = serve(&engine, &net, &cfg).unwrap();
         let slo = report.slo.as_ref().unwrap();
         assert!(slo.balanced());
         assert!(slo.rejected > 0, "the 20 req/s cap must reject under ~400 req/s of traffic");
@@ -779,13 +280,10 @@ mod tests {
             TenantSpec::interactive("chat", 0.008, 1.0),
             TenantSpec::best_effort("batch", 1.0),
         ];
-        let aware = serve_tenants(
-            &engine,
-            &net,
-            &ServeConfig::new(wl.clone(), policy).with_tenants(tenants.clone()),
-        )
-        .unwrap();
-        let blind = crate::server::serve(&engine, &net, &ServeConfig::new(wl, policy)).unwrap();
+        let aware =
+            serve(&engine, &net, &ServeConfig::new(wl.clone(), policy).with_tenants(tenants))
+                .unwrap();
+        let blind = serve(&engine, &net, &ServeConfig::new(wl, policy)).unwrap();
         let slo = aware.slo.as_ref().unwrap();
         assert!(slo.early_commits > 0, "the 4 ms interactive budget must fire early commits");
         let chat_p99 = slo.tenants[0].latency.p99;

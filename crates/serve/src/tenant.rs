@@ -7,9 +7,8 @@
 //! request to a tenant with a splitmix64 hash of `(seed, request id)` and
 //! a cumulative-weight pick — a pure function that touches no RNG state —
 //! so the *arrivals* of a tenant-enabled run are bit-identical to the
-//! tenant-free stream, and the class-blind oracle
-//! (`MEMCNN_SLO_DISABLE=1`) is an exact equivalence, not an
-//! approximation.
+//! tenant-free stream, and a class-blind run of the same config (tenants
+//! cleared) serves exactly the same requests.
 //!
 //! Accounting follows the `FaultStats` discipline: every attributed
 //! request ends in exactly one of `completed`, `shed`, `rejected`, or
@@ -21,6 +20,7 @@
 //! not an arithmetic tautology.
 
 use crate::metrics::LatencyStats;
+use memcnn_core::EngineError;
 use serde::Serialize;
 
 /// Service class of a tenant: what the scheduler owes its requests.
@@ -305,6 +305,35 @@ impl SloReport {
         agg_ok && self.tenants.iter().all(TenantReport::balanced)
     }
 
+    /// [`SloReport::balanced`] as a typed error, checked in release
+    /// builds too: `EngineError::Fatal` listing every tenant's tallies.
+    pub(crate) fn check_balanced(&self) -> Result<(), EngineError> {
+        if self.balanced() {
+            return Ok(());
+        }
+        let rows: Vec<String> = self
+            .tenants
+            .iter()
+            .map(|t| {
+                format!(
+                    "{}: admitted {} vs completed {} + shed {} + rejected {} + in_flight {} \
+                     + in_transit {}",
+                    t.name,
+                    t.admitted,
+                    t.completed,
+                    t.shed,
+                    t.rejected,
+                    t.in_flight,
+                    t.failed_over_in_transit
+                )
+            })
+            .collect();
+        Err(EngineError::Fatal(format!(
+            "per-tenant accounting out of balance: {}",
+            rows.join("; ")
+        )))
+    }
+
     /// The SLO-violation cost metric: device-seconds consumed per
     /// violation. A violation-free run reports the full device-seconds
     /// (cost of perfection); higher is better only when violations are
@@ -520,6 +549,47 @@ mod tests {
         assert_eq!(f.ratio, -1.0, "a tenant with nothing completed is the starved sentinel");
         let f2 = fairness_of(&[t.clone(), TenantReport { weighted_share: 10.0, ..t }]);
         assert!((f2.ratio - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unbalanced_slo_report_is_a_typed_error() {
+        let row = TenantReport {
+            name: "chat".to_string(),
+            class: TenantClass::Standard,
+            weight: 1.0,
+            admitted: 10,
+            rejected: 2,
+            completed: 7,
+            shed: 1,
+            in_flight: 0,
+            images: 20,
+            violations: 0,
+            latency: LatencyStats::default(),
+            weighted_share: 20.0,
+            failed_over: 0,
+            failed_over_in_transit: 0,
+        };
+        let mut slo = SloReport {
+            tenants: vec![row],
+            fairness: SloFairness { share_max: 20.0, share_min: 20.0, ratio: 1.0 },
+            violations: 0,
+            rejected: 2,
+            early_commits: 0,
+            preemptions: 0,
+            device_seconds: 1.0,
+            failed_over: 0,
+            failed_over_in_transit: 0,
+        };
+        assert_eq!(slo.check_balanced(), Ok(()));
+        slo.tenants[0].completed = 6;
+        assert_eq!(
+            slo.check_balanced(),
+            Err(EngineError::Fatal(
+                "per-tenant accounting out of balance: chat: admitted 10 vs completed 6 + shed 1 \
+                 + rejected 2 + in_flight 0 + in_transit 0"
+                    .to_string()
+            ))
+        );
     }
 
     #[test]

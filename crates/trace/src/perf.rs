@@ -188,10 +188,13 @@ pub fn render() -> String {
 mod tests {
     use super::*;
 
+    /// The registry is process-global and `reset()` zeroes every counter,
+    /// so the registry checks share ONE `#[test]`: as separate tests, a
+    /// reset on one harness thread would race sibling assertions (the
+    /// same convention `tests/*.rs` follows for process-global state).
     #[test]
-    fn counters_register_accumulate_and_reset() {
-        // One test exercises the whole lifecycle: the registry is global,
-        // so parallel tests sharing names would race on asserts.
+    fn registry_counts_resets_baselines_and_concurrent_increments() {
+        // Lifecycle: register, accumulate, render, reset.
         let c = counter("test.perf.lifecycle");
         assert_eq!(c.load(Ordering::Relaxed), 0);
         incr("test.perf.lifecycle");
@@ -202,31 +205,25 @@ mod tests {
         assert_eq!(snapshot().get("test.perf.lifecycle"), Some(&42));
         assert!(render().contains("test.perf.lifecycle"));
 
-        reset();
-        assert_eq!(get("test.perf.lifecycle"), 0);
-        // Held handles survive a reset.
-        c.fetch_add(7, Ordering::Relaxed);
-        assert_eq!(get("test.perf.lifecycle"), 7);
-    }
-
-    #[test]
-    fn cached_counter_tracks_the_registry_cell_across_resets() {
+        // Cached handles share the registry cell.
         static CACHED: CachedCounter = CachedCounter::new("test.perf.cached");
         CACHED.incr();
         CACHED.add(4);
         assert_eq!(get("test.perf.cached"), 5);
         assert_eq!(CACHED.get(), 5);
-        // The free functions and the cached handle share one cell.
         add("test.perf.cached", 1);
         assert_eq!(CACHED.get(), 6);
+
         reset();
+        assert_eq!(get("test.perf.lifecycle"), 0);
+        // Held handles survive a reset.
+        c.fetch_add(7, Ordering::Relaxed);
+        assert_eq!(get("test.perf.lifecycle"), 7);
         CACHED.incr();
         assert_eq!(get("test.perf.cached"), 1, "cached handles survive reset()");
-    }
 
-    #[test]
-    fn baseline_reports_per_run_deltas_not_lifetime_totals() {
-        // "Run 1" pollutes the global counter, as real bench binaries do.
+        // Baselines report per-run deltas, not lifetime totals. "Run 1"
+        // pollutes the global counter, as real bench binaries do.
         add("test.perf.baseline", 100);
         let base = baseline();
         assert_eq!(base.delta_of("test.perf.baseline"), 0);
@@ -238,10 +235,8 @@ mod tests {
         let d = base.delta();
         assert_eq!(d.get("test.perf.baseline"), Some(&7));
         assert_eq!(d.get("test.perf.baseline.fresh"), Some(&1));
-    }
 
-    #[test]
-    fn concurrent_increments_are_not_lost() {
+        // Concurrent increments are not lost.
         let threads = 8;
         let per_thread = 1000u64;
         std::thread::scope(|s| {

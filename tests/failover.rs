@@ -2,13 +2,12 @@
 //! across thread counts and across the sequential/parallel fleet
 //! paths, the zero-rate no-op equivalence, the extended accounting
 //! balance invariant (`admitted == completed + shed + rejected +
-//! in_flight + failed_over_in_transit`), total-fleet-loss survival,
-//! and the `MEMCNN_HEALTH_DISABLE` oracle.
+//! in_flight + failed_over_in_transit`), and total-fleet-loss survival.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
 //! perf registry, the once-locked `MEMCNN_THREADS`, and the per-call
-//! `MEMCNN_HEALTH_DISABLE` / `MEMCNN_FLEET_SEQUENTIAL` knobs), so
-//! everything lives in ONE `#[test]`.
+//! `MEMCNN_FLEET_SEQUENTIAL` knob), so everything lives in ONE
+//! `#[test]`.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan};
@@ -65,7 +64,6 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
     // Must precede every engine call in this process (once-locked).
     std::env::set_var("MEMCNN_THREADS", "4");
     std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
-    std::env::remove_var("MEMCNN_HEALTH_DISABLE");
 
     let net = NetworkBuilder::new("failover-net", Shape::new(1, 64, 8, 8))
         .conv("CV1", 64, 3, 1, 1)
@@ -178,16 +176,7 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
         assert!(!plain_json.contains(key), "default-config report leaked new key {key}");
     }
 
-    // (6) MEMCNN_HEALTH_DISABLE=1 is the no-op oracle for a *live*
-    // plan: with the knob set, the fault-carrying config must replay
-    // the plan-free schedule too.
-    std::env::set_var("MEMCNN_HEALTH_DISABLE", "1");
-    let disabled = serve_fleet(&engines, nets, &cfg).unwrap();
-    std::env::remove_var("MEMCNN_HEALTH_DISABLE");
-    assert!(disabled.health.is_none(), "a disabled run must not fabricate a health report");
-    assert_same_schedule(&plain, &disabled, "MEMCNN_HEALTH_DISABLE oracle");
-
-    // (7) Crash K-1 devices at t = 0: the survivor carries the whole
+    // (6) Crash K-1 devices at t = 0: the survivor carries the whole
     // stream (with the deadline ladder shedding what it must) and the
     // run still returns Ok with the books balanced.
     let apocalypse = DeviceFaultPlan::new(11, 0.0, 0.0, 0.0)

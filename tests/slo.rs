@@ -2,13 +2,12 @@
 //! scheduling across thread counts and across the sequential/parallel
 //! fleet paths, the per-tenant accounting balance invariant, exact
 //! zero-tenant byte-identity with the pre-tenant report wire format,
-//! the `MEMCNN_SLO_DISABLE` class-blind equivalence oracle, and the
-//! weighted-fair bound on best-effort starvation.
+//! and the weighted-fair bound on best-effort starvation.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
 //! perf registry, the once-locked `MEMCNN_THREADS`, and the per-call
-//! `MEMCNN_SLO_DISABLE` / `MEMCNN_FLEET_SEQUENTIAL` knobs), so
-//! everything lives in ONE `#[test]`.
+//! `MEMCNN_FLEET_SEQUENTIAL` knob), so everything lives in ONE
+//! `#[test]`.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::DeviceConfig;
@@ -57,7 +56,6 @@ fn black() -> Engine {
 fn slo_scheduling_is_deterministic_balanced_and_fair() {
     // Must precede every engine call in this process (once-locked).
     std::env::set_var("MEMCNN_THREADS", "4");
-    std::env::remove_var("MEMCNN_SLO_DISABLE");
     std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
 
     let net = NetworkBuilder::new("slo-net", Shape::new(1, 64, 8, 8))
@@ -157,27 +155,11 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
         "sequential and parallel SLO reports must be byte-identical"
     );
 
-    // (5) MEMCNN_SLO_DISABLE=1 is the class-blind equivalence oracle:
-    // with the knob set, a tenant-carrying config must replay the
-    // no-tenant schedule bit for bit (only the config echo differs).
-    let blind_cfg = FleetConfig::new(wl.clone(), policy, Placement::LeastLoaded);
-    let blind = serve_fleet(&engines, std::slice::from_ref(&net), &blind_cfg).unwrap();
-    std::env::set_var("MEMCNN_SLO_DISABLE", "1");
-    let disabled = serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap();
-    std::env::remove_var("MEMCNN_SLO_DISABLE");
-    assert!(disabled.slo.is_none(), "a disabled run must not fabricate an SLO report");
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(&blind.latencies), bits(&disabled.latencies), "oracle latencies diverged");
-    assert_eq!(blind.placements, disabled.placements, "oracle placements diverged");
-    assert_eq!(
-        serde_json::to_string(&blind.timeline).unwrap(),
-        serde_json::to_string(&disabled.timeline).unwrap(),
-        "oracle timelines diverged"
-    );
-
-    // (6) Zero-tenant byte-identity with the pre-tenant wire format:
+    // (5) Zero-tenant byte-identity with the pre-tenant wire format:
     // the default config emits none of the new keys, so its JSON is
     // exactly what the previous revision serialized.
+    let blind_cfg = FleetConfig::new(wl.clone(), policy, Placement::LeastLoaded);
+    let blind = serve_fleet(&engines, std::slice::from_ref(&net), &blind_cfg).unwrap();
     let plain_json = serde_json::to_string(&blind).unwrap();
     for key in ["\"tenants\"", "\"slo\"", "\"keyed_hists\""] {
         assert!(!plain_json.contains(key), "default-config report leaked new key {key}");
@@ -188,7 +170,7 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
         assert!(!s_json.contains(key), "default-config serve report leaked new key {key}");
     }
 
-    // (7) Single-device tenant path agrees with a K = 1 fleet, field
+    // (6) Single-device tenant path agrees with a K = 1 fleet, field
     // for field on the per-tenant books (the same lanes arithmetic runs
     // under both drivers).
     std::env::set_var("MEMCNN_THREADS", "4");
@@ -197,6 +179,7 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
     let k1 = serve_fleet(&[&black()], std::slice::from_ref(&net), &cfg).unwrap();
     let sslo = single.slo.as_ref().expect("tenant-enabled serve must carry an SLO report");
     let fslo = k1.slo.as_ref().unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(bits(&single.latencies), bits(&k1.latencies), "K=1 SLO latencies diverged");
     for (a, b) in sslo.tenants.iter().zip(&fslo.tenants) {
         assert_eq!(a.name, b.name);
