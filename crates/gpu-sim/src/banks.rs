@@ -29,21 +29,58 @@ pub fn passes(byte_addrs: &[u64], bytes_per_lane: u64, mode: BankMode, banks: u3
     let words_per_lane = bytes_per_lane.div_ceil(bank_bytes);
     let mut total = 0u32;
     for group in byte_addrs.chunks(group_lanes) {
-        // word index -> bank; lanes touching the same word broadcast.
-        let mut per_bank_words: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
-        for &a in group {
-            for k in 0..words_per_lane {
-                let word = a / bank_bytes + k;
-                let bank = (word % banks) as usize;
-                if !per_bank_words[bank].contains(&word) {
-                    per_bank_words[bank].push(word);
-                }
-            }
-        }
-        let worst = per_bank_words.iter().map(|w| w.len()).max().unwrap_or(0);
-        total += worst.max(1) as u32;
+        total += group_passes(group, words_per_lane, bank_bytes, banks).max(1);
     }
     total
+}
+
+/// Words a group may touch for [`group_passes`] to count them in fixed
+/// arrays (a 32-lane warp touches at most 32 per bank sweep).
+const MAX_WORDS: usize = 64;
+
+/// Passes of one lane group: the most distinct words any bank serves.
+/// Lanes touching the same word broadcast, and a word lives in exactly one
+/// bank, so that is the per-bank count of the group's distinct words.
+fn group_passes(group: &[u64], words_per_lane: u64, bank_bytes: u64, banks: u64) -> u32 {
+    let n_words = group.len() * words_per_lane as usize;
+    if n_words > MAX_WORDS || banks > MAX_WORDS as u64 {
+        return group_passes_wide(group, words_per_lane, bank_bytes, banks);
+    }
+    let mut words = [0u64; MAX_WORDS];
+    let mut n = 0;
+    for &a in group {
+        for k in 0..words_per_lane {
+            words[n] = a / bank_bytes + k;
+            n += 1;
+        }
+    }
+    let words = &mut words[..n];
+    words.sort_unstable();
+    let mut per_bank = [0u32; MAX_WORDS];
+    let mut prev = None;
+    for &word in words.iter() {
+        if prev != Some(word) {
+            per_bank[(word % banks) as usize] += 1;
+            prev = Some(word);
+        }
+    }
+    per_bank.into_iter().max().unwrap_or(0)
+}
+
+/// [`group_passes`] for groups touching more than [`MAX_WORDS`] words (or
+/// more banks than that): one word list per bank.
+fn group_passes_wide(group: &[u64], words_per_lane: u64, bank_bytes: u64, banks: u64) -> u32 {
+    let mut per_bank_words: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
+    for &a in group {
+        for k in 0..words_per_lane {
+            let word = a / bank_bytes + k;
+            let bank = (word % banks) as usize;
+            if !per_bank_words[bank].contains(&word) {
+                per_bank_words[bank].push(word);
+            }
+        }
+    }
+    per_bank_words.iter().map(|w| w.len()).max().unwrap_or(0) as u32
 }
 
 /// Bytes of shared-memory traffic a warp access generates (for throughput

@@ -2,19 +2,19 @@
 //!
 //! The model works at sector (32 B) granularity — Kepler's L2 is sectored,
 //! and modelling whole 128 B lines would overstate the cost of the strided
-//! accesses this reproduction cares about. LRU state is an age counter per
-//! way; sets are found by the low sector bits.
+//! accesses this reproduction cares about. Each set keeps its ways in
+//! recency order (way 0 most recent, invalid ways last), so LRU needs no
+//! ages: a hit moves its way to the front, a miss drops the last way and
+//! fills the front. The hit/miss sequence is that of any exact LRU. Sets
+//! are found by the sector index modulo the set count.
 
 /// A set-associative, LRU, sector-granular cache.
 #[derive(Clone, Debug)]
 pub struct Cache {
     sets: usize,
     assoc: usize,
-    /// tags[set * assoc + way], u64::MAX = invalid.
+    /// tags[set * assoc + way], most recent way first, u64::MAX = invalid.
     tags: Vec<u64>,
-    /// Monotonic per-access counter for LRU ages.
-    ages: Vec<u64>,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -27,44 +27,27 @@ impl Cache {
         let sectors = (size_bytes / sector_bytes).max(1) as usize;
         let assoc = (assoc as usize).clamp(1, sectors);
         let sets = (sectors / assoc).max(1);
-        Cache {
-            sets,
-            assoc,
-            tags: vec![u64::MAX; sets * assoc],
-            ages: vec![0; sets * assoc],
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Cache { sets, assoc, tags: vec![u64::MAX; sets * assoc], hits: 0, misses: 0 }
     }
 
-    /// Access one sector; returns `true` on hit. Misses fill the LRU way.
+    /// Access one sector; returns `true` on hit. Misses fill the LRU way
+    /// (an invalid one while the set has any).
     pub fn access(&mut self, sector: u64) -> bool {
-        self.tick += 1;
         let set = (sector as usize) % self.sets;
-        let base = set * self.assoc;
-        let ways = &mut self.tags[base..base + self.assoc];
-        if let Some(way) = ways.iter().position(|&t| t == sector) {
-            self.ages[base + way] = self.tick;
-            self.hits += 1;
-            return true;
+        let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
+        // Rotate the ways right by one from way 0 up to the hit (a hit) or
+        // through the whole set (a miss, dropping the LRU way), leaving
+        // `sector` in way 0.
+        let mut carry = sector;
+        for way in ways.iter_mut() {
+            let tag = std::mem::replace(way, carry);
+            if tag == sector {
+                self.hits += 1;
+                return true;
+            }
+            carry = tag;
         }
         self.misses += 1;
-        // Evict LRU (or an invalid way).
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.ages[base + w] < oldest {
-                oldest = self.ages[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = sector;
-        self.ages[base + victim] = self.tick;
         false
     }
 

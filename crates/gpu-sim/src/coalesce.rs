@@ -20,12 +20,34 @@ pub fn sector_of(addr: u64) -> u64 {
 ///
 /// Returns sector indices in first-touch order, deduplicated. The number of
 /// sectors is the transaction count for this warp instruction.
+///
+/// While lane addresses are non-decreasing, a lane can only repeat sectors
+/// at or below the last one pushed (lane intervals have equal width, so
+/// their ends are non-decreasing too), and every sector between its first
+/// and the last pushed is already out: deduplicating against the last
+/// pushed sector alone is exact. The first decreasing lane falls back to
+/// searching the output.
 pub fn coalesce(addrs: &[u64], bytes_per_lane: u64, out: &mut Vec<u64>) {
     out.clear();
-    for &a in addrs {
-        let first = sector_of(a);
+    // Lowest sector the monotone prefix has not pushed yet.
+    let mut next = 0;
+    let mut prev = 0;
+    for (i, &a) in addrs.iter().enumerate() {
+        if a < prev {
+            coalesce_unordered(&addrs[i..], bytes_per_lane, out);
+            return;
+        }
+        prev = a;
         let last = sector_of(a + bytes_per_lane - 1);
-        for s in first..=last {
+        out.extend(sector_of(a).max(next)..=last);
+        next = last + 1;
+    }
+}
+
+/// Append the sectors of `addrs` not yet in `out`, in first-touch order.
+fn coalesce_unordered(addrs: &[u64], bytes_per_lane: u64, out: &mut Vec<u64>) {
+    for &a in addrs {
+        for s in sector_of(a)..=sector_of(a + bytes_per_lane - 1) {
             // Warp accesses touch a handful of sectors; linear dedup against
             // the small output buffer beats a hash set here.
             if !out.contains(&s) {

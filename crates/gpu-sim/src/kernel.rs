@@ -105,13 +105,18 @@ pub trait KernelSpec: Sync {
 /// Global accesses are coalesced *as they are recorded* into 32 B sectors;
 /// the resulting sector stream is kept (in order) for the L2 model, while
 /// shared-memory accesses are folded immediately into pass counts under the
-/// launch's bank mode.
+/// launch's bank mode. A warp access is given either lane by lane
+/// ([`global_load`](Self::global_load), [`global_store`](Self::global_store))
+/// or, when its lanes form unit-stride runs in address order, as those runs
+/// ([`global_runs`](Self::global_runs)); both record the same sectors and
+/// counters.
 #[derive(Debug)]
 pub struct BlockTrace {
     bank_mode: BankMode,
     banks: u32,
-    /// Ordered (sector, is_store) stream for the cache model.
-    pub(crate) sectors: Vec<(u64, bool)>,
+    /// Ordered sector stream for the cache model, each entry a sector and
+    /// its store flag packed into one word (see [`pack`] and [`unpack`]).
+    pub(crate) sectors: Vec<u64>,
     /// Scratch for the coalescer.
     scratch: Vec<u64>,
     /// Warp-level global memory instructions issued.
@@ -162,18 +167,21 @@ impl BlockTrace {
             return;
         }
         debug_assert!(addrs.len() <= 32, "a warp access has at most 32 lanes");
-        self.mem_instrs += 1;
         coalesce::coalesce(addrs, bytes_per_lane, &mut self.scratch);
-        let n = self.scratch.len() as u64;
+        let flag = u64::from(store);
+        self.sectors.extend(self.scratch.iter().map(|&s| pack(s, flag)));
+        self.tally(self.scratch.len() as u64, addrs.len() as u64 * bytes_per_lane, store);
+    }
+
+    /// Count one warp access of `sectors` sectors and `requested` bytes.
+    fn tally(&mut self, sectors: u64, requested: u64, store: bool) {
+        self.mem_instrs += 1;
         if store {
-            self.store_sectors += n;
-            self.requested_store_bytes += addrs.len() as u64 * bytes_per_lane;
+            self.store_sectors += sectors;
+            self.requested_store_bytes += requested;
         } else {
-            self.load_sectors += n;
-            self.requested_load_bytes += addrs.len() as u64 * bytes_per_lane;
-        }
-        for &s in &self.scratch {
-            self.sectors.push((s, store));
+            self.load_sectors += sectors;
+            self.requested_load_bytes += requested;
         }
     }
 
@@ -185,6 +193,39 @@ impl BlockTrace {
     /// One warp global store of `bytes_per_lane` bytes per lane.
     pub fn global_store(&mut self, addrs: &[u64], bytes_per_lane: u64) {
         self.global(addrs, bytes_per_lane, true);
+    }
+
+    /// One warp global access whose lanes form unit-stride runs: each
+    /// `(addr, lanes)` stands for `lanes` lanes at `addr`,
+    /// `addr + bytes_per_lane`, ..., and the runs come in non-decreasing
+    /// lane-address order. Records exactly what
+    /// [`global_load`](Self::global_load) (or
+    /// [`global_store`](Self::global_store), if `store`) records for the
+    /// expanded lane addresses, without expanding them: a run covers the
+    /// bytes `addr..addr + lanes * bytes_per_lane`, so its sectors are one
+    /// range, less any at or below the last sector pushed.
+    pub fn global_runs(&mut self, runs: &[(u64, u64)], bytes_per_lane: u64, store: bool) {
+        let lanes: u64 = runs.iter().map(|&(_, n)| n).sum();
+        if lanes == 0 {
+            return;
+        }
+        debug_assert!(lanes <= 32, "a warp access has at most 32 lanes");
+        let flag = u64::from(store);
+        let before = self.sectors.len();
+        // Lowest sector this access has not pushed yet, and the lowest
+        // address the next run may start at.
+        let (mut next, mut min_addr) = (0, 0);
+        for &(addr, n) in runs.iter().filter(|&&(_, n)| n > 0) {
+            debug_assert!(addr >= min_addr, "runs must come in non-decreasing address order");
+            let end = addr + n * bytes_per_lane;
+            let last = coalesce::sector_of(end - 1);
+            self.sectors
+                .extend((coalesce::sector_of(addr).max(next)..=last).map(|s| pack(s, flag)));
+            next = last + 1;
+            min_addr = end - bytes_per_lane;
+        }
+        let sectors = (self.sectors.len() - before) as u64;
+        self.tally(sectors, lanes * bytes_per_lane, store);
     }
 
     /// One warp shared-memory access (load or store — the bank model does
@@ -231,6 +272,44 @@ impl BlockTrace {
     }
 }
 
+/// Two traces are equal when they recorded the same accesses: the same
+/// sector stream and counters (the coalescer's scratch buffer is not part
+/// of what a trace recorded).
+impl PartialEq for BlockTrace {
+    fn eq(&self, other: &BlockTrace) -> bool {
+        let counters = |t: &BlockTrace| {
+            [
+                t.mem_instrs,
+                t.load_sectors,
+                t.store_sectors,
+                t.requested_load_bytes,
+                t.requested_store_bytes,
+                t.smem_passes,
+                t.smem_bytes,
+                t.flops,
+                t.aux_warp_instrs,
+                t.syncs,
+            ]
+        };
+        self.bank_mode == other.bank_mode
+            && self.banks == other.banks
+            && self.sectors == other.sectors
+            && counters(self) == counters(other)
+    }
+}
+
+/// Pack a sector and its store flag (0 or 1) into one stream entry.
+#[inline]
+fn pack(sector: u64, store: u64) -> u64 {
+    sector << 1 | store
+}
+
+/// A stream entry's sector and whether it is a store.
+#[inline]
+pub(crate) fn unpack(entry: u64) -> (u64, bool) {
+    (entry >> 1, entry & 1 == 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +323,7 @@ mod tests {
         assert_eq!(t.mem_instrs, 1);
         assert_eq!(t.requested_load_bytes, 128);
         assert_eq!(t.sectors.len(), 4);
-        assert!(t.sectors.iter().all(|&(_, st)| !st));
+        assert!(t.sectors.iter().all(|&e| !unpack(e).1));
     }
 
     #[test]

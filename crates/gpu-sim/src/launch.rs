@@ -2,7 +2,7 @@
 
 use crate::cache::Cache;
 use crate::device::DeviceConfig;
-use crate::kernel::{BlockTrace, KernelSpec};
+use crate::kernel::{unpack, BlockTrace, KernelSpec};
 use crate::model::{score, KernelTime, LaunchTotals};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::SimError;
@@ -298,8 +298,10 @@ fn simulate_cold(
     // co-resident share the cache; we interleave their streams round-robin
     // in small chunks to approximate concurrent execution. When fewer
     // blocks are sampled than would be concurrent, the cache is shrunk
-    // proportionally (sampled share of the real cache).
-    let (mut miss_load, mut miss_store) = (0f64, 0f64);
+    // proportionally (sampled share of the real cache). Store sectors go
+    // through the cache too (they displace lines) but only load misses are
+    // counted: stores reach DRAM regardless (below).
+    let mut miss_load = 0u64;
     let mut l2_hit_rate = 0.0;
     if opts.l2_enabled && !traces.is_empty() {
         let wave = (occ.concurrent_blocks as usize).max(1);
@@ -319,13 +321,10 @@ fn simulate_cold(
                         continue;
                     }
                     let end = (*cur + CHUNK).min(t.sectors.len());
-                    for &(sector, is_store) in &t.sectors[*cur..end] {
-                        if !cache.access(sector) {
-                            if is_store {
-                                miss_store += 1.0;
-                            } else {
-                                miss_load += 1.0;
-                            }
+                    for &entry in &t.sectors[*cur..end] {
+                        let (sector, is_store) = unpack(entry);
+                        if !cache.access(sector) && !is_store {
+                            miss_load += 1;
                         }
                     }
                     *cur = end;
@@ -337,17 +336,15 @@ fn simulate_cold(
         }
         l2_hit_rate = cache.hit_rate();
     } else {
-        miss_load = traces.iter().map(|t| t.load_sectors as f64).sum();
-        miss_store = traces.iter().map(|t| t.store_sectors as f64).sum();
+        miss_load = traces.iter().map(|t| t.load_sectors).sum();
     }
 
     let sector = DeviceConfig::SECTOR_BYTES as f64;
     // Loads: scale misses to the grid; floor by compulsory traffic, cap by
     // raw transactions.
-    totals.dram_load_bytes = (miss_load * sector * scale)
+    totals.dram_load_bytes = (miss_load as f64 * sector * scale)
         .max(work.min_dram_load_bytes)
         .min(totals.load_sectors * sector);
-    let _ = miss_store;
     // Stores: every store transaction reaches DRAM. GDDR5 writes partial
     // sectors with byte-enables but still occupy a full burst, so the L2
     // gives scattered stores no write-combining credit — the mechanism

@@ -4,11 +4,274 @@ use memcnn_gpusim::cache::Cache;
 use memcnn_gpusim::coalesce;
 use memcnn_gpusim::device::{BankMode, DeviceConfig};
 use memcnn_gpusim::occupancy::occupancy;
-use memcnn_gpusim::{banks, LaunchConfig};
+use memcnn_gpusim::{banks, BlockTrace, LaunchConfig};
 use proptest::prelude::*;
 
 fn lane_addrs() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..100_000, 1..=32)
+}
+
+/// Reference implementations: the simulator's recording and cache code
+/// before its fast paths (monotone coalescing, run-based warp accesses,
+/// the move-to-front L2, fixed-array bank counting). Each fast path must
+/// match its reference exactly.
+mod reference {
+    use memcnn_gpusim::coalesce::sector_of;
+    use memcnn_gpusim::device::BankMode;
+
+    /// Coalescing with a linear `contains` dedup over every lane.
+    pub fn coalesce(addrs: &[u64], bytes_per_lane: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &a in addrs {
+            for s in sector_of(a)..=sector_of(a + bytes_per_lane - 1) {
+                if !out.contains(&s) {
+                    out.push(s);
+                }
+            }
+        }
+        out
+    }
+
+    /// Set-associative LRU with an age stamp per way: misses fill the
+    /// first invalid way, else the oldest.
+    pub struct AgeLru {
+        sets: usize,
+        assoc: usize,
+        tags: Vec<u64>,
+        ages: Vec<u64>,
+        tick: u64,
+    }
+
+    impl AgeLru {
+        pub fn new(size_bytes: u64, assoc: u32, sector_bytes: u64) -> AgeLru {
+            let sectors = (size_bytes / sector_bytes).max(1) as usize;
+            let assoc = (assoc as usize).clamp(1, sectors);
+            let sets = (sectors / assoc).max(1);
+            AgeLru {
+                sets,
+                assoc,
+                tags: vec![u64::MAX; sets * assoc],
+                ages: vec![0; sets * assoc],
+                tick: 0,
+            }
+        }
+
+        pub fn access(&mut self, sector: u64) -> bool {
+            self.tick += 1;
+            let base = (sector as usize) % self.sets * self.assoc;
+            let ways = &self.tags[base..base + self.assoc];
+            if let Some(way) = ways.iter().position(|&t| t == sector) {
+                self.ages[base + way] = self.tick;
+                return true;
+            }
+            let mut victim = 0;
+            let mut oldest = u64::MAX;
+            for w in 0..self.assoc {
+                if self.tags[base + w] == u64::MAX {
+                    victim = w;
+                    break;
+                }
+                if self.ages[base + w] < oldest {
+                    oldest = self.ages[base + w];
+                    victim = w;
+                }
+            }
+            self.tags[base + victim] = sector;
+            self.ages[base + victim] = self.tick;
+            false
+        }
+    }
+
+    /// Bank-conflict passes with one word list per bank.
+    pub fn passes(byte_addrs: &[u64], bytes_per_lane: u64, mode: BankMode, banks: u32) -> u32 {
+        if byte_addrs.is_empty() {
+            return 0;
+        }
+        let bank_bytes = mode.bytes();
+        let banks = banks as u64;
+        let group_lanes = ((banks * bank_bytes) / bytes_per_lane.max(1)).max(1) as usize;
+        let words_per_lane = bytes_per_lane.div_ceil(bank_bytes);
+        let mut total = 0u32;
+        for group in byte_addrs.chunks(group_lanes) {
+            let mut per_bank_words: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
+            for &a in group {
+                for k in 0..words_per_lane {
+                    let word = a / bank_bytes + k;
+                    let bank = (word % banks) as usize;
+                    if !per_bank_words[bank].contains(&word) {
+                        per_bank_words[bank].push(word);
+                    }
+                }
+            }
+            let worst = per_bank_words.iter().map(|w| w.len()).max().unwrap_or(0);
+            total += worst.max(1) as u32;
+        }
+        total
+    }
+}
+
+/// SplitMix64 stream for building structured cases from one sampled seed.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn shuffle(&mut self, v: &mut [u64]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, self.below(i as u64 + 1) as usize);
+        }
+    }
+}
+
+/// A warp's lane addresses: non-decreasing with small steps that straddle
+/// sector boundaries, optionally shuffled or with one lane moved back.
+fn warp_lanes(mix: &mut Mix, lanes: usize, width: u64, shape: u64) -> Vec<u64> {
+    // Start a few bytes before a sector boundary so lanes straddle it.
+    let mut a = 32 * (1 + mix.below(1000)) - mix.below(width + 1);
+    let mut addrs = Vec::with_capacity(lanes);
+    for _ in 0..lanes {
+        addrs.push(a);
+        a += match mix.below(4) {
+            0 => 0,
+            1 => width,
+            2 => mix.below(3 * width),
+            _ => mix.below(200),
+        };
+    }
+    match shape {
+        0 => {}
+        1 => mix.shuffle(&mut addrs),
+        _ => {
+            let i = mix.below(lanes as u64) as usize;
+            addrs[i] = addrs[i].saturating_sub(mix.below(256));
+        }
+    }
+    addrs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The coalescer's monotone fast path and its fallback equal the
+    /// `contains` dedup: same sectors in the same order, for monotone,
+    /// shuffled and one-lane-out-of-order warps whose lanes straddle
+    /// sectors, at widths 4, 8 and 16.
+    #[test]
+    fn coalesce_matches_contains_dedup(
+        seed in any::<u64>(),
+        lanes in 1usize..=32,
+        width_pow in 2u32..=4,
+        shape in 0u64..3,
+    ) {
+        let mut mix = Mix(seed);
+        let width = 1 << width_pow;
+        let addrs = warp_lanes(&mut mix, lanes, width, shape);
+        let mut got = Vec::new();
+        coalesce::coalesce(&addrs, width, &mut got);
+        prop_assert_eq!(got, reference::coalesce(&addrs, width), "lanes {:?} width {}", addrs, width);
+    }
+
+    /// `global_runs` records exactly what the expanded per-lane
+    /// `global_load` / `global_store` records: the same sector stream and
+    /// the same counters, over a block of mixed loads and stores.
+    #[test]
+    fn global_runs_match_expanded_lanes(
+        seed in any::<u64>(),
+        accesses in 1usize..8,
+        width_pow in 2u32..=4,
+    ) {
+        let mut mix = Mix(seed);
+        let width = 1 << width_pow;
+        let mut runs_trace = BlockTrace::new(BankMode::FourByte, 32);
+        let mut lanes_trace = BlockTrace::new(BankMode::FourByte, 32);
+        for _ in 0..accesses {
+            let store = mix.below(2) == 1;
+            // Up to four runs, each starting at or after the previous
+            // run's last lane (gaps of zero repeat that lane's address).
+            let mut runs = Vec::new();
+            let (mut next, mut left) = (mix.below(4096), 32);
+            for _ in 0..1 + mix.below(4) {
+                let n = mix.below(left + 1).min(1 + mix.below(16));
+                runs.push((next, n));
+                left -= n;
+                next += n.saturating_sub(1) * width + mix.below(3 * width + 64);
+            }
+            let addrs: Vec<u64> = runs
+                .iter()
+                .flat_map(|&(a, n)| (0..n).map(move |i| a + i * width))
+                .collect();
+            runs_trace.global_runs(&runs, width, store);
+            if store {
+                lanes_trace.global_store(&addrs, width);
+            } else {
+                lanes_trace.global_load(&addrs, width);
+            }
+            prop_assert_eq!(&runs_trace, &lanes_trace, "runs {:?} width {}", runs, width);
+        }
+        prop_assert_eq!(runs_trace.total_sectors(), lanes_trace.total_sectors());
+    }
+
+    /// The move-to-front cache hits and misses exactly where an
+    /// age-stamped LRU does, over random streams and geometries (one set,
+    /// one way, and odd set counts included).
+    #[test]
+    fn move_to_front_cache_matches_age_stamped_lru(
+        seed in any::<u64>(),
+        sets in 1u64..=9,
+        assoc in 1u32..=17,
+        len in 1usize..600,
+    ) {
+        let mut mix = Mix(seed);
+        let size = sets * u64::from(assoc) * 32;
+        let mut fast = Cache::new(size, assoc, 32);
+        let mut lru = reference::AgeLru::new(size, assoc, 32);
+        // A footprint around the capacity, so streams both hit and evict.
+        let span = 1 + sets * u64::from(assoc) * (1 + mix.below(3));
+        for i in 0..len {
+            let sector = if mix.below(4) == 0 { mix.next() >> 6 } else { mix.below(span) };
+            prop_assert_eq!(fast.access(sector), lru.access(sector), "access {} sector {}", i, sector);
+        }
+    }
+
+    /// Fixed-array bank counting equals one word list per bank, in both
+    /// bank modes at widths 4 and 8; single-byte lanes over more than 64
+    /// words and a 128-bank device take the wide path.
+    #[test]
+    fn bank_passes_match_per_bank_lists(
+        seed in any::<u64>(),
+        lanes in 1usize..=32,
+        wide in prop::bool::ANY,
+        spread in 1u64..4096,
+    ) {
+        let mut mix = Mix(seed);
+        let addrs: Vec<u64> = (0..lanes).map(|_| mix.below(spread)).collect();
+        let width = if wide { 8 } else { 4 };
+        for mode in [BankMode::FourByte, BankMode::EightByte] {
+            for banks in [16, 32, 128] {
+                prop_assert_eq!(
+                    banks::passes(&addrs, width, mode, banks),
+                    reference::passes(&addrs, width, mode, banks),
+                    "lanes {:?} width {} {:?} banks {}", addrs, width, mode, banks
+                );
+            }
+        }
+        let bytes: Vec<u64> = (0..lanes * 4).map(|_| mix.below(spread)).collect();
+        prop_assert_eq!(
+            banks::passes(&bytes, 1, BankMode::FourByte, 32),
+            reference::passes(&bytes, 1, BankMode::FourByte, 32)
+        );
+    }
+
 }
 
 proptest! {

@@ -83,6 +83,23 @@ impl DirectConvChwn {
     fn img_groups(&self) -> usize {
         self.shape.n.div_ceil(32 * self.ipt)
     }
+
+    /// The block's `ipt` warp accesses to the `n_here` consecutive images
+    /// starting at `f32` element `row` of `buf`: warp `i` covers images
+    /// `32 i..32 (i + 1)`, one unit-stride run each.
+    fn warps_along_n(
+        &self,
+        t: &mut BlockTrace,
+        buf: DeviceBuffer,
+        row: usize,
+        n_here: usize,
+        store: bool,
+    ) {
+        for lane0 in (0..n_here).step_by(32).take(self.ipt) {
+            let lanes = 32.min(n_here - lane0);
+            t.global_runs(&[(buf.f32((row + lane0) as u64), lanes as u64)], 4, store);
+        }
+    }
 }
 
 impl KernelSpec for DirectConvChwn {
@@ -133,7 +150,6 @@ impl KernelSpec for DirectConvChwn {
         let n_here = (32 * self.ipt).min(s.n - n0);
         let filters_here = filters_per_block(s.co).min(s.co - co0);
 
-        let mut addrs = Vec::with_capacity(32);
         let iters = s.ci * s.fh * s.fw;
         for ci in 0..s.ci {
             for fy in 0..s.fh {
@@ -142,26 +158,12 @@ impl KernelSpec for DirectConvChwn {
                     let ix = (ox * s.stride + fx) as isize - s.pad as isize;
                     // Filter tile load: [Ci][Fh][Fw][Co] layout, 16
                     // consecutive Co values — coalesced.
-                    addrs.clear();
                     let frow = ((ci * s.fh + fy) * s.fw + fx) * s.co + co0;
-                    for f in 0..filters_here {
-                        addrs.push(self.filter.f32((frow + f) as u64));
-                    }
-                    t.global_load(&addrs, 4);
+                    t.global_runs(&[(self.filter.f32(frow as u64), filters_here as u64)], 4, false);
                     // Image loads: CHWN layout, lanes along N — coalesced.
                     if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
                         let irow = ((ci * s.h + iy as usize) * s.w + ix as usize) * s.n + n0;
-                        for i in 0..self.ipt {
-                            addrs.clear();
-                            let lane0 = i * 32;
-                            if lane0 >= n_here {
-                                break;
-                            }
-                            for lane in 0..32.min(n_here - lane0) {
-                                addrs.push(self.input.f32((irow + lane0 + lane) as u64));
-                            }
-                            t.global_load(&addrs, 4);
-                        }
+                        self.warps_along_n(t, self.input, irow, n_here, false);
                     }
                 }
             }
@@ -183,17 +185,7 @@ impl KernelSpec for DirectConvChwn {
         // Output stores: [Co][OH][OW][N], coalesced along N.
         for f in 0..filters_here {
             let orow = ((co0 + f) * oh * ow + module) * s.n + n0;
-            for i in 0..self.ipt {
-                addrs.clear();
-                let lane0 = i * 32;
-                if lane0 >= n_here {
-                    break;
-                }
-                for lane in 0..32.min(n_here - lane0) {
-                    addrs.push(self.output.f32((orow + lane0 + lane) as u64));
-                }
-                t.global_store(&addrs, 4);
-            }
+            self.warps_along_n(t, self.output, orow, n_here, true);
         }
         t.sync();
     }

@@ -149,7 +149,10 @@ impl KernelSpec for GemmKernel {
         let tn_eff = self.cfg.tn.min(self.n - bn);
 
         let steps = self.k.div_ceil(self.cfg.tk);
-        let mut addrs = Vec::with_capacity(32);
+        // Shared-memory warp accesses of every step. They all use one
+        // conflict-free pattern (consecutive lanes, consecutive words), so
+        // they are recorded at once after the loop.
+        let mut smem_accesses = 0;
         for s in 0..steps {
             let k0 = s * self.cfg.tk;
             let k_eff = self.cfg.tk.min(self.k - k0);
@@ -158,52 +161,65 @@ impl KernelSpec for GemmKernel {
             // k_eff, then the next row.
             let a_elems = tm_eff * k_eff;
             for chunk_start in (0..a_elems).step_by(32) {
-                addrs.clear();
-                for lane in 0..32.min(a_elems - chunk_start) {
-                    let e = chunk_start + lane;
-                    let (r, kk) = (e / k_eff, e % k_eff);
-                    addrs.push(self.a.f32(((bm + r) * self.k + k0 + kk) as u64));
-                }
-                t.global_load(&addrs, 4);
+                let lanes = 32.min(a_elems - chunk_start);
+                tile_access(t, self.a, chunk_start, lanes, k_eff, false, |r| {
+                    (bm + r) * self.k + k0
+                });
             }
             // Stage B tile (k_eff x tn_eff): consecutive lanes walk N —
             // coalesced.
             let b_elems = k_eff * tn_eff;
             for chunk_start in (0..b_elems).step_by(32) {
-                addrs.clear();
-                for lane in 0..32.min(b_elems - chunk_start) {
-                    let e = chunk_start + lane;
-                    let (kk, c) = (e / tn_eff, e % tn_eff);
-                    addrs.push(self.b.f32(((k0 + kk) * self.n + bn + c) as u64));
-                }
-                t.global_load(&addrs, 4);
+                let lanes = 32.min(b_elems - chunk_start);
+                tile_access(t, self.b, chunk_start, lanes, tn_eff, false, |kk| {
+                    (k0 + kk) * self.n + bn
+                });
             }
-            // Shared-memory staging stores (conflict-free by construction:
-            // consecutive lanes, consecutive words).
-            let stage_addrs: Vec<u64> = (0..32u64).map(|l| l * 4).collect();
-            t.shared_repeat(&stage_addrs, 4, ((a_elems + b_elems) / 32).max(1) as u64);
+            // Shared-memory staging stores.
+            smem_accesses += ((a_elems + b_elems) / 32).max(1) as u64;
             t.sync();
             // Register-tile compute: per k-iteration each thread reads RT
             // A values (column broadcast within a thread row — conflict
             // free with padding) and RT B values, then does RT x RT FMAs.
             let smem_reads_per_warp = k_eff as u64 * 2 * self.cfg.rt as u64;
-            t.shared_repeat(&stage_addrs, 4, smem_reads_per_warp * warps as u64);
+            smem_accesses += smem_reads_per_warp * warps as u64;
             t.flops(2 * (tm_eff * tn_eff * k_eff) as u64);
             t.aux(warps as u64 * 4);
             t.sync();
         }
+        let stage_addrs: [u64; 32] = std::array::from_fn(|l| l as u64 * 4);
+        t.shared_repeat(&stage_addrs, 4, smem_accesses);
         // Write C tile: consecutive lanes along N — coalesced.
         let c_elems = tm_eff * tn_eff;
         for chunk_start in (0..c_elems).step_by(32) {
-            addrs.clear();
-            for lane in 0..32.min(c_elems - chunk_start) {
-                let e = chunk_start + lane;
-                let (r, c) = (e / tn_eff, e % tn_eff);
-                addrs.push(self.c.f32(((bm + r) * self.n + bn + c) as u64));
-            }
-            t.global_store(&addrs, 4);
+            let lanes = 32.min(c_elems - chunk_start);
+            tile_access(t, self.c, chunk_start, lanes, tn_eff, true, |r| (bm + r) * self.n + bn);
         }
     }
+}
+
+/// One warp access to elements `e0..e0 + lanes` of a row-major tile `width`
+/// elements wide whose row `r` starts at `f32` element `row(r)` of `buf`.
+/// Consecutive lanes walk a row, then the next (rows lie at increasing
+/// addresses), so the access is one unit-stride run per row it touches.
+fn tile_access(
+    t: &mut BlockTrace,
+    buf: DeviceBuffer,
+    e0: usize,
+    lanes: usize,
+    width: usize,
+    store: bool,
+    row: impl Fn(usize) -> usize,
+) {
+    let mut runs = [(0u64, 0u64); 32];
+    let (mut r, mut c) = (e0 / width, e0 % width);
+    let (mut n, mut left) = (0, lanes);
+    while left > 0 {
+        let len = (width - c).min(left);
+        runs[n] = (buf.f32((row(r) + c) as u64), len as u64);
+        (n, left, r, c) = (n + 1, left - len, r + 1, 0);
+    }
+    t.global_runs(&runs[..n], 4, store);
 }
 
 #[cfg(test)]

@@ -2317,6 +2317,9 @@ pub(crate) fn run_fleet(
         device_failed_over: h.dev_failed_over,
         states: h.devs.iter().map(|d| d.state).collect(),
     });
+    if let Some(h) = &health_report {
+        h.check_conserved()?;
+    }
 
     let timeline = rec.finish();
     // Mirror the timeline onto the Perfetto counter tracks (a no-op when

@@ -50,8 +50,12 @@
 //!
 //! `failed_over_in_transit` is the transit-buffer residual — always 0
 //! for drained runs (the flush re-places or sheds every transiting
-//! request), but nonzero mid-run while no healthy target exists.
+//! request), but nonzero mid-run while no healthy target exists. The
+//! finished run must also conserve failovers, `failed_over == requeued +
+//! transit_shed` with nothing left in transit; the fleet returns
+//! `EngineError::Fatal` when it does not.
 
+use memcnn_core::EngineError;
 use memcnn_gpusim::{DeviceFault, DeviceFaultKind};
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -208,6 +212,23 @@ pub struct HealthReport {
     pub states: Vec<HealthState>,
 }
 
+impl HealthReport {
+    /// Failover conservation, checked in release builds too: every
+    /// failover left the transit buffer exactly once, re-placed or shed,
+    /// and nothing is left in it. `EngineError::Fatal` names the tallies.
+    pub(crate) fn check_conserved(&self) -> Result<(), EngineError> {
+        if self.failed_over == self.requeued + self.transit_shed && self.failed_over_in_transit == 0
+        {
+            return Ok(());
+        }
+        Err(EngineError::Fatal(format!(
+            "failover accounting out of balance: failed over {} != requeued {} + transit shed {} \
+             (in transit {})",
+            self.failed_over, self.requeued, self.transit_shed, self.failed_over_in_transit
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +245,35 @@ mod tests {
         let quiet = DeviceHealth::new(VecDeque::new());
         assert_eq!(quiet.halt(), f64::INFINITY);
         assert_eq!(quiet.state, HealthState::Healthy);
+    }
+
+    #[test]
+    fn conservation_checks_the_exact_identity() {
+        let mut r = HealthReport {
+            downs: 2,
+            ups: 1,
+            requeued: 5,
+            warm_compiles: 1,
+            failed_over: 7,
+            failed_over_in_transit: 0,
+            transit_shed: 2,
+            device_failed_over: vec![7, 0],
+            states: vec![HealthState::Healthy, HealthState::Down],
+        };
+        assert_eq!(r.check_conserved(), Ok(()));
+        r.requeued -= 1;
+        assert_eq!(
+            r.check_conserved(),
+            Err(EngineError::Fatal(
+                "failover accounting out of balance: failed over 7 != requeued 4 + transit shed \
+                 2 (in transit 0)"
+                    .to_string()
+            ))
+        );
+        // A request still in transit breaks it even when the sum holds.
+        r.requeued += 1;
+        r.failed_over_in_transit = 1;
+        assert!(r.check_conserved().is_err());
     }
 
     #[test]
