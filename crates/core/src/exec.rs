@@ -7,12 +7,13 @@
 use crate::layer::LayerSpec;
 use crate::net::Network;
 use memcnn_kernels::conv::{conv_forward, ConvError};
-use memcnn_kernels::layers::{fc_forward, lrn_forward, relu_forward};
+use memcnn_kernels::layers::{fc_forward, lrn_forward, relu_in_place};
 use memcnn_kernels::pool::pool_forward;
 use memcnn_kernels::softmax::softmax_forward;
 use memcnn_kernels::SoftmaxShape;
 use memcnn_tensor::{Layout, Tensor};
 use memcnn_trace as trace;
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -80,7 +81,8 @@ pub fn run_network(
     }
     let _run_scope = trace::scope(trace::Scope::Run(net.name.clone()));
     let run_start = Instant::now();
-    let mut cur = input.clone();
+    // The input is borrowed until the first layer produces a tensor.
+    let mut cur = Cow::Borrowed(input);
     let mut flat: Option<Vec<f32>> = None; // set once FC flattens
     for (i, (layer, &layout)) in net.layers().iter().zip(layouts).enumerate() {
         let layer_start = Instant::now();
@@ -88,19 +90,19 @@ pub fn run_network(
             LayerSpec::Conv { .. } => {
                 let s = layer.conv_shape().expect("conv");
                 let w = layer_weights(net, i, seed).expect("conv weights");
-                let x = cur.to_layout(layout);
-                cur = conv_forward(&x, &w, &s, layout)?;
+                let x = cur.as_layout(layout);
+                cur = Cow::Owned(conv_forward(&x, &w, &s, layout)?);
             }
             LayerSpec::Pool { op, .. } => {
                 let s = layer.pool_shape().expect("pool");
-                let x = cur.to_layout(layout);
-                cur = pool_forward(&x, &s, *op, layout);
+                let x = cur.as_layout(layout);
+                cur = Cow::Owned(pool_forward(&x, &s, *op, layout));
             }
             LayerSpec::ReLU => {
-                cur = relu_forward(&cur);
+                relu_in_place(cur.to_mut());
             }
             LayerSpec::Lrn { size } => {
-                cur = lrn_forward(&cur, *size, 1e-4, 0.75, 2.0);
+                cur = Cow::Owned(lrn_forward(&cur, *size, 1e-4, 0.75, 2.0));
             }
             LayerSpec::Fc { outputs } => {
                 let per_image = layer.input.c * layer.input.h * layer.input.w;
@@ -114,11 +116,13 @@ pub fn run_network(
                 };
                 let out = fc_forward(&cur, &w, *outputs);
                 // Re-tensorize as (n, outputs, 1, 1).
-                cur = Tensor::from_vec(layer.output, Layout::NCHW, out).expect("fc output length");
+                cur = Cow::Owned(
+                    Tensor::from_vec(layer.output, Layout::NCHW, out).expect("fc output length"),
+                );
             }
             LayerSpec::Softmax => {
                 let s = layer.softmax_shape().expect("softmax");
-                let probs = softmax_forward(cur.to_layout(Layout::NCHW).as_slice(), s);
+                let probs = softmax_forward(cur.as_layout(Layout::NCHW).as_slice(), s);
                 flat = Some(probs);
             }
         }

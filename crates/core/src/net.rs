@@ -5,6 +5,7 @@
 
 use crate::layer::{Layer, LayerSpec};
 use memcnn_kernels::pool::PoolOp;
+use memcnn_kernels::PoolShape;
 use memcnn_tensor::Shape;
 use std::fmt;
 
@@ -112,12 +113,16 @@ impl NetworkBuilder {
                 }
                 // Ceil-mode output sizing, matching the evaluated
                 // frameworks (see `Layer::pool_shape`).
-                Shape::new(
-                    input.n,
-                    input.c,
-                    (input.h - window).div_ceil(*stride) + 1,
-                    (input.w - window).div_ceil(*stride) + 1,
-                )
+                let pool = PoolShape {
+                    n: input.n,
+                    c: input.c,
+                    h: input.h,
+                    w: input.w,
+                    window: *window,
+                    stride: *stride,
+                    ceil_mode: true,
+                };
+                pool.output_shape()
             }
             LayerSpec::Lrn { .. } | LayerSpec::ReLU => input,
             LayerSpec::Fc { outputs } => Shape::new(input.n, *outputs, 1, 1),

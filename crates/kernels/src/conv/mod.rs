@@ -12,15 +12,16 @@
 //!   arithmetic-complexity reduction (the paper's ref [16]).
 //!
 //! Every family has a functional CPU implementation (tested against the
-//! naive reference here) and a GPU kernel spec for the simulator.
+//! naive reference here) and a GPU kernel spec for the simulator. The
+//! execution engine runs [`conv_forward`], an implicit GEMM on the packed
+//! host GEMM core that never builds the `im2col` matrix.
 
 pub mod direct_chwn;
 pub mod fft_nchw;
 pub mod mm_nchw;
 pub mod winograd;
 
-use crate::im2col::im2col;
-use crate::matmul::sgemm;
+use crate::matmul::{gemm_packed, NR};
 use crate::shapes::ConvShape;
 use memcnn_tensor::{Layout, Tensor};
 use rayon::prelude::*;
@@ -100,9 +101,14 @@ pub fn conv_reference(
     Ok(out)
 }
 
-/// Fast functional convolution (im2col + parallel SGEMM), used by the
-/// execution engine. Layout-agnostic on the outside; internally works in
-/// NCHW.
+/// Fast functional convolution, used by the execution engine: an implicit
+/// GEMM `filter[Co][Ci*Fh*Fw] x col[Ci*Fh*Fw][N*OH*OW]` on the packed core
+/// ([`gemm_packed`]) whose `B` panels are gathered straight from the input,
+/// so the `im2col` matrix is never built. Layout-agnostic on the outside;
+/// internally reads an NCHW input, writes NCHW output planes and relays
+/// them once into `out_layout`. Bit-identical to [`conv_reference`] for
+/// finite inputs: every output sums its in-bounds taps in the same
+/// ascending `(ci, fy, fx)` order, and a padded tap adds an exact `±0`.
 pub fn conv_forward(
     input: &Tensor,
     filter: &Tensor,
@@ -110,25 +116,84 @@ pub fn conv_forward(
     out_layout: Layout,
 ) -> Result<Tensor, ConvError> {
     check_shapes(input, filter, shape)?;
-    let input_nchw = input.to_layout(Layout::NCHW);
-    let filter_nchw = filter.to_layout(Layout::NCHW);
-    let col = im2col(&input_nchw, shape);
+    let x = input.as_layout(Layout::NCHW);
+    let filter = filter.as_layout(Layout::NCHW);
     let k = shape.ci * shape.fh * shape.fw;
-    let m = shape.n * shape.out_h() * shape.out_w();
-    let out_mat = sgemm(shape.co, k, m, filter_nchw.as_slice(), &col);
-    // out_mat is [Co][N x OH x OW]; scatter into the requested layout.
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let mut out = Tensor::zeros(shape.output_shape(), out_layout);
-    for co in 0..shape.co {
-        for n in 0..shape.n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    out.set(n, co, oy, ox, out_mat[co * m + (n * oh + oy) * ow + ox]);
+    let plane = shape.out_h() * shape.out_w();
+    let cols = shape.n * plane;
+    let mut out = vec![0f32; shape.co * cols];
+    let pack =
+        |j0, width, panel: &mut [f32]| pack_conv_panel(x.as_slice(), shape, j0, width, panel);
+    gemm_packed(shape.co, k, cols, filter.as_slice(), pack, |co, j0, mut row| {
+        // C[co][img * plane + p] is NCHW's out[img][co][p].
+        let mut j = j0;
+        while !row.is_empty() {
+            let (img, p) = (j / plane, j % plane);
+            let len = (plane - p).min(row.len());
+            out[(img * shape.co + co) * plane + p..][..len].copy_from_slice(&row[..len]);
+            (row, j) = (&row[len..], j + len);
+        }
+    });
+    let out = Tensor::from_vec(shape.output_shape(), Layout::NCHW, out)
+        .expect("length matches shape by construction");
+    Ok(out.into_layout(out_layout))
+}
+
+/// Fill columns `j0..j0 + width` of the unrolled input matrix (`im2col`'s
+/// `col`, row `(ci, fy, fx)`, column `(n, oy, ox)`) into a `k x NR` panel,
+/// reading the NCHW input directly. Out-of-bounds (padding) taps are zero,
+/// exactly as `im2col` writes them.
+fn pack_conv_panel(x: &[f32], s: &ConvShape, j0: usize, width: usize, panel: &mut [f32]) {
+    let (ow, plane) = (s.out_w(), s.out_h() * s.out_w());
+    let (pad, stride) = (s.pad as isize, s.stride as isize);
+    // Runs of panel columns on one output row: (first column, length,
+    // image offset, top input row, leftmost input column).
+    let mut runs = [(0usize, 0usize, 0usize, 0isize, 0isize); NR];
+    let mut count = 0;
+    let mut jj = 0;
+    while jj < width {
+        let (img, p) = ((j0 + jj) / plane, (j0 + jj) % plane);
+        let (oy, ox) = (p / ow, p % ow);
+        let len = (ow - ox).min(width - jj);
+        let y0 = (oy * s.stride) as isize - pad;
+        let x0 = (ox * s.stride) as isize - pad;
+        runs[count] = (jj, len, img * s.ci * s.h * s.w, y0, x0);
+        count += 1;
+        jj += len;
+    }
+    let (h, w) = (s.h as isize, s.w as isize);
+    let mut rows = panel.chunks_exact_mut(NR);
+    for ci in 0..s.ci {
+        for fy in 0..s.fh {
+            for fx in 0..s.fw {
+                let row = rows.next().expect("panel holds k rows");
+                for &(jj, len, base, y0, x0) in &runs[..count] {
+                    let dst = &mut row[jj..jj + len];
+                    let iy = y0 + fy as isize;
+                    if iy < 0 || iy >= h {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let src = &x[base + (ci * s.h + iy as usize) * s.w..][..s.w];
+                    // Taps t with 0 <= ix0 + t * stride < w.
+                    let ix0 = x0 + fx as isize;
+                    let lo = if ix0 < 0 { (-ix0 + stride - 1) / stride } else { 0 };
+                    let hi = if ix0 < w { (w - ix0 + stride - 1) / stride } else { 0 };
+                    let lo = (lo as usize).min(len);
+                    let hi = (hi as usize).clamp(lo, len);
+                    dst[..lo].fill(0.0);
+                    dst[hi..].fill(0.0);
+                    if lo < hi {
+                        let first = (ix0 + lo as isize * stride) as usize;
+                        let taps = src[first..].iter().step_by(s.stride);
+                        for (d, &v) in dst[lo..hi].iter_mut().zip(taps) {
+                            *d = v;
+                        }
+                    }
                 }
             }
         }
     }
-    Ok(out)
 }
 
 /// Backward pass w.r.t. the input (full correlation with rotated filters),
@@ -267,6 +332,11 @@ fn check_shapes(input: &Tensor, filter: &Tensor, shape: &ConvShape) -> Result<()
 mod tests {
     use super::*;
 
+    /// The bits of every element, in buffer order.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn forward_matches_reference_all_layout_combinations() {
         let s = ConvShape::table1(3, 4, 9, 3, 2, 1);
@@ -276,23 +346,25 @@ mod tests {
                 let filter = Tensor::random(s.filter_shape(), Layout::NCHW, 6);
                 let fast = conv_forward(&input, &filter, &s, out_layout).unwrap();
                 let slow = conv_reference(&input, &filter, &s, out_layout).unwrap();
-                assert!(
-                    fast.approx_eq(&slow, 1e-3),
-                    "layouts {in_layout} -> {out_layout}, diff {}",
-                    fast.max_abs_diff(&slow).unwrap()
-                );
+                assert_eq!(bits(&fast), bits(&slow), "layouts {in_layout} -> {out_layout}");
             }
         }
     }
 
     #[test]
     fn forward_with_stride_and_padding() {
-        let s = ConvShape { pad: 2, ..ConvShape::table1(2, 3, 11, 5, 2, 2) };
-        let input = Tensor::random(s.input_shape(), Layout::NCHW, 7);
-        let filter = Tensor::random(s.filter_shape(), Layout::NCHW, 8);
-        let fast = conv_forward(&input, &filter, &s, Layout::NCHW).unwrap();
-        let slow = conv_reference(&input, &filter, &s, Layout::NCHW).unwrap();
-        assert!(fast.approx_eq(&slow, 1e-3));
+        // Stride 2 and 3 with padding up to and past the filter radius:
+        // panels mix image rows, images and clamped taps.
+        for (stride, pad) in [(2, 2), (3, 1), (2, 4)] {
+            let s = ConvShape { pad, ..ConvShape::table1(2, 3, 11, 5, 2, stride) };
+            for layout in [Layout::NCHW, Layout::CHWN] {
+                let input = Tensor::random(s.input_shape(), layout, 7);
+                let filter = Tensor::random(s.filter_shape(), Layout::NCHW, 8);
+                let fast = conv_forward(&input, &filter, &s, layout).unwrap();
+                let slow = conv_reference(&input, &filter, &s, layout).unwrap();
+                assert_eq!(bits(&fast), bits(&slow), "stride {stride} pad {pad} {layout}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ use memcnn_tensor::{Layout, Tensor};
 /// `col[Ci*Fh*Fw][N*OH*OW]` (row-major), so that convolution becomes
 /// `out = filter[Co][Ci*Fh*Fw] x col`.
 ///
-/// Out-of-bounds taps (padding) contribute zeros.
+/// Out-of-bounds taps (padding) contribute zeros. `conv::conv_forward`
+/// gathers the same matrix panel by panel instead of building it.
 pub fn im2col(input: &Tensor, shape: &ConvShape) -> Vec<f32> {
     assert_eq!(input.shape(), shape.input_shape(), "input shape mismatch");
     let (oh, ow) = (shape.out_h(), shape.out_w());

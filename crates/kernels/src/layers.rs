@@ -3,33 +3,31 @@
 //! (AlexNet/ZFNet use LRN between their early conv/pool stages).
 
 use crate::gemm_model::{GemmConfig, GemmKernel};
+use crate::matmul::{gemm_row_major, NR};
 use memcnn_gpusim::{
     AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
 };
-use memcnn_tensor::Tensor;
+use memcnn_tensor::{Layout, Tensor};
 use rayon::prelude::*;
 
 /// Functional fully-connected layer: flattens each image of `input` (any
-/// layout) to a vector and multiplies by `weights[outputs][inputs]`.
+/// layout) to a vector in canonical `(c, h, w)` order and multiplies by
+/// `weights[outputs][inputs]`: `out[n][o] = sum_i x[n][i] * weights[o][i]`,
+/// summed in ascending `i` on the packed GEMM core, which reads the
+/// weights transposed.
 pub fn fc_forward(input: &Tensor, weights: &[f32], outputs: usize) -> Vec<f32> {
     let shape = input.shape();
     let per_image = shape.c * shape.h * shape.w;
     assert_eq!(weights.len(), outputs * per_image, "weight matrix must be outputs x inputs");
-    // Flatten in canonical (c, h, w) order regardless of layout.
-    let mut flat = vec![0f32; shape.n * per_image];
-    for ((n, c, h, w), v) in input.iter_logical() {
-        flat[n * per_image + (c * shape.h + h) * shape.w + w] = v;
-    }
-    // out[n][o] = sum_i flat[n][i] * weights[o][i]  == flat x weights^T.
-    let mut out = vec![0f32; shape.n * outputs];
-    out.par_chunks_mut(outputs).enumerate().for_each(|(n, row)| {
-        let x = &flat[n * per_image..(n + 1) * per_image];
-        for (o, slot) in row.iter_mut().enumerate() {
-            let wrow = &weights[o * per_image..(o + 1) * per_image];
-            *slot = x.iter().zip(wrow).map(|(a, b)| a * b).sum();
+    // An NCHW buffer is the images flattened in (c, h, w) order.
+    let flat = input.as_layout(Layout::NCHW);
+    gemm_row_major(shape.n, per_image, outputs, flat.as_slice(), |j0, width, panel| {
+        for (jj, w) in weights.chunks_exact(per_image).skip(j0).take(width).enumerate() {
+            for (slot, &v) in panel.iter_mut().skip(jj).step_by(NR).zip(w) {
+                *slot = v;
+            }
         }
-    });
-    out
+    })
 }
 
 /// GPU kernel spec of a fully-connected layer: a GEMM of
@@ -98,12 +96,20 @@ pub fn relu_backward(input: &Tensor, grad_out: &Tensor) -> Tensor {
 /// Functional ReLU (any layout; element-wise so the layout is irrelevant).
 pub fn relu_forward(input: &Tensor) -> Tensor {
     let mut out = input.clone();
-    out.as_mut_slice().par_iter_mut().for_each(|v| {
-        if *v < 0.0 {
-            *v = 0.0;
+    relu_in_place(&mut out);
+    out
+}
+
+/// [`relu_forward`] overwriting its input, parallel over chunks. Negative
+/// values become `+0`; `-0` and NaN pass through unchanged.
+pub fn relu_in_place(t: &mut Tensor) {
+    const CHUNK: usize = 1 << 14;
+    t.as_mut_slice().par_chunks_mut(CHUNK).for_each(|chunk| {
+        for v in chunk {
+            // A select, not a conditional store, so the loop vectorizes.
+            *v = if *v < 0.0 { 0.0 } else { *v };
         }
     });
-    out
 }
 
 /// GPU kernel spec of an element-wise streaming op (ReLU, bias add, scale):
@@ -300,8 +306,25 @@ mod tests {
         let weights: Vec<f32> = (0..10 * 100).map(|i| ((i % 7) as f32 - 3.0) * 0.1).collect();
         let want = fc_forward(&base, &weights, 10);
         let got = fc_forward(&base.to_layout(Layout::CHWN), &weights, 10);
-        for (a, b) in want.iter().zip(&got) {
-            assert!((a - b).abs() < 1e-4);
+        assert_eq!(want, got);
+    }
+
+    #[test]
+    fn fc_forward_matches_dot_products_bit_for_bit() {
+        // 37 outputs: two full 16-column panels and a ragged third.
+        let (shape, outputs) = (Shape::new(5, 3, 4, 6), 37);
+        let per_image = 3 * 4 * 6;
+        let input = Tensor::random(shape, Layout::NCHW, 32);
+        let weights: Vec<f32> =
+            (0..outputs * per_image).map(|i| (i % 11) as f32 * 0.17 - 0.8).collect();
+        let got = fc_forward(&input, &weights, outputs);
+        for (n, row) in got.chunks_exact(outputs).enumerate() {
+            let x = &input.as_slice()[n * per_image..][..per_image];
+            for (o, &v) in row.iter().enumerate() {
+                let w = &weights[o * per_image..][..per_image];
+                let dot = x.iter().zip(w).fold(0f32, |acc, (a, b)| acc + a * b);
+                assert_eq!(v.to_bits(), dot.to_bits(), "image {n} output {o}");
+            }
         }
     }
 
@@ -356,6 +379,15 @@ mod tests {
         let positives_in = t.iter_logical().filter(|&(_, v)| v > 0.0).count();
         let positives_out = r.iter_logical().filter(|&(_, v)| v > 0.0).count();
         assert_eq!(positives_in, positives_out);
+    }
+
+    #[test]
+    fn relu_keeps_negative_zero_and_nan_bits() {
+        let values = [-2.5, -0.0, 0.0, 1.5, f32::NAN, f32::NEG_INFINITY];
+        let t = Tensor::from_vec(Shape::new(1, 1, 1, 6), Layout::NCHW, values.to_vec()).unwrap();
+        let bits: Vec<u32> = relu_forward(&t).as_slice().iter().map(|v| v.to_bits()).collect();
+        let want = [0.0, -0.0, 0.0, 1.5, f32::NAN, 0.0].map(f32::to_bits);
+        assert_eq!(bits, want);
     }
 
     #[test]

@@ -28,57 +28,101 @@ pub enum PoolOp {
     Avg,
 }
 
-/// Functional pooling over logical coordinates; accepts any input layout
-/// and produces `out_layout`. Parallel over `(n, c)` slices.
+/// Functional pooling; accepts any input layout and produces `out_layout`.
+/// A `CHWN` input is pooled in place along its `N`-innermost rows, any
+/// other as NCHW planes (converted first unless it is NCHW); the result is
+/// relaid once if `out_layout` differs. Every output visits its window's
+/// taps in `ky`-then-`kx` order and averages over the clamped count, so
+/// both paths give the same bits.
 pub fn pool_forward(input: &Tensor, shape: &PoolShape, op: PoolOp, out_layout: Layout) -> Tensor {
     assert_eq!(input.shape(), shape.input_shape(), "input shape mismatch");
-    let (oh, ow) = (shape.out_h(), shape.out_w());
-    let mut out = Tensor::zeros(shape.output_shape(), out_layout);
-    let planes: Vec<((usize, usize), Vec<f32>)> = (0..shape.n * shape.c)
-        .into_par_iter()
-        .map(|idx| {
-            let (n, c) = (idx / shape.c, idx % shape.c);
-            let mut plane = vec![0f32; oh * ow];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = if op == PoolOp::Max { f32::NEG_INFINITY } else { 0.0 };
-                    let mut count = 0usize;
-                    for ky in 0..shape.window {
-                        let iy = oy * shape.stride + ky;
-                        if iy >= shape.h {
-                            break; // ceil-mode edge window clamps
-                        }
-                        for kx in 0..shape.window {
-                            let ix = ox * shape.stride + kx;
-                            if ix >= shape.w {
-                                break;
-                            }
-                            let v = input.get(n, c, iy, ix);
-                            count += 1;
-                            match op {
-                                PoolOp::Max => acc = acc.max(v),
-                                PoolOp::Avg => acc += v,
-                            }
-                        }
-                    }
-                    if op == PoolOp::Avg {
-                        // Average over the clamped window (cuda-convnet's
-                        // convention: padding is excluded).
-                        acc /= count as f32;
-                    }
-                    plane[oy * ow + ox] = acc;
-                }
-            }
-            ((n, c), plane)
-        })
-        .collect();
-    for ((n, c), plane) in planes {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                out.set(n, c, oy, ox, plane[oy * ow + ox]);
-            }
+    let (layout, out) = if input.layout() == Layout::CHWN {
+        (Layout::CHWN, pool_rows(input.as_slice(), shape, op))
+    } else {
+        (Layout::NCHW, pool_planes(input.as_layout(Layout::NCHW).as_slice(), shape, op))
+    };
+    Tensor::from_vec(shape.output_shape(), layout, out)
+        .expect("length matches shape by construction")
+        .into_layout(out_layout)
+}
+
+impl PoolOp {
+    /// The accumulator before the first tap.
+    fn init(self) -> f32 {
+        match self {
+            PoolOp::Max => f32::NEG_INFINITY,
+            PoolOp::Avg => 0.0,
         }
     }
+
+    /// Fold the taps of one window position into `acc`, lane by lane.
+    fn fold<'a>(self, acc: &mut [f32], taps: impl Iterator<Item = &'a f32>) {
+        match self {
+            PoolOp::Max => acc.iter_mut().zip(taps).for_each(|(a, &v)| *a = a.max(v)),
+            PoolOp::Avg => acc.iter_mut().zip(taps).for_each(|(a, &v)| *a += v),
+        }
+    }
+}
+
+/// In-bounds taps of output `(oy, ox)`'s clamped window: the divisor of
+/// average pooling (cuda-convnet's convention: padding is excluded).
+fn window_count(shape: &PoolShape, oy: usize, ox: usize) -> f32 {
+    let rows = shape.window.min(shape.h - oy * shape.stride);
+    let cols = shape.window.min(shape.w - ox * shape.stride);
+    (rows * cols) as f32
+}
+
+/// NCHW pooling, parallel over `(n, c)` planes, one output row at a time:
+/// each tap `(ky, kx)` folds into every output of the row whose window
+/// still covers it, so each output sees its taps in `ky`-then-`kx` order.
+fn pool_planes(x: &[f32], shape: &PoolShape, op: PoolOp) -> Vec<f32> {
+    let (oh, ow) = (shape.out_h(), shape.out_w());
+    let (w, stride) = (shape.w, shape.stride);
+    let in_plane = shape.h * w;
+    let mut out = vec![0f32; shape.n * shape.c * oh * ow];
+    out.par_chunks_mut(oh * ow).enumerate().for_each(|(plane, dst)| {
+        let src = &x[plane * in_plane..][..in_plane];
+        for (oy, acc) in dst.chunks_exact_mut(ow).enumerate() {
+            acc.fill(op.init());
+            for iy in (oy * stride..shape.h).take(shape.window) {
+                let row = &src[iy * w..][..w];
+                for kx in 0..shape.window.min(w) {
+                    // Outputs whose tap ox * stride + kx is inside the row.
+                    let covered = (w - kx).div_ceil(stride).min(ow);
+                    op.fold(&mut acc[..covered], row[kx..].iter().step_by(stride));
+                }
+            }
+            if op == PoolOp::Avg {
+                for (ox, a) in acc.iter_mut().enumerate() {
+                    *a /= window_count(shape, oy, ox);
+                }
+            }
+        }
+    });
+    out
+}
+
+/// CHWN pooling along the `N`-innermost rows, parallel over channels.
+fn pool_rows(x: &[f32], shape: &PoolShape, op: PoolOp) -> Vec<f32> {
+    let (oh, ow, n) = (shape.out_h(), shape.out_w(), shape.n);
+    let in_channel = shape.h * shape.w * n;
+    let mut out = vec![0f32; shape.c * oh * ow * n];
+    out.par_chunks_mut(oh * ow * n).enumerate().for_each(|(c, dst)| {
+        let src = &x[c * in_channel..][..in_channel];
+        for (i, acc) in dst.chunks_exact_mut(n).enumerate() {
+            let (oy, ox) = (i / ow, i % ow);
+            acc.fill(op.init());
+            for iy in (oy * shape.stride..shape.h).take(shape.window) {
+                for ix in (ox * shape.stride..shape.w).take(shape.window) {
+                    op.fold(acc, src[(iy * shape.w + ix) * n..][..n].iter());
+                }
+            }
+            if op == PoolOp::Avg {
+                let count = window_count(shape, oy, ox);
+                acc.iter_mut().for_each(|a| *a /= count);
+            }
+        }
+    });
     out
 }
 
@@ -270,6 +314,23 @@ mod ceil_mode_tests {
         let avg = pool_forward(&input, &s, PoolOp::Avg, Layout::NCHW);
         // Clamped 2x2 window {28,29,34,35} -> 31.5 (divided by 4, not 9).
         assert_eq!(avg.get(0, 0, 2, 2), 31.5);
+    }
+
+    #[test]
+    fn ceil_mode_drops_a_window_that_would_start_past_the_input() {
+        // Window 1, stride 2 over 4: starts 0, 2 (a third would start at 4).
+        let s = PoolShape::table1(1, 4, 1, 1, 2).with_ceil_mode(true);
+        assert_eq!((s.out_h(), s.out_w()), (2, 2));
+        // Window 2, stride 3 over 7: starts 0, 3 and a clamped 6.
+        assert_eq!(PoolShape::table1(1, 7, 2, 1, 3).with_ceil_mode(true).out_h(), 3);
+        let input = Tensor::from_fn(s.input_shape(), Layout::NCHW, |_, _, h, w| (h * 4 + w) as f32);
+        for layout in [Layout::NCHW, Layout::CHWN] {
+            let x = input.to_layout(layout);
+            let max = pool_forward(&x, &s, PoolOp::Max, Layout::NCHW);
+            let avg = pool_forward(&x, &s, PoolOp::Avg, Layout::NCHW);
+            assert_eq!(max.as_slice(), &[0.0, 2.0, 8.0, 10.0]);
+            assert_eq!(avg.as_slice(), max.as_slice());
+        }
     }
 
     #[test]

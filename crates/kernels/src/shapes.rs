@@ -125,7 +125,14 @@ impl PoolShape {
         let span = extent - self.window;
         if self.ceil_mode {
             // ceil(span / stride) + 1; the last window clamps to the edge.
-            span.div_ceil(self.stride) + 1
+            // A last window that would start past the input is dropped, as
+            // Caffe does (only possible when stride > window).
+            let out = span.div_ceil(self.stride) + 1;
+            if (out - 1) * self.stride >= extent {
+                out - 1
+            } else {
+                out
+            }
         } else {
             span / self.stride + 1
         }

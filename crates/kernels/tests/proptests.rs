@@ -4,6 +4,7 @@ use memcnn_gpusim::{simulate, DeviceConfig, SimOptions};
 use memcnn_kernels::conv::direct_chwn::direct_conv_chwn;
 use memcnn_kernels::conv::{conv_forward, conv_reference};
 use memcnn_kernels::im2col::{col2im, im2col};
+use memcnn_kernels::matmul::{sgemm, sgemm_naive};
 use memcnn_kernels::pool::{pool_backward_avg, pool_forward, PoolOp};
 use memcnn_kernels::softmax::{softmax_forward, softmax_xent_backward};
 use memcnn_kernels::transform::{TransformImpl, TransformKernel};
@@ -20,19 +21,92 @@ fn small_conv() -> impl Strategy<Value = ConvShape> {
     )
 }
 
+/// The bits of every element, in buffer order.
+fn f32_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bits of every element of a tensor, in its buffer order.
+fn bits(t: &Tensor) -> Vec<u32> {
+    f32_bits(t.as_slice())
+}
+
+/// Pooling one output at a time over logical coordinates: the window's
+/// in-bounds taps in `ky`-then-`kx` order, averaged over their count.
+fn pool_per_element(input: &Tensor, s: &PoolShape, op: PoolOp, layout: Layout) -> Tensor {
+    Tensor::from_fn(s.output_shape(), layout, |n, c, oy, ox| {
+        let mut acc = if op == PoolOp::Max { f32::NEG_INFINITY } else { 0.0 };
+        let mut count = 0;
+        for iy in (oy * s.stride..s.h).take(s.window) {
+            for ix in (ox * s.stride..s.w).take(s.window) {
+                let v = input.get(n, c, iy, ix);
+                acc = if op == PoolOp::Max { acc.max(v) } else { acc + v };
+                count += 1;
+            }
+        }
+        if op == PoolOp::Avg {
+            acc / count as f32
+        } else {
+            acc
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fast conv (im2col+GEMM) equals the naive reference for arbitrary
-    /// small shapes, strides, and padding.
+    /// The implicit-GEMM conv equals the naive reference bit for bit for
+    /// arbitrary small shapes, strides and padding, in both layouts.
     #[test]
     fn conv_forward_matches_reference(shape in small_conv(), seed in 0u64..500) {
         prop_assume!(shape.validate().is_ok());
-        let input = Tensor::random(shape.input_shape(), Layout::NCHW, seed);
-        let filter = Tensor::random(shape.filter_shape(), Layout::NCHW, seed + 1);
-        let fast = conv_forward(&input, &filter, &shape, Layout::NCHW).unwrap();
-        let slow = conv_reference(&input, &filter, &shape, Layout::NCHW).unwrap();
-        prop_assert!(fast.approx_eq(&slow, 1e-3));
+        for layout in [Layout::NCHW, Layout::CHWN] {
+            let input = Tensor::random(shape.input_shape(), layout, seed);
+            let filter = Tensor::random(shape.filter_shape(), Layout::NCHW, seed + 1);
+            let fast = conv_forward(&input, &filter, &shape, layout).unwrap();
+            let slow = conv_reference(&input, &filter, &shape, layout).unwrap();
+            prop_assert_eq!(bits(&fast), bits(&slow), "{}", layout);
+        }
+    }
+
+    /// The packed GEMM equals the naive triple loop bit for bit, for any
+    /// `m` (not only multiples of the 4-row panel), `n` below one 16-column
+    /// panel and across several 1024-column tasks, and `k` down to 1.
+    #[test]
+    fn sgemm_matches_naive(
+        m in 1usize..11,
+        k in 1usize..40,
+        n in (1usize..20, prop::bool::ANY).prop_map(|(n, wide)| if wide { 1000 + 60 * n } else { n }),
+        seed in 0u64..500,
+    ) {
+        let a = Tensor::random(Shape::new(1, 1, m, k), Layout::NCHW, seed);
+        let b = Tensor::random(Shape::new(1, 1, k, n), Layout::NCHW, seed + 1);
+        let fast = sgemm(m, k, n, a.as_slice(), b.as_slice());
+        let slow = sgemm_naive(m, k, n, a.as_slice(), b.as_slice());
+        prop_assert_eq!(f32_bits(&fast), f32_bits(&slow));
+    }
+
+    /// Pooling equals a per-element loop over logical coordinates bit for
+    /// bit: max and avg, NCHW and CHWN in and out, floor and ceil mode.
+    #[test]
+    fn pool_forward_matches_per_element_loop(
+        (n, c, hw) in (1usize..4, 1usize..4, 3usize..12),
+        win in 1usize..4,
+        stride in 1usize..4,
+        ceil in prop::bool::ANY,
+        seed in 0u64..500,
+    ) {
+        prop_assume!(win <= hw);
+        let s = PoolShape::table1(n, hw, win, c, stride).with_ceil_mode(ceil);
+        for op in [PoolOp::Max, PoolOp::Avg] {
+            for (from, to) in [(Layout::NCHW, Layout::NCHW), (Layout::CHWN, Layout::CHWN),
+                               (Layout::NCHW, Layout::CHWN), (Layout::CHWN, Layout::NCHW)] {
+                let input = Tensor::random(s.input_shape(), from, seed);
+                let got = pool_forward(&input, &s, op, to);
+                let want = pool_per_element(&input, &s, op, to);
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} {} -> {}", op, from, to);
+            }
+        }
     }
 
     /// Direct CHWN conv equals the reference too (pad-0 path used by the

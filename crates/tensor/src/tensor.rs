@@ -3,6 +3,7 @@
 use crate::{relayout, Dim, Layout, Shape, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::fmt;
 
 /// An owned, dense, `f32` 4D tensor with an explicit [`Layout`].
@@ -136,12 +137,37 @@ impl Tensor {
     }
 
     /// Convert to another layout (copying). Returns a clone if the layout is
-    /// already the requested one.
+    /// already the requested one. Flattenable pairs (`NCHW <-> CHWN` and the
+    /// other moves of one dimension between the outermost and innermost
+    /// position) take the blocked 2D transpose; the rest walk the
+    /// destination element by element.
     pub fn to_layout(&self, layout: Layout) -> Tensor {
         if layout == self.layout {
-            return self.clone();
+            self.clone()
+        } else if self.layout.is_2d_transpose_of(&layout) && !self.shape.is_empty() {
+            relayout::relayout_2d_transpose(self, layout)
+        } else {
+            relayout::relayout(self, layout)
         }
-        relayout::relayout(self, layout)
+    }
+
+    /// This tensor in `layout`: borrowed when it already is, converted by
+    /// [`Tensor::to_layout`] otherwise.
+    pub fn as_layout(&self, layout: Layout) -> Cow<'_, Tensor> {
+        if layout == self.layout {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.to_layout(layout))
+        }
+    }
+
+    /// Consume the tensor into `layout`, converting only when it differs.
+    pub fn into_layout(self, layout: Layout) -> Tensor {
+        if layout == self.layout {
+            self
+        } else {
+            self.to_layout(layout)
+        }
     }
 
     /// Maximum absolute element-wise difference to another tensor of the
@@ -241,6 +267,23 @@ mod tests {
             assert_eq!(u.layout(), layout);
             assert!(t.approx_eq(&u, 0.0), "relayout to {layout} changed values");
         }
+    }
+
+    #[test]
+    fn to_layout_of_an_empty_tensor() {
+        let t = Tensor::zeros(Shape::new(0, 3, 4, 5), Layout::NCHW);
+        let u = t.to_layout(Layout::CHWN);
+        assert_eq!((u.layout(), u.as_slice().len()), (Layout::CHWN, 0));
+    }
+
+    #[test]
+    fn as_layout_borrows_and_into_layout_moves_when_the_layout_matches() {
+        let t = coord_tensor(Layout::CHWN);
+        assert!(matches!(t.as_layout(Layout::CHWN), Cow::Borrowed(_)));
+        let nchw = t.as_layout(Layout::NCHW);
+        assert!(matches!(nchw, Cow::Owned(_)) && nchw.approx_eq(&t, 0.0));
+        let ptr = t.as_slice().as_ptr();
+        assert_eq!(t.into_layout(Layout::CHWN).as_slice().as_ptr(), ptr);
     }
 
     #[test]

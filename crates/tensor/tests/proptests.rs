@@ -98,6 +98,21 @@ proptest! {
         prop_assert_eq!(a.as_slice(), b.as_slice());
     }
 
+    /// `to_layout` (the blocked 2D transpose for flattenable pairs, the
+    /// element-wise walk otherwise) equals the element-wise reference bit
+    /// for bit, for every one of the 24 x 24 layout pairs.
+    #[test]
+    fn to_layout_matches_relayout_for_every_pair(shape in small_shape(), seed in 0u64..1000) {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for src in Layout::all() {
+            let t = Tensor::random(shape, src, seed);
+            for dst in Layout::all() {
+                let want = memcnn_tensor::relayout::relayout(&t, dst);
+                prop_assert_eq!(bits(&t.to_layout(dst)), bits(&want), "{} -> {}", src, dst);
+            }
+        }
+    }
+
     /// Strides scale linearly: doubling the extent of the innermost
     /// dimension doubles the strides of all dimensions outside it.
     #[test]
