@@ -1082,8 +1082,9 @@ fn sequential_from(raw: Option<&str>) -> bool {
 }
 
 /// Whether `MEMCNN_FLEET_LINEAR` forces the pre-index hot path: the
-/// O(K) linear `global_best` scan plus the pair-walking placement load
-/// snapshot. The selections are identical by construction (the index's
+/// O(K) linear `global_best` scan, a per-route placement snapshot that
+/// walks every lane queue, and a `device_best` scan of every device to
+/// find a barrier's committing devices. The selections are identical by construction (the index's
 /// comparator is the scan's total order — `tests/fleet.rs` pins report
 /// byte-identity); the knob exists as the regression-gate baseline for
 /// the fleet bench's orchestrator events/sec figure and as an escape
@@ -1110,6 +1111,83 @@ fn linear_from(raw: Option<&str>) -> bool {
             });
             false
         }
+    }
+}
+
+/// Load snapshot of device `d` for network `n`'s placement call — O(1)
+/// off the incrementally maintained queue counters (`linear` walks the
+/// lane queues like the pre-index code did).
+fn device_load(
+    pairs: &[Vec<PairState>],
+    devs: &[DeviceState],
+    caps: &[Vec<usize>],
+    linear: bool,
+    d: usize,
+    n: usize,
+) -> DeviceLoad {
+    let (queued_requests, queued_images) = if linear {
+        let mut reqs = 0usize;
+        let mut imgs = 0usize;
+        for p in &pairs[d] {
+            reqs += p.pending_requests();
+            imgs += p.pending_images();
+        }
+        (reqs, imgs)
+    } else {
+        (devs[d].queued_requests, devs[d].queued_images)
+    };
+    debug_assert_eq!(
+        (queued_requests, queued_images),
+        (
+            pairs[d].iter().map(|p| p.pending_requests()).sum(),
+            pairs[d].iter().map(|p| p.pending_images()).sum()
+        ),
+        "queue counters diverged from the lane queues"
+    );
+    DeviceLoad {
+        device: d,
+        gpu_free: devs[d].gpu_free,
+        queued_requests,
+        queued_images,
+        feasible_cap: caps[d][n],
+    }
+}
+
+/// Bit equality of two load rows (the debug cross-check of the index's
+/// rows against a fresh snapshot; `gpu_free` by bits, so `-0.0` and
+/// `0.0` differ as they would to a `total_cmp` policy).
+fn same_load(a: &DeviceLoad, b: &DeviceLoad) -> bool {
+    (a.device, a.gpu_free.to_bits(), a.queued_requests, a.queued_images, a.feasible_cap)
+        == (b.device, b.gpu_free.to_bits(), b.queued_requests, b.queued_images, b.feasible_cap)
+}
+
+/// Place one arrival, honouring device health: candidates are the
+/// `Healthy` devices, falling back to `Warming`, then `Draining`, then
+/// the full fleet (everything `Down` — the request queues on a dead
+/// device and the flush re-routes or sheds it). Health-free runs pass
+/// the full row slice straight through, which keeps the policy's
+/// internal state evolution — hence every placement — byte-identical to
+/// the pre-health fleet. The filtered candidates go into the recycled
+/// `eligible` buffer, in device order.
+fn place_on(
+    placer: &mut dyn PlacementPolicy,
+    health: Option<&HealthRun>,
+    eligible: &mut Vec<DeviceLoad>,
+    ctx: &PlacementCtx,
+) -> usize {
+    eligible.clear();
+    if let Some(h) = health {
+        for s in [HealthState::Healthy, HealthState::Warming, HealthState::Draining] {
+            eligible.extend(ctx.devices.iter().filter(|l| h.devs[l.device].state == s));
+            if !eligible.is_empty() {
+                break;
+            }
+        }
+    }
+    if eligible.is_empty() {
+        placer.place(ctx)
+    } else {
+        placer.place(&PlacementCtx { devices: eligible, ..*ctx })
     }
 }
 
@@ -1158,18 +1236,21 @@ struct FleetRun<'e, 'a> {
     slo_run: Option<SloRun>,
     /// `Some` only with a live (configured, non-noop) device-fault plan.
     health: Option<HealthRun>,
-    /// The tournament index behind [`FleetRun::global_best`]: cached
-    /// per-device tentative-launch keys, refreshed only for devices
-    /// marked dirty since the last query (every mutation site marks —
+    /// The tournament index behind [`FleetRun::global_best`] and the
+    /// placement rows behind `route_one`: cached per-device
+    /// tentative-launch keys and loads, refreshed only for devices
+    /// marked dirty since the last read (every mutation site marks —
     /// routes, commits, sheds, health transitions, failovers, delay
     /// changes).
     index: RouteIndex,
     /// `MEMCNN_FLEET_LINEAR=1`: bypass the index (see
     /// [`linear_requested`]).
     linear: bool,
-    /// Recycled placement-snapshot buffer (`route_one` and
-    /// `requeue_transit` fill it per arrival instead of allocating).
+    /// Recycled placement-snapshot buffer (the linear oracle's
+    /// `route_one` and `requeue_transit` fill it instead of allocating).
     loads_buf: Vec<DeviceLoad>,
+    /// Recycled candidate buffer for [`place_on`]'s health filter.
+    eligible_buf: Vec<DeviceLoad>,
 }
 
 impl<'e, 'a> FleetRun<'e, 'a> {
@@ -1305,12 +1386,41 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             }
             lt = t;
         }
-        // Placement snapshot into the recycled buffer: one counter read
-        // per device instead of a fresh Vec walking every lane queue.
+        // Placement: the index's rows, refreshed only for devices marked
+        // since the last route (the linear oracle re-walks every lane
+        // queue into the recycled buffer, as the pre-row router did).
         let mut loads = std::mem::take(&mut self.loads_buf);
-        loads.clear();
-        loads.extend((0..self.k).map(|d| self.load_of(d, n)));
-        let d = self.place_on(r.arrival, r.images, n, &loads);
+        let (rows, others_images): (&[DeviceLoad], usize) = if self.linear {
+            loads.clear();
+            loads.extend((0..self.k).map(|d| self.load_of(d, n)));
+            (&loads, loads.iter().map(|l| l.queued_images).sum())
+        } else {
+            let (pairs, devs, caps) = (&self.pairs, &self.devs, &self.caps);
+            self.index.refresh_rows(|d, n| device_load(pairs, devs, caps, false, d, n));
+            let rows = self.index.rows(n);
+            debug_assert!(
+                rows.iter().all(|r| same_load(r, &self.load_of(r.device, n))),
+                "placement rows diverged from the lane queues"
+            );
+            (rows, self.index.queued_images())
+        };
+        let d = place_on(
+            self.placer.as_mut(),
+            self.health.as_ref(),
+            &mut self.eligible_buf,
+            &PlacementCtx {
+                now: r.arrival,
+                images: r.images,
+                network: n,
+                max_batch: self.max,
+                devices: rows,
+            },
+        )
+        .min(self.k - 1);
+        // Fleet queue total before this route, less the routed device's
+        // share (its own gauge below reads the post-route counter).
+        let others_images = others_images - rows[d].queued_images;
+        self.loads_buf = loads;
         self.g.placements[r.id as usize] = d as u32;
         self.pairs[d][n].lanes[lt].queue.push(r);
         self.devs[d].push_queued(r.images);
@@ -1324,82 +1434,23 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         self.index.mark(d);
         // Queue-pressure gauges at the arrival: the routed device's
         // backlog (post-shed, via the maintained counter) plus the fleet
-        // total (other devices' loads are their pre-route snapshots,
-        // unchanged).
+        // total (other devices are unchanged since their rows).
         let dev_images = self.devs[d].queued_images;
         debug_assert_eq!(
             dev_images,
             self.pairs[d].iter().map(|p| p.pending_images()).sum::<usize>(),
             "queued-images counter diverged from the lane queues"
         );
-        let total_images: usize = dev_images
-            + loads.iter().filter(|l| l.device != d).map(|l| l.queued_images).sum::<usize>();
+        let total_images = dev_images + others_images;
         self.g.rec.gauge_at(self.g.ids.dev_queue_images[d], r.arrival, dev_images as f64);
         self.g.rec.gauge_at(self.g.ids.queue_images, r.arrival, total_images as f64);
-        self.loads_buf = loads;
         self.next_arrival += 1;
     }
 
-    /// Load snapshot of device `d` for network `n`'s placement call —
-    /// O(1) off the incrementally maintained queue counters (the linear
-    /// fallback walks the lane queues like the pre-index code did).
+    /// Load snapshot of device `d` for network `n`'s placement call (see
+    /// [`device_load`]).
     fn load_of(&self, d: usize, n: usize) -> DeviceLoad {
-        let (queued_requests, queued_images) = if self.linear {
-            let mut reqs = 0usize;
-            let mut imgs = 0usize;
-            for p in &self.pairs[d] {
-                reqs += p.pending_requests();
-                imgs += p.pending_images();
-            }
-            (reqs, imgs)
-        } else {
-            (self.devs[d].queued_requests, self.devs[d].queued_images)
-        };
-        debug_assert_eq!(
-            (queued_requests, queued_images),
-            (
-                self.pairs[d].iter().map(|p| p.pending_requests()).sum(),
-                self.pairs[d].iter().map(|p| p.pending_images()).sum()
-            ),
-            "queue counters diverged from the lane queues"
-        );
-        DeviceLoad {
-            device: d,
-            gpu_free: self.devs[d].gpu_free,
-            queued_requests,
-            queued_images,
-            feasible_cap: self.caps[d][n],
-        }
-    }
-
-    /// Place one arrival, honouring device health: candidates are the
-    /// `Healthy` devices, falling back to `Warming`, then `Draining`,
-    /// then the full fleet (everything `Down` — the request queues on a
-    /// dead device and the flush re-routes or sheds it). Health-free
-    /// runs pass the full load list straight through, which keeps the
-    /// policy's internal state evolution — hence every placement —
-    /// byte-identical to the pre-health fleet.
-    fn place_on(&mut self, now: f64, images: usize, n: usize, loads: &[DeviceLoad]) -> usize {
-        let eligible: Vec<DeviceLoad> = match &self.health {
-            None => Vec::new(),
-            Some(h) => {
-                let of = |s: HealthState| -> Vec<DeviceLoad> {
-                    loads.iter().filter(|l| h.devs[l.device].state == s).copied().collect()
-                };
-                let mut c = of(HealthState::Healthy);
-                if c.is_empty() {
-                    c = of(HealthState::Warming);
-                }
-                if c.is_empty() {
-                    c = of(HealthState::Draining);
-                }
-                c
-            }
-        };
-        let devices: &[DeviceLoad] = if eligible.is_empty() { loads } else { &eligible };
-        self.placer
-            .place(&PlacementCtx { now, images, network: n, max_batch: self.max, devices })
-            .min(self.k - 1)
+        device_load(&self.pairs, &self.devs, &self.caps, self.linear, d, n)
     }
 
     /// The tenant lane a request routes to (lane 0 on class-blind runs).
@@ -1765,22 +1816,20 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                 // arrival just routed and nothing has committed since.
                 self.drain_flush();
             }
-            let active: Vec<usize> = (0..self.k)
-                .filter(|&d| !self.devs[d].blocked && self.pairs[d].iter().any(|p| p.has_pending()))
-                .collect();
+            let ctx = self.step_ctx();
+            let active = self.committing(&ctx, t_next);
             if active.is_empty() {
-                // Nothing pending and nothing routable: the run is
+                // Nothing launchable and nothing routable: the run is
                 // drained (the route loop would otherwise have routed).
                 debug_assert!(t_next.is_none(), "arrivals remain but none were routed");
                 break;
             }
             BARRIERS.incr();
-            self.batch_compile(t_next);
+            self.batch_compile(&ctx, &active, t_next);
             if active.len() >= 2 {
                 PARALLEL_STEPS.incr();
             }
 
-            let ctx = self.step_ctx();
             let mut tasks: Vec<(usize, &mut Vec<PairState>, &mut DeviceState)> =
                 Vec::with_capacity(active.len());
             for (d, (pairs_d, dev)) in self.pairs.iter_mut().zip(self.devs.iter_mut()).enumerate() {
@@ -1802,9 +1851,11 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             // compounds make per-device key sequences non-monotone.
             let mut queues: Vec<(usize, VecDeque<DeviceEvent>)> = Vec::with_capacity(active.len());
             for (&d, res) in active.iter().zip(results) {
-                queues.push((d, VecDeque::from(res?)));
-                // The barrier stepped every active device's queues and
-                // clock; their cached launch keys are stale.
+                let events = res?;
+                debug_assert!(!events.is_empty(), "device {d} was due but committed nothing");
+                queues.push((d, VecDeque::from(events)));
+                // The barrier stepped the device's queues and clock; its
+                // cached launch key and placement rows are stale.
                 self.index.mark(d);
             }
             loop {
@@ -1830,6 +1881,24 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         Ok(())
     }
 
+    /// The devices that commit at least one batch before `t_next` (all
+    /// of them when `t_next` is `None`): those whose earliest launchable
+    /// batch ([`device_best`], read from the refreshed index) launches
+    /// strictly earlier, in device order. Only they step at a barrier —
+    /// any other device's step would only read its state — so a barrier
+    /// costs O(committing devices), not O(devices with pending work).
+    fn committing(&mut self, ctx: &StepCtx, t_next: Option<f64>) -> Vec<usize> {
+        let due = |key: Option<(f64, usize, usize)>| {
+            key.is_some_and(|(launch, _, _)| t_next.is_none_or(|t| launch < t))
+        };
+        let (pairs, devs) = (&self.pairs, &self.devs);
+        if self.linear {
+            return (0..self.k).filter(|&d| due(device_best(ctx, &pairs[d], &devs[d]))).collect();
+        }
+        self.index.refresh(|d| device_best(ctx, &pairs[d], &devs[d]));
+        (0..self.k).filter(|&d| due(self.index.key(d))).collect()
+    }
+
     /// Speculatively compile the cold buckets this barrier's first
     /// commits would hit: predict each pending pair's next bucket,
     /// dedup identical (engine, network, bucket) compiles (homogeneous
@@ -1840,15 +1909,13 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// nested parallelism); two or more fan out across the pool.
     /// Mispredictions waste a compile but are report- and
     /// counter-invisible: staged results only surface through `get`.
-    fn batch_compile(&mut self, t_next: Option<f64>) {
-        let ctx = self.step_ctx();
+    /// Only the `active` (committing) devices are scanned: on any other
+    /// device every lane launches at or past `t_next` or its halt.
+    fn batch_compile(&mut self, ctx: &StepCtx, active: &[usize], t_next: Option<f64>) {
         let mut compiles: Vec<(usize, usize, usize)> = Vec::new();
         let mut waiters: Vec<Vec<(usize, usize)>> = Vec::new();
-        for (d, pairs_d) in self.pairs.iter().enumerate() {
-            if self.devs[d].blocked {
-                continue; // a Down device commits nothing this step
-            }
-            for (n, pair) in pairs_d.iter().enumerate() {
+        for &d in active {
+            for (n, pair) in self.pairs[d].iter().enumerate() {
                 let emax = pair.emax();
                 for (lt, lane) in pair.lanes.iter().enumerate() {
                     if !lane.has_pending() {
@@ -2136,9 +2203,10 @@ pub(crate) fn run_fleet(
             rejected: vec![0; nlanes],
         }),
         health,
-        index: RouteIndex::new(k),
+        index: RouteIndex::new(k, nn),
         linear: linear_requested(),
         loads_buf: Vec::new(),
+        eligible_buf: Vec::new(),
     };
     if sequential_requested() {
         run.run_sequential()?;

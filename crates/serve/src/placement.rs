@@ -98,24 +98,24 @@ impl PlacementPolicy for RoundRobin {
 
 /// Pick the least-loaded candidate from `devices`: earliest effective
 /// free time (`max(gpu_free, now)` — an idle device is "free now", not
-/// "free in the past"), then fewest queued images, then lowest index.
-fn least_loaded_of(devices: &[DeviceLoad], now: f64) -> usize {
-    let mut best = 0usize;
-    for (i, d) in devices.iter().enumerate() {
-        if i == 0 {
-            best = 0;
-            continue;
-        }
-        let b = &devices[best];
-        let key = (d.gpu_free.max(now), d.queued_images);
-        let best_key = (b.gpu_free.max(now), b.queued_images);
-        if key.0.total_cmp(&best_key.0).is_lt()
-            || (key.0.total_cmp(&best_key.0).is_eq() && key.1 < best_key.1)
-        {
-            best = i;
+/// "free in the past"), then fewest queued images, then the first in
+/// candidate order. `None` when there are no candidates.
+fn least_loaded_of<'a>(
+    devices: impl IntoIterator<Item = &'a DeviceLoad>,
+    now: f64,
+) -> Option<usize> {
+    let mut best: Option<&DeviceLoad> = None;
+    for d in devices {
+        let better = best.is_none_or(|b| {
+            let (free, best_free) = (d.gpu_free.max(now), b.gpu_free.max(now));
+            free.total_cmp(&best_free).is_lt()
+                || (free.total_cmp(&best_free).is_eq() && d.queued_images < b.queued_images)
+        });
+        if better {
+            best = Some(d);
         }
     }
-    devices[best].device
+    best.map(|b| b.device)
 }
 
 /// Route to the device that frees up earliest.
@@ -124,7 +124,7 @@ pub struct LeastLoaded;
 
 impl PlacementPolicy for LeastLoaded {
     fn place(&mut self, ctx: &PlacementCtx) -> usize {
-        least_loaded_of(ctx.devices, ctx.now)
+        least_loaded_of(ctx.devices, ctx.now).expect("placement has candidates")
     }
 
     fn name(&self) -> &'static str {
@@ -180,13 +180,9 @@ pub struct MemoryAware;
 impl PlacementPolicy for MemoryAware {
     fn place(&mut self, ctx: &PlacementCtx) -> usize {
         let natural = bucket_for(ctx.images, ctx.max_batch.max(1));
-        let fit: Vec<DeviceLoad> =
-            ctx.devices.iter().filter(|d| d.feasible_cap >= natural).copied().collect();
-        if fit.is_empty() {
-            least_loaded_of(ctx.devices, ctx.now)
-        } else {
-            least_loaded_of(&fit, ctx.now)
-        }
+        least_loaded_of(ctx.devices.iter().filter(|d| d.feasible_cap >= natural), ctx.now)
+            .or_else(|| least_loaded_of(ctx.devices, ctx.now))
+            .expect("placement has candidates")
     }
 
     fn name(&self) -> &'static str {

@@ -10,11 +10,11 @@
 //! probe fan-out (and its per-worker trace merge path) rather than the
 //! single-threaded fallback.
 
-use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
-use memcnn::gpusim::{DeviceConfig, FaultPlan};
+use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Mechanism, Network, NetworkBuilder};
+use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan, FaultPlan};
 use memcnn::serve::{
-    serve, serve_fleet, Arrival, BatchPolicy, FaultPolicy, FleetConfig, FleetReport, Phase,
-    Placement, ServeConfig, WorkloadConfig,
+    feasible_max_batch, serve, serve_fleet, Arrival, BatchPolicy, FaultPolicy, FleetConfig,
+    FleetReport, Phase, Placement, ServeConfig, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 
@@ -267,14 +267,81 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
     // global-best scan and lane-walking load snapshots, and its *entire*
     // report — latencies, placements, batch records, metrics timeline —
     // must match the indexed router's byte for byte. (Debug builds also
-    // cross-check every indexed selection against the scan inline.)
-    std::env::set_var("MEMCNN_FLEET_LINEAR", "1");
-    let lin = serve_fleet(&eights, &nets, &cfg).unwrap();
-    assert_eq!(
-        serde_json::to_string(&par).unwrap(),
-        serde_json::to_string(&lin).unwrap(),
-        "linear-scan and indexed-router fleet reports must be byte-identical"
+    // cross-check every indexed selection and every placement row against
+    // the scan and the walk inline.) Every placement policy runs, each
+    // reading the index's rows differently; MemoryAware runs on a mixed
+    // Titan Black + Titan X fleet with a network whose top bucket only
+    // the Titan X can plan, so its rows' feasible caps differ. One more
+    // run adds a device-fault plan (hang, crashes, drain, heals) so the
+    // failover, heal and transit mark sites all feed the rows.
+    let json = |engines: &[&Engine], nets: &[Network], cfg: &FleetConfig| {
+        serde_json::to_string(&serve_fleet(engines, nets, cfg).unwrap()).unwrap()
+    };
+    let wide = NetworkBuilder::new("fleet-wide", Shape::new(1, 3, 512, 512))
+        .conv("CV1", 64, 3, 1, 1)
+        .build()
+        .unwrap();
+    let x = titan_x();
+    let mixed: Vec<&Engine> = (0..8).map(|d| if d % 2 == 0 { &shared } else { &x }).collect();
+    let wide_wl = WorkloadConfig {
+        phases: vec![Phase { arrival: Arrival::Poisson { rate: 400.0 }, duration: 0.2 }],
+        images_min: 1,
+        images_max: 120,
+        seed: 5,
+    };
+    let faults = DeviceFaultPlan::new(7, 0.0, 0.0, 0.0)
+        .with_repair(0.03)
+        .with_warmup(0.01)
+        .hang_at(0.05, 3)
+        .crash_at(0.21, 1)
+        .drain_at(0.22, 2)
+        .crash_at(0.25, 5);
+    let runs: Vec<(&str, Vec<&Engine>, Vec<Network>, FleetConfig)> = vec![
+        ("least-loaded", eights.clone(), nets.to_vec(), cfg.clone()),
+        (
+            "round-robin",
+            eights.clone(),
+            nets.to_vec(),
+            FleetConfig::new(wl.clone(), BatchPolicy::new(128, 0.004), Placement::RoundRobin),
+        ),
+        (
+            "queue-weighted",
+            eights.clone(),
+            nets.to_vec(),
+            FleetConfig::new(wl.clone(), BatchPolicy::new(128, 0.004), Placement::QueueWeighted),
+        ),
+        (
+            "memory-aware",
+            mixed.clone(),
+            vec![wide.clone(), net_a.clone()],
+            FleetConfig::new(wide_wl, BatchPolicy::new(128, 0.004), Placement::MemoryAware),
+        ),
+        ("device faults", eights.clone(), nets.to_vec(), cfg.clone().with_device_faults(faults)),
+    ];
+    let caps: Vec<usize> = mixed
+        .iter()
+        .map(|e| feasible_max_batch(e, &wide, Mechanism::Opt, &[128, 64, 32]).unwrap().0)
+        .collect();
+    assert!(caps.contains(&64) && caps.contains(&128), "mixed fleet caps must differ: {caps:?}");
+    let reports: Vec<FleetReport> = runs
+        .iter()
+        .map(|(_, engines, nets, cfg)| serve_fleet(engines, nets, cfg).unwrap())
+        .collect();
+    let indexed: Vec<String> = reports.iter().map(|r| serde_json::to_string(r).unwrap()).collect();
+    assert_eq!(indexed[0], serde_json::to_string(&par).unwrap());
+    let health = reports[4].health.as_ref().expect("the device-fault plan is live");
+    assert!(
+        health.downs >= 3 && health.ups > 0 && health.requeued > 0,
+        "the fault run must crash, heal and requeue: {health:?}"
     );
+    std::env::set_var("MEMCNN_FLEET_LINEAR", "1");
+    for ((name, engines, nets, cfg), idx) in runs.iter().zip(&indexed) {
+        assert_eq!(
+            *idx,
+            json(engines, nets, cfg),
+            "{name}: linear-scan and indexed-router fleet reports must be byte-identical"
+        );
+    }
     // Malformed values warn once and keep the indexed router.
     std::env::set_var("MEMCNN_FLEET_LINEAR", "sorta");
     let lin_fallback = serve_fleet(&eights, &nets, &cfg).unwrap();
@@ -291,7 +358,18 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
     // incrementally without perturbing a single selection.
     std::env::set_var("MEMCNN_THREADS", "4");
     let sixty_four: Vec<&Engine> = std::iter::repeat_n(&shared, 64).collect();
+    let before_k64 = memcnn::trace::perf::baseline();
     let k64_base = digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
+    // Complexity guard: a route recomputes only the placement rows of
+    // devices marked since the previous route, not all K (the pre-row
+    // router rebuilt 64 per arrival).
+    let routes = before_k64.delta_of("fleet.route.count");
+    let rows = before_k64.delta_of("fleet.route.rows");
+    assert!(routes > 0);
+    assert!(
+        rows < routes * 64 / 4,
+        "K=64 recomputed {rows} placement rows over {routes} routes (want < K/4 per route)"
+    );
     for threads in ["1", "13", "4"] {
         std::env::set_var("MEMCNN_THREADS", threads);
         let rerun = digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
