@@ -1,55 +1,64 @@
-//! Scenario regression orchestrator.
+//! Scenario harness orchestrator. `memcnn_bench::scenario` documents the
+//! file format, the runs, the identity check and the gates.
 //!
 //! ```text
 //! cargo run -p memcnn-bench --release --bin scenario
 //! cargo run -p memcnn-bench --release --bin scenario -- --update-baselines
-//! cargo run -p memcnn-bench --release --bin scenario -- run scenarios/burst-qw.toml
+//! MEMCNN_THREADS=1 MEMCNN_FLEET_LINEAR=1 \
+//!     cargo run -p memcnn-bench --release --bin scenario -- run scenarios/stream-k16.toml
 //! ```
 //!
-//! Without a subcommand, discovers every `scenarios/*.toml`, runs each
-//! one as its own OS process (`scenario run <file>` on a release-built
-//! copy of this binary), parses the one-line JSON result each agent
-//! prints, merges the per-run latency histograms into suite-wide and
-//! overall ones, and diffs every metric against `baselines/<name>.json`
-//! under the scenario's own tolerances. A drift beyond tolerance prints
-//! a structured `REGRESSION ...` line naming the scenario, the metric,
-//! both values, and the relative drift — and the process exits non-zero,
-//! which is the CI gate. `--update-baselines` rewrites the baseline
-//! files from the current run instead of diffing (review that diff like
-//! code).
+//! Without a subcommand, replays every `scenarios/*.toml` as fresh agent
+//! processes (`scenario run <file>` on a release-built copy of this
+//! binary), one per run, each run's env vars set on its child only. Per
+//! scenario it prints `NONDETERMINISM scenario=... run=...` for a run that
+//! differs from the base run, `GATE FAILED ...` or `GATE SKIPPED ...` per
+//! gate, and `REGRESSION scenario=... metric=...` per baseline drift. Any
+//! failure exits 1, which is the CI gate. `--update-baselines` rewrites
+//! `baselines/<name>.json` from the base run instead, but never for a
+//! scenario whose identity check or gates failed.
 //!
-//! `run <file>` is the agent mode: execute one scenario, write its full
-//! metrics timeline to `<metrics-dir>/<name>.metrics.json`, and print
-//! the machine-readable result as the last stdout line.
-//!
-//! `--record-perfetto` (orchestrator or agent) additionally collects an
-//! execution trace around each scenario run and writes it as a
-//! ready-to-open Chrome/Perfetto timeline to
-//! `<metrics-dir>/<name>.trace.json` — so a failing scenario leaves its
-//! timeline next to its report.
+//! `run <file>` is the agent mode: execute one scenario in-process and
+//! print `{"result": ..., "digest": ..., "host": {"wall_ms": ...}}` as the
+//! last stdout line. With `--metrics-dir DIR` it also writes the metrics
+//! timeline, thinned to at most [`TIMELINE_SAMPLES`] samples, to
+//! `DIR/<name>.metrics.json`, and `--record-perfetto` adds an execution
+//! trace as a Chrome/Perfetto timeline, `DIR/<name>.trace.json`. The
+//! orchestrator asks only the base run for these files.
 
-use memcnn_bench::scenario::{self, diff_metrics, Drift, ScenarioResult, ScenarioSpec};
+use memcnn_bench::scenario::{self, AgentLine, Drift, Run, Verdict, BASE_RUN};
 use memcnn_bench::util::Table;
-use memcnn_metrics::Histogram;
+use memcnn_metrics::{Histogram, MetricsTimeline, Sample};
 use memcnn_trace as trace;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+/// Sample budget of a written metrics timeline. A timeline with more
+/// samples keeps every `n`-th sample of each series (and its last), with
+/// one `n` for the whole timeline; the latency histograms are kept whole.
+/// A million-request stream records about two million samples (~80 MB of
+/// JSON); a timeline within the budget is written whole.
+const TIMELINE_SAMPLES: usize = 4096;
+
 #[derive(Serialize)]
 struct Outcome {
     scenario: String,
     suite: String,
-    /// `ok`, `drift`, `expect-failed`, or `error`.
+    /// `ok`, `nondeterministic`, `gate-failed`, `drift`, or `error`.
     status: String,
     drifts: Vec<Drift>,
-    expect_failures: Vec<String>,
+    gate_failures: Vec<String>,
+    /// Run name → wall time of its `serve_fleet` call, milliseconds.
+    wall_ms: BTreeMap<String, f64>,
 }
 
 #[derive(Serialize)]
 struct Summary {
     bench: &'static str,
+    /// Cores the host offered (arms the `threadsN` wall-ratio gates).
+    cores: usize,
     scenarios: Vec<Outcome>,
     /// Latency histograms merged across each suite's scenarios.
     suite_hist: BTreeMap<String, Histogram>,
@@ -93,6 +102,7 @@ fn main() {
         }
     }
     let agent = agent.unwrap_or_else(|| std::env::current_exe().expect("current_exe"));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut files: Vec<PathBuf> = std::fs::read_dir(&scenarios_dir)
         .unwrap_or_else(|e| {
@@ -117,8 +127,8 @@ fn main() {
     let mut suite_hist: BTreeMap<String, Histogram> = BTreeMap::new();
     let mut merged_hist = Histogram::new();
     let mut table = Table::new(
-        "scenario regression harness".to_string(),
-        &["scenario", "suite", "requests", "p99 ms", "shed", "status"],
+        format!("scenario harness ({cores} cores)"),
+        &["scenario", "suite", "runs", "requests", "p99 ms", "base ms", "digest", "status"],
     );
     let mut failed = false;
 
@@ -134,46 +144,85 @@ fn main() {
                 continue;
             }
         };
-        let result = match spawn_agent(&agent, file, &metrics_dir, record_perfetto) {
-            Ok(r) => r,
+        let mut outcome = Outcome {
+            scenario: spec.name.clone(),
+            suite: spec.suite.clone(),
+            status: "ok".to_string(),
+            drifts: Vec::new(),
+            gate_failures: Vec::new(),
+            wall_ms: BTreeMap::new(),
+        };
+        let runs = spec.runs();
+        let lines: Result<Vec<AgentLine>, String> = runs
+            .iter()
+            .map(|run| {
+                spawn_agent(&agent, file, &metrics_dir, record_perfetto, run)
+                    .map_err(|e| format!("run={}: {e}", run.name))
+            })
+            .collect();
+        let lines = match lines {
+            Ok(lines) => lines,
             Err(e) => {
-                eprintln!("ERROR scenario={} run: {e}", spec.name);
-                outcomes.push(Outcome {
-                    scenario: spec.name.clone(),
-                    suite: spec.suite.clone(),
-                    status: "error".to_string(),
-                    drifts: Vec::new(),
-                    expect_failures: Vec::new(),
-                });
+                eprintln!("ERROR scenario={} {e}", spec.name);
+                outcome.status = "error".to_string();
+                outcomes.push(outcome);
                 failed = true;
                 continue;
             }
         };
+        let base = &lines[0].result;
+        outcome.wall_ms =
+            runs.iter().zip(&lines).map(|(r, l)| (r.name.clone(), l.host.wall_ms)).collect();
+        suite_hist.entry(spec.suite.clone()).or_default().merge(&base.hist);
+        merged_hist.merge(&base.hist);
 
-        suite_hist.entry(result.suite.clone()).or_default().merge(&result.hist);
-        merged_hist.merge(&result.hist);
-
-        let mut status = "ok";
-        for f in &result.expect_failures {
-            eprintln!("EXPECT FAILED scenario={}: {f}", result.scenario);
-            status = "expect-failed";
+        let mut fail = |outcome: &mut Outcome, status: &str| {
+            if outcome.status == "ok" {
+                outcome.status = status.to_string();
+            }
             failed = true;
+        };
+        for (run, line) in runs.iter().zip(&lines).skip(1) {
+            if let Some(field) = line.differs_from(&lines[0]) {
+                eprintln!(
+                    "NONDETERMINISM scenario={} run={} field={field}: differs from run={BASE_RUN}",
+                    spec.name, run.name
+                );
+                fail(&mut outcome, "nondeterministic");
+            }
+        }
+        for (verdict, line) in scenario::check_gates(&spec, &base.metrics, &outcome.wall_ms, cores)
+        {
+            match verdict {
+                Verdict::Pass => println!("gate ok scenario={} {line}", spec.name),
+                Verdict::Skipped => println!("GATE SKIPPED scenario={} {line}", spec.name),
+                Verdict::Fail => {
+                    eprintln!("GATE FAILED scenario={} {line}", spec.name);
+                    outcome.gate_failures.push(line);
+                    fail(&mut outcome, "gate-failed");
+                }
+            }
         }
 
-        let drifts = if update {
-            let path = baseline_path(&baselines_dir, &spec.name);
-            let pretty = serde_json::to_string_pretty(&result).expect("serialize baseline");
+        let path = baselines_dir.join(format!("{}.json", spec.name));
+        if update && outcome.status == "ok" {
+            let pretty = serde_json::to_string_pretty(base).expect("serialize baseline");
             std::fs::write(&path, format!("{pretty}\n")).expect("write baseline");
             eprintln!("updated {}", path.display());
-            Vec::new()
+        } else if update {
+            eprintln!("not updating {}: the scenario failed", path.display());
         } else {
-            match diff_against_baseline(&baselines_dir, &spec, &result) {
+            let diff = std::fs::read_to_string(&path)
+                .map_err(|e| format!("no {} ({e}); run --update-baselines", path.display()))
+                .and_then(|text| scenario::parse_result(&text))
+                .and_then(|b| scenario::diff_metrics(&b.metrics, &base.metrics, &spec.tolerances));
+            match diff {
                 Ok(drifts) => {
                     for d in &drifts {
                         eprintln!(
                             "REGRESSION scenario={} metric={} baseline={} current={} \
                              drift={:.2}% tol={:.2}%",
-                            result.scenario,
+                            spec.name,
                             d.metric,
                             d.baseline,
                             d.current,
@@ -182,39 +231,36 @@ fn main() {
                         );
                     }
                     if !drifts.is_empty() {
-                        status = "drift";
-                        failed = true;
+                        fail(&mut outcome, "drift");
                     }
-                    drifts
+                    outcome.drifts = drifts;
                 }
                 Err(e) => {
-                    eprintln!("ERROR scenario={} baseline: {e}", result.scenario);
-                    status = "error";
-                    failed = true;
-                    Vec::new()
+                    eprintln!("ERROR scenario={} baseline: {e}", spec.name);
+                    fail(&mut outcome, "error");
                 }
             }
-        };
+        }
 
+        let metric = |name: &str, prec: usize| {
+            base.metrics.get(name).map_or("-".to_string(), |v| format!("{v:.prec$}"))
+        };
         table.row(vec![
-            result.scenario.clone(),
-            result.suite.clone(),
-            fmt_metric(&result, "requests"),
-            fmt_metric(&result, "latency.p99"),
-            fmt_metric(&result, "shed"),
-            status.to_string(),
+            spec.name.clone(),
+            spec.suite.clone(),
+            runs.len().to_string(),
+            metric("requests", 0),
+            metric("latency.p99", 3),
+            format!("{:.0}", lines[0].host.wall_ms),
+            lines[0].digest.clone(),
+            outcome.status.clone(),
         ]);
-        outcomes.push(Outcome {
-            scenario: result.scenario.clone(),
-            suite: result.suite.clone(),
-            status: status.to_string(),
-            drifts,
-            expect_failures: result.expect_failures.clone(),
-        });
+        outcomes.push(outcome);
     }
     table.print();
 
-    let summary = Summary { bench: "scenario", scenarios: outcomes, suite_hist, merged_hist };
+    let summary =
+        Summary { bench: "scenario", cores, scenarios: outcomes, suite_hist, merged_hist };
     let line = serde_json::to_string(&summary).expect("serialize summary");
     println!("\n{line}");
     if let Err(e) = std::fs::write(&out, format!("{line}\n")) {
@@ -230,18 +276,21 @@ fn main() {
 /// Agent mode: run one scenario file in-process.
 fn run_agent(args: &[String]) -> ! {
     let mut file: Option<PathBuf> = None;
-    let mut metrics_dir = PathBuf::from("target/metrics");
+    let mut metrics_dir: Option<PathBuf> = None;
     let mut record_perfetto = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--metrics-dir" => metrics_dir = next_path(&mut it),
+            "--metrics-dir" => metrics_dir = Some(next_path(&mut it)),
             "--record-perfetto" => record_perfetto = true,
             _ if file.is_none() && !arg.starts_with('-') => file = Some(PathBuf::from(arg)),
             _ => usage(),
         }
     }
     let Some(file) = file else { usage() };
+    if record_perfetto && metrics_dir.is_none() {
+        usage();
+    }
     let text = std::fs::read_to_string(&file).unwrap_or_else(|e| {
         eprintln!("cannot read {}: {e}", file.display());
         std::process::exit(1);
@@ -253,27 +302,39 @@ fn run_agent(args: &[String]) -> ! {
     if record_perfetto {
         trace::start();
     }
-    let (result, timeline) = scenario::run(&spec).unwrap_or_else(|e| {
+    let (line, timeline) = scenario::run(&spec).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    std::fs::create_dir_all(&metrics_dir).expect("create metrics dir");
-    if record_perfetto {
+    if let Some(dir) = &metrics_dir {
+        std::fs::create_dir_all(dir).expect("create metrics dir");
         if let Some(captured) = trace::finish() {
-            let tpath = metrics_dir.join(format!("{}.trace.json", spec.name));
+            let tpath = dir.join(format!("{}.trace.json", spec.name));
             std::fs::write(&tpath, trace::export::chrome_trace(&captured))
                 .expect("write perfetto trace");
             eprintln!("wrote {}", tpath.display());
         }
+        let mpath = dir.join(format!("{}.metrics.json", spec.name));
+        std::fs::write(&mpath, format!("{}\n", thin(timeline).to_json()))
+            .expect("write metrics timeline");
+        eprintln!("wrote {}", mpath.display());
     }
-    let mpath = metrics_dir.join(format!("{}.metrics.json", spec.name));
-    std::fs::write(&mpath, format!("{}\n", timeline.to_json())).expect("write metrics timeline");
-    eprintln!("wrote {}", mpath.display());
-    // The result line must be the last stdout line: the orchestrator
+    // The agent line must be the last stdout line: the orchestrator
     // parses stdout from the bottom.
-    let line = serde_json::to_string(&result).expect("serialize result");
-    println!("{line}");
+    println!("{}", serde_json::to_string(&line).expect("serialize agent line"));
     std::process::exit(0);
+}
+
+/// Thin `timeline` to about [`TIMELINE_SAMPLES`] samples.
+fn thin(mut timeline: MetricsTimeline) -> MetricsTimeline {
+    let total: usize = timeline.series.iter().map(|s| s.samples.len()).sum();
+    let stride = total.div_ceil(TIMELINE_SAMPLES).max(1);
+    for series in &mut timeline.series {
+        let last = series.samples.len().saturating_sub(1);
+        let keep = |(i, _): &(usize, &Sample)| i % stride == 0 || *i == last;
+        series.samples = series.samples.iter().enumerate().filter(keep).map(|(_, s)| *s).collect();
+    }
+    timeline
 }
 
 fn next_path(it: &mut std::slice::Iter<'_, String>) -> PathBuf {
@@ -283,21 +344,33 @@ fn next_path(it: &mut std::slice::Iter<'_, String>) -> PathBuf {
     }
 }
 
-fn baseline_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("{name}.json"))
-}
-
-/// Spawn the agent as an OS process and parse its last stdout line.
+/// Spawn one run's agent as a fresh OS process and parse its last stdout
+/// line. Only the base run writes its metrics timeline (and, with
+/// `--record-perfetto`, its trace): every other run's timeline must be
+/// the same. The run's `MEMCNN_THREADS` and oracle switch are set on the
+/// child; the other oracle switches are cleared so that an inherited one
+/// cannot turn the base run into an oracle run.
 fn spawn_agent(
     agent: &Path,
     file: &Path,
     metrics_dir: &Path,
     record_perfetto: bool,
-) -> Result<ScenarioResult, String> {
+    run: &Run,
+) -> Result<AgentLine, String> {
     let mut cmd = Command::new(agent);
-    cmd.arg("run").arg(file).arg("--metrics-dir").arg(metrics_dir);
-    if record_perfetto {
-        cmd.arg("--record-perfetto");
+    cmd.arg("run").arg(file);
+    if run.name == BASE_RUN {
+        cmd.arg("--metrics-dir").arg(metrics_dir);
+        if record_perfetto {
+            cmd.arg("--record-perfetto");
+        }
+    }
+    cmd.env("MEMCNN_THREADS", run.threads.to_string());
+    for (_, var) in scenario::ORACLES {
+        cmd.env_remove(var);
+    }
+    if let Some(var) = run.oracle_env {
+        cmd.env(var, "1");
     }
     let output = cmd.output().map_err(|e| format!("spawn {}: {e}", agent.display()))?;
     if !output.status.success() {
@@ -310,27 +383,5 @@ fn spawn_agent(
         .rev()
         .find(|l| !l.trim().is_empty())
         .ok_or("agent printed no result line")?;
-    scenario::parse_result(line)
-}
-
-/// Diff the result against its committed baseline file.
-fn diff_against_baseline(
-    dir: &Path,
-    spec: &ScenarioSpec,
-    result: &ScenarioResult,
-) -> Result<Vec<Drift>, String> {
-    let path = baseline_path(dir, &spec.name);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!("missing baseline {} ({e}); run --update-baselines", path.display())
-    })?;
-    let baseline = scenario::parse_result(&text)?;
-    Ok(diff_metrics(&baseline.metrics, &result.metrics, &spec.tolerances))
-}
-
-fn fmt_metric(result: &ScenarioResult, name: &str) -> String {
-    match result.metrics.get(name) {
-        Some(v) if name.starts_with("latency") => format!("{v:.3}"),
-        Some(v) => format!("{v:.0}"),
-        None => "-".to_string(),
-    }
+    scenario::parse_agent_line(line)
 }

@@ -12,37 +12,22 @@
 //! Perfetto-loadable `trace.json` plus a human-readable `profile.txt`
 //! (exposed as the `profile` binary).
 //!
-//! [`serving`] drives the `memcnn-serve` dynamic-batching simulator
-//! through latency-vs-throughput sweeps (exposed as the `serve` binary,
-//! which also emits `BENCH_serve.json` for CI).
-//!
-//! [`chaos`] holds the serving workload fixed and sweeps the seeded
-//! fault-injection rate instead, measuring what the retry/downshift/shed
-//! ladder costs in p99 latency and shed rate (exposed as the `chaos`
-//! binary, which emits `BENCH_chaos.json` for CI).
-//!
-//! [`fleet`] scales the serving simulator out to multi-device fleets:
-//! fixed per-device offered load, 1/2/4/8 homogeneous devices, every
-//! placement policy, plus a bursty least-loaded-vs-round-robin
-//! comparison (exposed as the `fleet` binary, which emits
-//! `BENCH_fleet.json` for CI and gates on 4-device scaling).
-//!
-//! [`scenario`] is the regression harness on top of all of the above:
-//! declarative `scenarios/*.toml` files (parsed by [`toml_lite`]) each
-//! describe one fleet-serving run; the `scenario` binary executes them
-//! as separate OS processes, merges their latency histograms, and diffs
-//! every metric against committed `baselines/*.json` with per-metric
-//! tolerances — failing CI with a structured report when one drifts.
+//! [`scenario`] is the one harness for the serving layer: declarative
+//! `scenarios/*.toml` files (parsed by [`toml_lite`]) each describe one
+//! fleet-serving run. The `scenario` binary replays each as fresh agent
+//! processes at `MEMCNN_THREADS` 1 and 4 and under any declared oracle,
+//! requires every run to reproduce the base run bit for bit, checks the
+//! scenario's gates (metric bounds and host wall-time ratios), and diffs
+//! the base run's metrics against committed `baselines/*.json`. The
+//! simulated-clock serving claims (fleet scaling, deadline-aware vs
+//! class-blind scheduling, crash recovery) are tier-1 tests built from
+//! the same specs (`tests/serving_gates.rs`).
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod figures;
-pub mod fleet;
 pub mod layer_times;
 pub mod profile;
 pub mod scenario;
-pub mod serving;
-pub mod slo;
 pub mod toml_lite;
 pub mod util;

@@ -7,7 +7,8 @@
 //! - `key = value` pairs, with bare or `"quoted"` keys (quoted keys let
 //!   tolerance tables address dotted metric names like `"latency.p99"`);
 //! - values: strings, integers, floats, booleans, and flat arrays of
-//!   those;
+//!   those; an array may span lines (comments allowed between its items)
+//!   and may end with a trailing comma;
 //! - `#` comments and blank lines.
 //!
 //! No inline tables, no multi-line strings, no datetimes, no array
@@ -53,14 +54,6 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Int(i) if *i >= 0 => Some(*i as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -111,7 +104,8 @@ pub fn parse(text: &str) -> Result<Doc, String> {
     let mut doc = Doc::default();
     let mut current = String::new();
     doc.sections.entry(current.clone()).or_default();
-    for (i, raw) in text.lines().enumerate() {
+    let mut lines = text.lines().enumerate();
+    while let Some((i, raw)) = lines.next() {
         let lineno = i + 1;
         let line = strip_comment(raw).trim();
         if line.is_empty() {
@@ -137,8 +131,14 @@ pub fn parse(text: &str) -> Result<Doc, String> {
             .ok_or_else(|| format!("line {lineno}: expected `key = value`, got {line:?}"))?;
         let key = parse_key(line[..eq].trim())
             .ok_or_else(|| format!("line {lineno}: bad key {:?}", line[..eq].trim()))?;
-        let value =
-            parse_value(line[eq + 1..].trim()).map_err(|e| format!("line {lineno}: {e}"))?;
+        let mut raw_value = line[eq + 1..].trim().to_string();
+        while array_open(&raw_value) {
+            let (_, next) =
+                lines.next().ok_or_else(|| format!("line {lineno}: unterminated array"))?;
+            raw_value.push(' ');
+            raw_value.push_str(strip_comment(next).trim());
+        }
+        let value = parse_value(&raw_value).map_err(|e| format!("line {lineno}: {e}"))?;
         let section = doc.sections.entry(current.clone()).or_default();
         if section.insert(key.clone(), value).is_some() {
             return Err(format!("line {lineno}: duplicate key {key:?}"));
@@ -166,6 +166,12 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
+/// Whether `raw` (a comment-stripped, trimmed value) opens an array that
+/// continues on the next line: a complete array ends in `]`.
+fn array_open(raw: &str) -> bool {
+    raw.starts_with('[') && !raw.ends_with(']')
+}
+
 /// Bare keys: letters/digits/`_`/`-`/`.`; quoted keys: any string.
 fn parse_key(raw: &str) -> Option<String> {
     if let Some(inner) = raw.strip_prefix('"') {
@@ -182,6 +188,7 @@ fn parse_value(raw: &str) -> Result<Value, String> {
     }
     if let Some(rest) = raw.strip_prefix('[') {
         let inner = rest.strip_suffix(']').ok_or("unterminated array")?.trim();
+        let inner = inner.strip_suffix(',').unwrap_or(inner);
         if inner.is_empty() {
             return Ok(Value::Array(Vec::new()));
         }
@@ -289,7 +296,7 @@ default = 0.02
         );
         assert_eq!(doc.get("scenario", "seed").unwrap().as_u64(), Some(42));
         assert_eq!(doc.get("scenario", "load_frac").unwrap().as_f64(), Some(0.7));
-        assert_eq!(doc.get("scenario", "adaptive").unwrap().as_bool(), Some(false));
+        assert_eq!(doc.get("scenario", "adaptive"), Some(&Value::Bool(false)));
         // Quoted keys keep their dots; bare ints coerce to f64 on demand.
         assert_eq!(doc.get("tolerances", "latency.p99").unwrap().as_f64(), Some(0.05));
         assert_eq!(doc.get("scenario", "seed").unwrap().as_f64(), Some(42.0));
@@ -306,6 +313,20 @@ default = 0.02
         assert!(parse("key = 2024-01-01").is_err());
         assert!(parse("k = 1\nk = 2").is_err());
         assert!(parse("[a]\nx = 1\n[a]\ny = 2").is_err(), "duplicate sections must error");
+    }
+
+    #[test]
+    fn arrays_span_lines() {
+        let doc =
+            parse("[s]\nd = [\n  \"a\", \"b\",  # first row\n  \"c,]\",\n]\nk = 1\n").unwrap();
+        assert_eq!(doc.get("s", "d").unwrap().as_str_array(), Some(vec!["a", "b", "c,]"]));
+        assert_eq!(doc.get("s", "k").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            parse("d = [1, 2,]").unwrap().get("", "d"),
+            parse("d = [1, 2]").unwrap().get("", "d")
+        );
+        assert!(parse("d = [\n1,\n").is_err(), "an array must close");
+        assert!(parse("d = [1,,]").is_err(), "only one trailing comma");
     }
 
     #[test]

@@ -69,7 +69,7 @@ use std::collections::{BTreeSet, VecDeque};
 static BARRIERS: perf::CachedCounter = perf::CachedCounter::new("fleet.barrier.count");
 static PARALLEL_STEPS: perf::CachedCounter = perf::CachedCounter::new("fleet.step.parallel");
 static BATCH_COMPILES: perf::CachedCounter = perf::CachedCounter::new("fleet.plan.batch_compile");
-/// Orchestrator event tallies behind the fleet bench's events/sec
+/// Orchestrator event tallies behind the benchmark's events/sec
 /// figure: one `fleet.route.count` per routed arrival, one
 /// `fleet.commit.count` per committed batch (plan-OOM cap halvings are
 /// re-selections, not commits).
@@ -1087,7 +1087,7 @@ fn sequential_from(raw: Option<&str>) -> bool {
 /// find a barrier's committing devices. The selections are identical by construction (the index's
 /// comparator is the scan's total order — `tests/fleet.rs` pins report
 /// byte-identity); the knob exists as the regression-gate baseline for
-/// the fleet bench's orchestrator events/sec figure and as an escape
+/// the `stream-k16` scenario's wall-time gate and as an escape
 /// hatch.
 fn linear_requested() -> bool {
     linear_from(std::env::var("MEMCNN_FLEET_LINEAR").ok().as_deref())

@@ -1,6 +1,7 @@
 //! Chaos-suite integration tests: deterministic replay of injected fault
-//! timelines, the zero-fault no-op guarantee, typed retry exhaustion, and
-//! the counter-discipline invariant.
+//! timelines, the zero-fault no-op guarantee, typed retry exhaustion, the
+//! counter-discipline invariant, and a fault-rate ladder on the AlexNet
+//! reference stream.
 //!
 //! Like `serve.rs` and `sim_cache.rs`, these assertions read
 //! process-global state (the perf-counter registry and the env-configured
@@ -17,6 +18,7 @@ use memcnn::serve::{
 };
 use memcnn::tensor::Shape;
 use memcnn::trace::perf;
+use memcnn_bench::scenario;
 
 /// Everything the ISSUE requires a chaos run to reproduce bit-for-bit:
 /// the full latency vector, every batch's (bucket, images, attempts,
@@ -147,4 +149,46 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
     assert!(doomed.batches.is_empty());
     assert!(doomed.faults.balanced());
     assert_eq!(doomed.latency().count, 0);
+
+    // (5) A fault-rate ladder on the AlexNet reference stream: the
+    // `fleet-ll-k1` spec (70% load, seed 42) at 240 requests, under 0, 1,
+    // 5 and 10% transient launch failures with OOM at a fifth of each.
+    // The fault-free point injects and sheds nothing, every point
+    // balances, and no fault rate makes the tail faster than fault-free.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/fleet-ll-k1.toml");
+    let mut spec = scenario::parse_spec(&std::fs::read_to_string(path).unwrap()).unwrap();
+    spec.requests_per_device = 240;
+    let fleet = scenario::fleet(&spec).unwrap();
+    let top = fleet.top_service;
+    let reference = ServeConfig {
+        workload: fleet.cfg.workload.clone(),
+        policy: fleet.cfg.policy,
+        mechanism: Mechanism::Opt,
+        faults: None,
+        fault_policy: FaultPolicy {
+            max_retries: 3,
+            backoff_base: (0.05 * top).max(1e-5),
+            shed_deadline: Some(20.0 * top),
+            recovery_batches: 4,
+        },
+        tenants: Vec::new(),
+    };
+    let alexnet = &fleet.nets[0];
+    let mut clean_p99 = None;
+    for transient in [0.0, 0.01, 0.05, 0.10] {
+        let mut cfg = reference.clone();
+        if transient > 0.0 {
+            cfg.faults = Some(FaultPlan::new(42, transient, transient / 5.0, 0.0));
+        }
+        let point = serve(&engine(), alexnet, &cfg).unwrap();
+        assert!(point.faults.balanced(), "unbalanced at {transient}: {:?}", point.faults);
+        let p99 = point.latency().p99;
+        match clean_p99 {
+            None => {
+                assert_eq!((point.faults.injected, point.shed_requests), (0, 0));
+                clean_p99 = Some(p99);
+            }
+            Some(clean) => assert!(p99 >= clean - 1e-9, "p99 {p99} < fault-free {clean}"),
+        }
+    }
 }

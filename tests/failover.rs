@@ -98,7 +98,7 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
 
     // (1) Bit-identical failover replay across MEMCNN_THREADS re-sets
     // {1, 13, 4} (nominal after the once-locked first read; the
-    // cross-process matrix lives in CI).
+    // cross-process replays live in the scenario harness).
     let report = serve_fleet(&engines, nets, &cfg).unwrap();
     let base = digest(&report);
     for threads in ["1", "13", "4"] {

@@ -195,9 +195,9 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
 
     // (4) K = 8 digest equality across MEMCNN_THREADS re-sets {1, 4, 13}
     // (nominal after the once-locked first read — the real cross-process
-    // thread matrix lives in the fleet bench and CI). A homogeneous
-    // 8-device fleet shares one engine, so the parallel path's barrier
-    // batch-compile dedups shared (network, bucket) misses.
+    // thread matrix is the scenario harness's fleet-ll-k* replays). A
+    // homogeneous 8-device fleet shares one engine, so the parallel path's
+    // barrier batch-compile dedups shared (network, bucket) misses.
     std::env::set_var("MEMCNN_THREADS", "4");
     let shared = black();
     let eights: Vec<&Engine> = std::iter::repeat_n(&shared, 8).collect();

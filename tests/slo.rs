@@ -83,7 +83,7 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
 
     // (1) Tenant-enabled 2-device fleet: bit-identical digests across
     // MEMCNN_THREADS re-sets {1, 13, 4} (nominal after the once-locked
-    // first read; the cross-process matrix lives in CI).
+    // first read; the scenario harness replays across processes).
     let shared = black();
     let engines: Vec<&Engine> = vec![&shared, &shared];
     let base = digest(&serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap());
