@@ -32,8 +32,9 @@
 //! rate = 200.0           # optional admission cap, requests/second
 //!
 //! [faults]               # optional: seeded per-launch fault probabilities
-//! seed = 7               # and launch_failed, device_oom, throttle,
-//! launch_failed = 0.01   # max_retries, shed_deadline_ms
+//! seed = 7               # launch_failed, device_oom, throttle (each in
+//! launch_failed = 0.01   # [0, 1], summing to at most 1), max_retries,
+//!                        # shed_deadline_ms
 //!
 //! [device_faults]        # optional: whole-device lifecycle faults; seed and
 //! seed = 7               # crash_rate, hang_rate, drain_rate (per device-s),
@@ -443,19 +444,28 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
         None => None,
         Some(f) => {
             check_keys(f, "faults", FAULT_KEYS)?;
-            let rate = |key: &str| Ok::<f64, String>(opt_f64(f, "faults", key)?.unwrap_or(0.0));
+            let unit = |v: &Value| v.as_f64().filter(|x| (0.0..=1.0).contains(x));
+            let rate = |key: &str| {
+                Ok::<f64, String>(opt(f, "faults", key, "a number in [0, 1]", unit)?.unwrap_or(0.0))
+            };
             if let Some(n) = opt_u32(f, "faults", "max_retries")? {
                 fault_policy.max_retries = n;
             }
             fault_policy.shed_deadline =
                 opt_f64(f, "faults", "shed_deadline_ms")?.map(|ms| ms / 1e3);
             let seed = need_u64(f, "faults", "seed")?;
-            Some(FaultPlan::new(
-                seed,
-                rate("launch_failed")?,
-                rate("device_oom")?,
-                rate("throttle")?,
-            ))
+            let (failed, oom, throttle) =
+                (rate("launch_failed")?, rate("device_oom")?, rate("throttle")?);
+            // A launch rolls one draw against the three rates stacked, so
+            // they share one unit interval (up to rounding in the sum).
+            let total = failed + oom + throttle;
+            if total > 1.0 + 1e-12 {
+                return Err(format!(
+                    "[faults] `launch_failed` + `device_oom` + `throttle` must be at most 1, \
+                     not {total}"
+                ));
+            }
+            Some(FaultPlan::new(seed, failed, oom, throttle))
         }
     };
 
@@ -1161,6 +1171,15 @@ warmup_ms = 15.0
             ("", "[faults]\nseed = 7\nmax_retries = \"3\"", &["[faults]", "max_retries"]),
             ("", "[faults]\nseed = 7\nmax_retries = 4294967296", &["[faults]", "max_retries"]),
             ("", "[faults]\nseed = 7\nlaunch_failed = \"0.1\"", &["[faults]", "launch_failed"]),
+            ("", "[faults]\nseed = 7\nlaunch_failed = -0.1", &["[faults]", "launch_failed"]),
+            ("", "[faults]\nseed = 7\ndevice_oom = 1.5", &["[faults]", "device_oom"]),
+            ("", "[faults]\nseed = 7\nthrottle = nan", &["[faults]", "throttle"]),
+            ("", "[faults]\nseed = 7\nthrottle = inf", &["[faults]", "throttle"]),
+            (
+                "",
+                "[faults]\nseed = 7\nlaunch_failed = 0.6\nthrottle = 0.5",
+                &["[faults]", "launch_failed", "device_oom", "throttle"],
+            ),
             ("", "[faults]\nseed = 7\nshed_deadline_ms = true", &["[faults]", "shed_deadline"]),
             ("", "[faults]\nseed = 7\ntypo = 1", &["[faults]", "typo"]),
             ("", "[faults]\nlaunch_failed = 0.1", &["[faults]", "seed"]),
@@ -1202,6 +1221,13 @@ warmup_ms = 15.0
         let spec = parse_spec(&format!("{SPEC}{faults}")).unwrap();
         assert_eq!(spec.fault_policy.max_retries, u32::MAX);
         assert_eq!(spec.fault_policy.shed_deadline, Some(0.005));
+        // Rates at the edges of [0, 1], and a sum of 1 up to rounding
+        // (0.34 + 0.56 + 0.1 adds to 1.0000000000000002), parse.
+        let sum_one = "launch_failed = 0.34\ndevice_oom = 0.56\nthrottle = 0.1";
+        for rates in ["launch_failed = 1", "device_oom = 0\nthrottle = 1.0", sum_one] {
+            let text = format!("{SPEC}\n[faults]\nseed = 7\n{rates}\n");
+            assert!(parse_spec(&text).unwrap().faults.is_some(), "{rates}");
+        }
     }
 
     #[test]

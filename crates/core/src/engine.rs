@@ -28,7 +28,7 @@ use memcnn_trace as trace;
 use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Mutex;
 
 /// Which transformation kernels the `Opt` mechanism inserts — Fig 10's
@@ -232,6 +232,23 @@ impl Plan {
     /// fault independently.
     pub fn launch_key(&self, layer: &PlannedLayer) -> String {
         format!("{}/N{}/{}/{}", self.network, self.batch, layer.name, layer.impl_name)
+    }
+
+    /// Every layer's fault roll at `launch_index`, in layer order: for
+    /// each layer, `faults.roll(&self.launch_key(layer), launch_index)`.
+    /// The key prefix `network/N{batch}/` is hashed once and each layer
+    /// extends a copy of that state with its `layer/impl` suffix, so no
+    /// key is ever built.
+    pub fn launch_rolls<'a>(
+        &'a self,
+        faults: &'a FaultPlan,
+        launch_index: u64,
+    ) -> impl Iterator<Item = Option<Fault>> + 'a {
+        let mut prefix = faults.at(launch_index);
+        write!(prefix, "{}/N{}/", self.network, self.batch).expect("hashing text cannot fail");
+        self.layers
+            .iter()
+            .map(move |l| prefix.absorb(&l.name).absorb("/").absorb(&l.impl_name).decide())
     }
 }
 
@@ -983,8 +1000,9 @@ impl Engine {
     /// `Result` would throw it away).
     ///
     /// Each planned layer rolls the fault plan once at
-    /// ([`Plan::launch_key`], `launch_index`); the caller supplies the
-    /// index from its launch-attempt counter so retries roll fresh.
+    /// ([`Plan::launch_key`], `launch_index`), through
+    /// [`Plan::launch_rolls`]; the caller supplies the index from its
+    /// launch-attempt counter so retries roll fresh.
     /// Throttles stretch the layer (and its preceding transform) by the
     /// fault's factor and execution continues; launch failures and OOM
     /// stop the attempt at that layer with the elapsed time kept.
@@ -1003,8 +1021,8 @@ impl Engine {
         };
         let mut time = 0.0f64;
         let mut throttled = 0u32;
-        for pl in &plan.layers {
-            match fp.roll(&plan.launch_key(pl), launch_index) {
+        for (pl, roll) in plan.layers.iter().zip(plan.launch_rolls(fp, launch_index)) {
+            match roll {
                 None => time += pl.transform_before + pl.time,
                 Some(Fault::Throttled { factor }) => {
                     throttled += 1;

@@ -74,10 +74,6 @@ impl EngineError {
                 EngineError::PlanOom { batch, needed, available }
             }
             SimError::Unlaunchable(msg) => EngineError::PlanInfeasible(msg),
-            SimError::Injected { fault, kernel, launch } => EngineError::Fatal(format!(
-                "injected fault {fault} on {kernel} reached the planner (launch {launch}); \
-                 plans must be compiled fault-free"
-            )),
         }
     }
 

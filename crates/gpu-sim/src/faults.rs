@@ -17,12 +17,16 @@
 //! device), which is what makes a retry a fresh roll rather than a
 //! guaranteed repeat of the last failure.
 //!
-//! The plan rides on [`SimOptions`](crate::SimOptions) (`faults` field) and
-//! is consulted by [`simulate_injected`](crate::simulate_injected) at the
-//! kernel level, and by the engine's fault-aware plan execution at the
-//! batch level. It is deliberately excluded from the simulation cache key:
-//! faults are rolled *before* the cache is consulted, so the cache only
-//! ever stores clean results.
+//! The hash is FNV-1a, a byte-sequential fold, so a key may be fed in
+//! pieces: [`FaultPlan::at`] absorbs `(seed, launch index)` into a
+//! [`Roll`], [`Roll::absorb`] takes key bytes, and [`Roll::decide`] maps
+//! the hash to a fault. A caller rolling many keys that share a prefix
+//! hashes the prefix once and extends a copy of the state per key.
+//!
+//! The plan is consulted in one place: the engine's fault-aware plan
+//! execution (`core::Engine::execute_attempt`), one roll per planned
+//! layer of each launch attempt. It never reaches the simulator, so the
+//! simulation cache only ever stores clean results.
 
 use serde::Serialize;
 
@@ -40,38 +44,6 @@ pub enum Fault {
         /// Slowdown multiplier (> 1).
         factor: f64,
     },
-}
-
-impl Fault {
-    /// The fault's class, without payload (usable in `Eq` contexts).
-    pub fn kind(&self) -> FaultKind {
-        match self {
-            Fault::LaunchFailed => FaultKind::LaunchFailed,
-            Fault::DeviceOom => FaultKind::DeviceOom,
-            Fault::Throttled { .. } => FaultKind::Throttled,
-        }
-    }
-}
-
-/// Payload-free fault class (carried by error types that need `Eq`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// See [`Fault::LaunchFailed`].
-    LaunchFailed,
-    /// See [`Fault::DeviceOom`].
-    DeviceOom,
-    /// See [`Fault::Throttled`].
-    Throttled,
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultKind::LaunchFailed => write!(f, "launch-failed"),
-            FaultKind::DeviceOom => write!(f, "device-oom"),
-            FaultKind::Throttled => write!(f, "throttled"),
-        }
-    }
 }
 
 /// A seeded fault-injection plan: per-kernel-launch probabilities for each
@@ -130,31 +102,70 @@ impl FaultPlan {
     /// against the cumulative probabilities in the fixed order
     /// launch-failed, device-OOM, throttled. No state is consumed, so the
     /// same triple always rolls the same fault on any thread, process, or
-    /// replay.
+    /// replay. Equal to `self.at(launch_index).absorb(key).decide()`.
     pub fn roll(&self, key: &str, launch_index: u64) -> Option<Fault> {
         if self.is_noop() {
             return None;
         }
-        let u = unit_draw(self.seed, key, launch_index);
-        let mut edge = self.launch_failed;
+        self.at(launch_index).absorb(key).decide()
+    }
+
+    /// Start the roll of launch attempt `launch_index`: `(seed,
+    /// launch_index)` absorbed, no key bytes yet.
+    pub fn at(&self, launch_index: u64) -> Roll<'_> {
+        Roll { plan: self, hash: Fnv::start(self.seed, launch_index) }
+    }
+}
+
+/// A fault roll in progress: a [`FaultPlan`] and the hash of `(seed,
+/// launch index)` plus the key bytes absorbed so far. `Copy`, so a state
+/// that has absorbed a shared key prefix is extended once per key.
+/// Absorbing pieces in turn equals absorbing their concatenation, and
+/// `fmt::Write` absorbs formatted text without building it.
+#[derive(Clone, Copy, Debug)]
+pub struct Roll<'a> {
+    plan: &'a FaultPlan,
+    hash: Fnv,
+}
+
+impl Roll<'_> {
+    /// Absorb the next piece of the key.
+    pub fn absorb(self, piece: &str) -> Self {
+        Roll { hash: self.hash.bytes(piece.as_bytes()), ..self }
+    }
+
+    /// The fault (if any) for the key absorbed so far: the hash's uniform
+    /// draw against the cumulative probabilities in the fixed order
+    /// launch-failed, device-OOM, throttled.
+    pub fn decide(self) -> Option<Fault> {
+        let plan = self.plan;
+        let u = self.hash.unit();
+        let mut edge = plan.launch_failed;
         if u < edge {
             return Some(Fault::LaunchFailed);
         }
-        edge += self.device_oom;
+        edge += plan.device_oom;
         if u < edge {
             return Some(Fault::DeviceOom);
         }
-        edge += self.throttled;
+        edge += plan.throttled;
         if u < edge {
-            return Some(Fault::Throttled { factor: self.throttle_factor.max(1.0) });
+            return Some(Fault::Throttled { factor: plan.throttle_factor.max(1.0) });
         }
         None
     }
 }
 
+impl std::fmt::Write for Roll<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        *self = self.absorb(s);
+        Ok(())
+    }
+}
+
 /// Class of a whole-device lifecycle event.
 ///
-/// Unlike [`FaultKind`] (per-kernel-launch faults inside a healthy
+/// Unlike [`Fault`] (per-kernel-launch faults inside a healthy
 /// device), these take the *entire device* through the
 /// `Healthy → Draining → Down → Warming → Healthy` state machine that
 /// the fleet's health layer runs.
@@ -343,27 +354,37 @@ impl DeviceFaultPlan {
     }
 }
 
-/// Uniform draw in `[0, 1)` from `(seed, key, index)`: FNV-1a over the
-/// inputs, finalized with the SplitMix64 mixer so nearby indices decorrelate.
+/// Uniform draw in `[0, 1)` from `(seed, key, index)`.
 fn unit_draw(seed: u64, key: &str, index: u64) -> f64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for chunk in [seed, index] {
-        for b in chunk.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
+    Fnv::start(seed, index).bytes(key.as_bytes()).unit()
+}
+
+/// FNV-1a state over the little-endian bytes of a seed and an index,
+/// then any key bytes, finalized with the SplitMix64 mixer so nearby
+/// indices decorrelate.
+#[derive(Clone, Copy, Debug)]
+struct Fnv(u64);
+
+impl Fnv {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x1000_0000_01b3;
+
+    fn start(seed: u64, index: u64) -> Fnv {
+        Fnv(Fnv::OFFSET).bytes(&seed.to_le_bytes()).bytes(&index.to_le_bytes())
     }
-    for b in key.bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+
+    fn bytes(self, bytes: &[u8]) -> Fnv {
+        Fnv(bytes.iter().fold(self.0, |h, &b| (h ^ b as u64).wrapping_mul(Fnv::PRIME)))
     }
-    // SplitMix64 finalizer.
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    // Top 53 bits -> [0, 1).
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+
+    /// SplitMix64-finalize the hash; its top 53 bits give a draw in `[0, 1)`.
+    fn unit(self) -> f64 {
+        let mut z = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 }
 
 #[cfg(test)]
@@ -381,6 +402,44 @@ mod tests {
         assert!((0..256).any(|i| plan.roll("k", i) != other.roll("k", i)));
         // Distinct keys give distinct streams too.
         assert!((0..256).any(|i| plan.roll("k", i) != plan.roll("j", i)));
+    }
+
+    /// Exact rolls, recorded before the hash became incremental: the draw
+    /// bits and the fault under quarter rates for each class. A change
+    /// that moves one changed every fault timeline.
+    #[test]
+    fn rolls_match_the_pinned_values() {
+        let quarter = FaultPlan::new(0, 0.25, 0.25, 0.25).with_throttle_factor(3.0);
+        let alexnet = "AlexNet/N128/CV1/direct-chwn";
+        let throttled = Some(Fault::Throttled { factor: 3.0 });
+        let rows: &[(u64, &str, u64, u64, Option<Fault>)] = &[
+            (42, alexnet, 0, 0x3fe5_6465_cee9_e87c, throttled),
+            (42, alexnet, 1, 0x3fef_9f05_b5f4_122a, None),
+            (42, alexnet, 2, 0x3fc7_f5d7_87ba_1170, Some(Fault::LaunchFailed)),
+            (42, alexnet, 3, 0x3fda_02b2_9257_58ea, Some(Fault::DeviceOom)),
+            (7, "CIFAR/N64/PL1/chwn", 1000, 0x3fc0_f9a2_6ea4_4510, Some(Fault::LaunchFailed)),
+            (u64::MAX, "", u64::MAX, 0x3fba_0562_df96_c4b8, Some(Fault::LaunchFailed)),
+            (1, "réseau/N4096/卷积/mm", 17, 0x3fee_b09f_5be7_2fca, None),
+        ];
+        for &(seed, key, index, bits, fault) in rows {
+            assert_eq!(unit_draw(seed, key, index).to_bits(), bits, "{seed} {key:?} {index}");
+            let plan = FaultPlan { seed, ..quarter };
+            assert_eq!(plan.roll(key, index), fault, "{seed} {key:?} {index}");
+        }
+    }
+
+    #[test]
+    fn absorbing_pieces_equals_absorbing_the_whole_key() {
+        use std::fmt::Write;
+        let plan = FaultPlan::new(9, 0.3, 0.2, 0.3);
+        let (network, batch) = ("réseau", 4096);
+        for i in [0, 1, 77, u64::MAX] {
+            let mut prefix = plan.at(i);
+            write!(prefix, "{network}/N{batch}/").unwrap();
+            let piecewise = prefix.absorb("卷积").absorb("/").absorb("mm").decide();
+            assert_eq!(piecewise, plan.roll("réseau/N4096/卷积/mm", i));
+            assert_eq!(plan.at(i).absorb("").decide(), plan.roll("", i));
+        }
     }
 
     #[test]

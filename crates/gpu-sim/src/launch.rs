@@ -24,17 +24,11 @@ pub struct SimOptions {
     /// guaranteed cold simulation (ablations, benchmarking the model
     /// itself).
     pub use_cache: bool,
-    /// Seeded fault-injection plan ([`crate::faults`]). `None` (the
-    /// default) and a plan whose rates are all zero are bit-identical
-    /// no-ops. Only [`simulate_injected`] consults it — plain [`simulate`]
-    /// always runs clean, and the plan is excluded from the simulation
-    /// cache key so faulted timings never pollute the cache.
-    pub faults: Option<crate::faults::FaultPlan>,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions { max_sampled_blocks: 24, l2_enabled: true, use_cache: true, faults: None }
+        SimOptions { max_sampled_blocks: 24, l2_enabled: true, use_cache: true }
     }
 }
 
@@ -196,48 +190,6 @@ pub fn simulate(
         crate::simcache::CachedSim { report: report.clone(), smem_passes, smem_bytes },
     );
     Ok(report)
-}
-
-/// Simulate one kernel launch under the fault plan in `opts.faults`.
-///
-/// Rolls the plan at `(kernel key, launch_index)` *before* any simulation
-/// or cache consult, so the cache only ever holds clean results:
-///
-/// - no fault (or no plan): identical to [`simulate`], bit for bit;
-/// - `LaunchFailed` / `DeviceOom`: returns [`SimError::Injected`] without
-///   simulating — the launch never ran;
-/// - `Throttled { factor }`: simulates clean (cache eligible), then scales
-///   the report's time by `factor` (and its achieved rates down to match).
-///
-/// The kernel key is [`KernelSpec::cache_key`] when available, else the
-/// kernel name — the same identity the rest of the pipeline uses, so a
-/// fault timeline can be read back against the Perfetto trace. The caller
-/// supplies `launch_index` (a per-device launch-attempt counter); retries
-/// at a fresh index get fresh rolls, which is what makes bounded retry
-/// meaningful under a deterministic stream.
-pub fn simulate_injected(
-    device: &DeviceConfig,
-    kernel: &dyn KernelSpec,
-    opts: &SimOptions,
-    launch_index: u64,
-) -> Result<KernelReport, SimError> {
-    let Some(plan) = opts.faults.filter(|p| !p.is_noop()) else {
-        return simulate(device, kernel, opts);
-    };
-    let key = kernel.cache_key().unwrap_or_else(|| kernel.name());
-    match plan.roll(&key, launch_index) {
-        None => simulate(device, kernel, opts),
-        Some(crate::faults::Fault::Throttled { factor }) => {
-            let mut report = simulate(device, kernel, opts)?;
-            report.timing.time *= factor;
-            report.timing.dram_gbs /= factor;
-            report.timing.flops_rate /= factor;
-            Ok(report)
-        }
-        Some(fault) => {
-            Err(SimError::Injected { fault: fault.kind(), kernel: key, launch: launch_index })
-        }
-    }
 }
 
 /// Execute one launch simulation in full (no cache involvement). Returns

@@ -73,11 +73,9 @@ pub mod simcache;
 
 pub use address::{AddressSpace, DeviceBuffer};
 pub use device::{BankMode, DeviceConfig};
-pub use faults::{DeviceFault, DeviceFaultKind, DeviceFaultPlan, Fault, FaultKind, FaultPlan};
+pub use faults::{DeviceFault, DeviceFaultKind, DeviceFaultPlan, Fault, FaultPlan, Roll};
 pub use kernel::{BlockTrace, KernelSpec, LaunchConfig, WorkSummary};
-pub use launch::{
-    simulate, simulate_injected, simulate_sequence, KernelReport, SequenceReport, SimOptions,
-};
+pub use launch::{simulate, simulate_sequence, KernelReport, SequenceReport, SimOptions};
 pub use model::{Bound, KernelTime};
 pub use occupancy::{occupancy, Limiter, Occupancy};
 pub use simcache::derived_cache_key;
@@ -97,18 +95,6 @@ pub enum SimError {
         /// Bytes the device has.
         available: u64,
     },
-    /// A fault injected by an active [`faults::FaultPlan`] (never produced
-    /// by a clean simulation). Carries the payload-free [`FaultKind`] so
-    /// this enum keeps `Eq`.
-    Injected {
-        /// Which fault class fired.
-        fault: FaultKind,
-        /// Key of the kernel whose launch faulted.
-        kernel: String,
-        /// The launch index the fault was rolled at (replaying the same
-        /// plan at this index reproduces the fault).
-        launch: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -121,9 +107,6 @@ impl fmt::Display for SimError {
                 *needed as f64 / 1e6,
                 *available as f64 / 1e6
             ),
-            SimError::Injected { fault, kernel, launch } => {
-                write!(f, "injected fault {fault} on kernel {kernel:?} at launch {launch}")
-            }
         }
     }
 }

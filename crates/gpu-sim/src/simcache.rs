@@ -362,12 +362,6 @@ mod tests {
         // use_cache is *not* part of the key: it cannot change the report.
         let cold = SimOptions { use_cache: false, ..base };
         assert_eq!(k1, SimKey::new(&d, "A".to_string(), &cold));
-        // Neither is the fault plan: faults are rolled before the cache is
-        // consulted, so the cache only ever holds clean results and a run
-        // with injection shares them.
-        let faulty =
-            SimOptions { faults: Some(crate::faults::FaultPlan::new(42, 0.5, 0.1, 0.1)), ..base };
-        assert_eq!(k1, SimKey::new(&d, "A".to_string(), &faulty));
     }
 
     #[test]
