@@ -4,13 +4,14 @@
 //! ```text
 //! cargo run -p memcnn-bench --release --bin scenario
 //! cargo run -p memcnn-bench --release --bin scenario -- --update-baselines
-//! MEMCNN_THREADS=1 MEMCNN_FLEET_LINEAR=1 \
-//!     cargo run -p memcnn-bench --release --bin scenario -- run scenarios/stream-k16.toml
+//! MEMCNN_THREADS=1 cargo run -p memcnn-bench --release --bin scenario -- \
+//!     run scenarios/stream-k16.toml --oracle linear
 //! ```
 //!
 //! Without a subcommand, replays every `scenarios/*.toml` as fresh agent
 //! processes (`scenario run <file>` on a release-built copy of this
-//! binary), one per run, each run's env vars set on its child only. Per
+//! binary), one per run, each with its `MEMCNN_THREADS` set on the child
+//! and its oracle passed as `--oracle`. Per
 //! scenario it prints `NONDETERMINISM scenario=... run=...` for a run that
 //! differs from the base run, `GATE FAILED ...` or `GATE SKIPPED ...` per
 //! gate, and `REGRESSION scenario=... metric=...` per baseline drift. Any
@@ -18,7 +19,8 @@
 //! `baselines/<name>.json` from the base run instead, but never for a
 //! scenario whose identity check or gates failed.
 //!
-//! `run <file>` is the agent mode: execute one scenario in-process and
+//! `run <file>` is the agent mode: execute one scenario in-process, under
+//! the reference driver named by `--oracle sequential|linear` if given, and
 //! print `{"result": ..., "digest": ..., "host": {"wall_ms": ...}}` as the
 //! last stdout line. With `--metrics-dir DIR` it also writes the metrics
 //! timeline, thinned to at most [`TIMELINE_SAMPLES`] samples, to
@@ -70,7 +72,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: scenario [--scenarios DIR] [--baselines DIR] [--metrics-dir DIR] \
          [--out PATH] [--agent PATH] [--update-baselines] [--record-perfetto]\n       \
-         scenario run FILE [--metrics-dir DIR] [--record-perfetto]"
+         scenario run FILE [--oracle sequential|linear] [--metrics-dir DIR] \
+         [--record-perfetto]"
     );
     std::process::exit(2);
 }
@@ -277,11 +280,16 @@ fn main() {
 fn run_agent(args: &[String]) -> ! {
     let mut file: Option<PathBuf> = None;
     let mut metrics_dir: Option<PathBuf> = None;
+    let mut oracle = None;
     let mut record_perfetto = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--metrics-dir" => metrics_dir = Some(next_path(&mut it)),
+            "--oracle" => {
+                let name = it.next().map(String::as_str).unwrap_or_else(|| usage());
+                oracle = Some(scenario::oracle_named(name).unwrap_or_else(|| usage()));
+            }
             "--record-perfetto" => record_perfetto = true,
             _ if file.is_none() && !arg.starts_with('-') => file = Some(PathBuf::from(arg)),
             _ => usage(),
@@ -302,7 +310,7 @@ fn run_agent(args: &[String]) -> ! {
     if record_perfetto {
         trace::start();
     }
-    let (line, timeline) = scenario::run(&spec).unwrap_or_else(|e| {
+    let (line, timeline) = scenario::run(&spec, oracle).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);
     });
@@ -347,9 +355,8 @@ fn next_path(it: &mut std::slice::Iter<'_, String>) -> PathBuf {
 /// Spawn one run's agent as a fresh OS process and parse its last stdout
 /// line. Only the base run writes its metrics timeline (and, with
 /// `--record-perfetto`, its trace): every other run's timeline must be
-/// the same. The run's `MEMCNN_THREADS` and oracle switch are set on the
-/// child; the other oracle switches are cleared so that an inherited one
-/// cannot turn the base run into an oracle run.
+/// the same. The run's `MEMCNN_THREADS` is set on the child, and its
+/// oracle, if any, is passed as `--oracle`.
 fn spawn_agent(
     agent: &Path,
     file: &Path,
@@ -366,11 +373,12 @@ fn spawn_agent(
         }
     }
     cmd.env("MEMCNN_THREADS", run.threads.to_string());
-    for (_, var) in scenario::ORACLES {
-        cmd.env_remove(var);
-    }
-    if let Some(var) = run.oracle_env {
-        cmd.env(var, "1");
+    if let Some(oracle) = run.oracle {
+        let (name, _) = scenario::ORACLES
+            .iter()
+            .find(|(_, o)| *o == oracle)
+            .expect("ORACLES names every oracle");
+        cmd.arg("--oracle").arg(name);
     }
     let output = cmd.output().map_err(|e| format!("spawn {}: {e}", agent.display()))?;
     if !output.status.success() {

@@ -53,8 +53,10 @@
 //! "latency.p99" = 0.05
 //! ```
 //!
-//! Parsing is strict: an unknown section or key, a wrong-typed value, or
-//! a gate key that is neither one of [`ScenarioSpec::metric_names`] nor
+//! Parsing is strict: an unknown section or key, a wrong-typed value, an
+//! out-of-range number (a workload fraction that is not finite and > 0, a
+//! tolerance that is not finite and >= 0, a NaN gate bound), or a gate key
+//! that is neither one of [`ScenarioSpec::metric_names`] nor
 //! `host.wall_ratio.<run>` of a declared run is an error naming both.
 //!
 //! The `scenario` binary replays each file as one fresh agent process per
@@ -71,8 +73,9 @@ use memcnn_core::{Engine, Mechanism, Network, NetworkBuilder};
 use memcnn_gpusim::{DeviceFaultPlan, FaultPlan};
 use memcnn_metrics::{Histogram, MetricsTimeline};
 use memcnn_serve::{
-    capacity_images_per_sec, feasible_max_batch, serve_fleet, Arrival, BatchPolicy, FaultPolicy,
-    FleetConfig, FleetReport, Phase, Placement, TenantSpec, WorkloadConfig,
+    capacity_images_per_sec, feasible_max_batch, serve_fleet, serve_fleet_oracle, Arrival,
+    BatchPolicy, FaultPolicy, FleetConfig, FleetReport, Oracle, Phase, Placement, TenantSpec,
+    WorkloadConfig,
 };
 use memcnn_tensor::Shape;
 use serde::Serialize;
@@ -114,12 +117,15 @@ pub enum WorkloadKind {
 }
 
 /// The oracles a scenario can also be replayed under (`[scenario]
-/// oracles`), each with the env var that switches the fleet loop onto it:
-/// the one-device-at-a-time loop and the pre-index linear router scan.
-/// The library reads the switch from the process environment, so the
-/// harness sets it on a fresh agent process, never on itself.
-pub const ORACLES: [(&str, &str); 2] =
-    [("sequential", "MEMCNN_FLEET_SEQUENTIAL"), ("linear", "MEMCNN_FLEET_LINEAR")];
+/// oracles`, and the agent's `--oracle`), by name: the
+/// one-event-at-a-time loop and the pre-index linear router scan.
+pub const ORACLES: [(&str, Oracle); 2] =
+    [("sequential", Oracle::Sequential), ("linear", Oracle::Linear)];
+
+/// The oracle called `name` in [`ORACLES`].
+pub fn oracle_named(name: &str) -> Option<Oracle> {
+    ORACLES.iter().find(|(n, _)| *n == name).map(|&(_, o)| o)
+}
 
 /// One agent process of a scenario replay.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,8 +134,8 @@ pub struct Run {
     pub name: String,
     /// `MEMCNN_THREADS` of the agent.
     pub threads: usize,
-    /// The env var of the oracle the agent runs under, if any.
-    pub oracle_env: Option<&'static str>,
+    /// The oracle the agent runs under, if any.
+    pub oracle: Option<Oracle>,
 }
 
 /// Bounds the base run's result must hold (`[gate.min]` / `[gate.max]`).
@@ -213,13 +219,12 @@ impl ScenarioSpec {
     /// `MEMCNN_THREADS` 1 and 4, then one `MEMCNN_THREADS=1` run per
     /// oracle.
     pub fn runs(&self) -> Vec<Run> {
-        let threads =
-            [1, 4].map(|n| Run { name: format!("threads{n}"), threads: n, oracle_env: None });
+        let threads = [1, 4].map(|n| Run { name: format!("threads{n}"), threads: n, oracle: None });
         let oracles = ORACLES.iter().filter(|(name, _)| self.oracles.iter().any(|o| o == name));
-        let oracles = oracles.map(|&(name, env)| Run {
+        let oracles = oracles.map(|&(name, oracle)| Run {
             name: name.to_string(),
             threads: 1,
-            oracle_env: Some(env),
+            oracle: Some(oracle),
         });
         threads.into_iter().chain(oracles).collect()
     }
@@ -309,12 +314,18 @@ fn opt_f64(sec: &Section, section: &str, key: &str) -> Result<Option<f64>, Strin
     opt(sec, section, key, NUMBER, Value::as_f64)
 }
 
-fn opt_positive(sec: &Section, section: &str, key: &str) -> Result<Option<f64>, String> {
-    opt(sec, section, key, "a positive number", |v| v.as_f64().filter(|x| *x > 0.0))
+const POSITIVE: &str = "a finite number > 0";
+
+fn positive(v: &Value) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite() && *x > 0.0)
 }
 
-fn need_f64(sec: &Section, section: &str, key: &str) -> Result<f64, String> {
-    need(sec, section, key, NUMBER, Value::as_f64)
+fn opt_positive(sec: &Section, section: &str, key: &str) -> Result<Option<f64>, String> {
+    opt(sec, section, key, POSITIVE, positive)
+}
+
+fn need_positive(sec: &Section, section: &str, key: &str) -> Result<f64, String> {
+    need(sec, section, key, POSITIVE, positive)
 }
 
 fn need_u64(sec: &Section, section: &str, key: &str) -> Result<u64, String> {
@@ -390,7 +401,7 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
         opt_positive(sc, "scenario", "queue_delay_factor")?.unwrap_or(DEFAULT_QUEUE_DELAY_FACTOR);
     let oracles = opt(sc, "scenario", "oracles", "distinct \"sequential\" / \"linear\"", |v| {
         let names: Vec<String> = v.as_str_array()?.into_iter().map(str::to_string).collect();
-        let known = names.iter().all(|n| ORACLES.iter().any(|(o, _)| o == n));
+        let known = names.iter().all(|n| oracle_named(n).is_some());
         let distinct = names.iter().enumerate().all(|(i, n)| !names[..i].contains(n));
         (known && distinct).then_some(names)
     })?
@@ -400,13 +411,13 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
     let workload = match need_str(wl, "workload", "kind")? {
         "poisson" => {
             check_keys(wl, "workload", "kind load_frac")?;
-            WorkloadKind::Poisson { load_frac: need_f64(wl, "workload", "load_frac")? }
+            WorkloadKind::Poisson { load_frac: need_positive(wl, "workload", "load_frac")? }
         }
         "bursty" => {
             check_keys(wl, "workload", "kind quiet_frac burst_frac")?;
             WorkloadKind::Bursty {
-                quiet_frac: need_f64(wl, "workload", "quiet_frac")?,
-                burst_frac: need_f64(wl, "workload", "burst_frac")?,
+                quiet_frac: need_positive(wl, "workload", "quiet_frac")?,
+                burst_frac: need_positive(wl, "workload", "burst_frac")?,
             }
         }
         other => return Err(format!("[workload] unknown kind {other:?} (poisson / bursty)")),
@@ -509,7 +520,12 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
     let mut tolerances = Tolerances::default();
     if let Some(tl) = doc.section("tolerances") {
         for (key, v) in tl {
-            let t = v.as_f64().ok_or_else(|| format!("[tolerances] `{key}` must be a number"))?;
+            // A NaN tolerance would pass every drift, silently turning the
+            // baseline check off.
+            let t = v
+                .as_f64()
+                .filter(|t| t.is_finite() && *t >= 0.0)
+                .ok_or_else(|| format!("[tolerances] `{key}` must be a finite number >= 0"))?;
             if key == "default" {
                 tolerances.default = t;
             } else {
@@ -550,8 +566,10 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
                     runs.join(", ")
                 ));
             }
-            let bound =
-                v.as_f64().ok_or_else(|| format!("[{section}] `{key}` must be a number"))?;
+            let bound = v
+                .as_f64()
+                .filter(|b| !b.is_nan())
+                .ok_or_else(|| format!("[{section}] `{key}` must be a number other than NaN"))?;
             bounds.insert(key.clone(), bound);
         }
     }
@@ -602,10 +620,15 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Serve the scenario's stream.
-    pub fn serve(&self) -> Result<FleetReport, String> {
+    /// Serve the scenario's stream, under `oracle`'s reference driver if
+    /// one is given.
+    pub fn serve(&self, oracle: Option<Oracle>) -> Result<FleetReport, String> {
         let engines: Vec<&Engine> = self.slots.iter().map(|&i| &self.ctxs[i].engine).collect();
-        serve_fleet(&engines, &self.nets, &self.cfg).map_err(|e| format!("{e:?}"))
+        match oracle {
+            None => serve_fleet(&engines, &self.nets, &self.cfg),
+            Some(o) => serve_fleet_oracle(&engines, &self.nets, &self.cfg, o),
+        }
+        .map_err(|e| format!("{e:?}"))
     }
 }
 
@@ -757,13 +780,17 @@ pub fn result(spec: &ScenarioSpec, report: &FleetReport) -> Result<ScenarioResul
     })
 }
 
-/// Run one scenario in this process: build its fleet, time the
-/// `serve_fleet` call, and return the agent line plus the full metrics
-/// timeline (the caller writes it as `<name>.metrics.json`).
-pub fn run(spec: &ScenarioSpec) -> Result<(AgentLine, MetricsTimeline), String> {
+/// Run one scenario in this process, under `oracle`'s reference driver
+/// if one is given: build its fleet, time the `serve_fleet` call, and
+/// return the agent line plus the full metrics timeline (the caller
+/// writes it as `<name>.metrics.json`).
+pub fn run(
+    spec: &ScenarioSpec,
+    oracle: Option<Oracle>,
+) -> Result<(AgentLine, MetricsTimeline), String> {
     let fleet = fleet(spec)?;
     let start = Instant::now();
-    let report = fleet.serve().map_err(|e| format!("{}: {e}", spec.name))?;
+    let report = fleet.serve(oracle).map_err(|e| format!("{}: {e}", spec.name))?;
     let host = HostTimes { wall_ms: start.elapsed().as_secs_f64() * 1e3 };
     let result = result(spec, &report)?;
     let digest = format!("{:016x}", digest(&report));
@@ -1134,9 +1161,9 @@ warmup_ms = 15.0
                      oracles = [\"linear\", \"sequential\"]";
         let spec = parse_spec(&SPEC.replacen("seed = 42", extra, 1)).unwrap();
         assert_eq!((&spec.batch_sizes[..], spec.queue_delay_factor), (&[64, 32][..], 3.0));
-        let runs: Vec<(String, usize, Option<&str>)> =
-            spec.runs().into_iter().map(|r| (r.name, r.threads, r.oracle_env)).collect();
-        let (seq, lin) = (Some("MEMCNN_FLEET_SEQUENTIAL"), Some("MEMCNN_FLEET_LINEAR"));
+        let runs: Vec<(String, usize, Option<Oracle>)> =
+            spec.runs().into_iter().map(|r| (r.name, r.threads, r.oracle)).collect();
+        let (seq, lin) = (Some(Oracle::Sequential), Some(Oracle::Linear));
         let want = [("threads1", 1, None), ("threads4", 4, None), ("sequential", 1, seq)];
         let want = want.into_iter().chain([("linear", 1, lin)]);
         assert_eq!(runs, want.map(|(n, t, o)| (n.to_string(), t, o)).collect::<Vec<_>>());
@@ -1162,6 +1189,27 @@ warmup_ms = 15.0
             ("seed = 42", "seed = 42\nbatch_sizes = [64, 0]", &["[scenario]", "batch_sizes"]),
             ("seed = 42", "seed = 42\nbatch_sizes = []", &["[scenario]", "batch_sizes"]),
             ("seed = 42", "seed = 42\nqueue_delay_factor = 0", &["[scenario]", "queue_delay"]),
+            ("seed = 42", "seed = 42\nqueue_delay_factor = inf", &["[scenario]", "queue_delay"]),
+            ("load_frac = 0.5", "load_frac = nan", &["[workload]", "load_frac"]),
+            ("load_frac = 0.5", "load_frac = -3", &["[workload]", "load_frac"]),
+            ("load_frac = 0.5", "load_frac = inf", &["[workload]", "load_frac"]),
+            ("load_frac = 0.5", "load_frac = 0", &["[workload]", "load_frac"]),
+            (
+                "kind = \"poisson\"\nload_frac = 0.5",
+                "kind = \"bursty\"\nquiet_frac = nan\nburst_frac = 1.5",
+                &["[workload]", "quiet_frac"],
+            ),
+            (
+                "kind = \"poisson\"\nload_frac = 0.5",
+                "kind = \"bursty\"\nquiet_frac = 0.3\nburst_frac = -inf",
+                &["[workload]", "burst_frac"],
+            ),
+            ("default = 0.02", "default = nan", &["[tolerances]", "default"]),
+            ("default = 0.02", "default = inf", &["[tolerances]", "default"]),
+            ("default = 0.02", "default = -0.01", &["[tolerances]", "default"]),
+            ("\"latency.p99\" = 0.05", "\"latency.p99\" = nan", &["[tolerances]", "latency.p99"]),
+            ("requests = 4", "requests = nan", &["[gate.min]", "requests"]),
+            ("", "[gate.max]\nshed_rate = nan", &["[gate.max]", "shed_rate"]),
             ("seed = 42", "seed = 42\noracles = [\"fast\"]", &["[scenario]", "oracles"]),
             ("seed = 42", "seed = 42\noracles = [\"linear\", \"linear\"]", &["oracles"]),
             ("requests = 4", "requets = 4", &["[gate.min]", "requets"]),
@@ -1200,6 +1248,8 @@ warmup_ms = 15.0
             ("", "[tenant.a]\nclass = \"interactive\"", &["[tenant.a]", "p99_budget_ms"]),
             ("", "[tenant.a]\nclass = \"standard\"\np99_budget_ms = 9", &["[tenant.a]", "p99"]),
             ("", "[tenant.a]\nclass = \"standard\"\nweight = -1", &["[tenant.a]", "weight"]),
+            ("", "[tenant.a]\nclass = \"standard\"\nweight = inf", &["[tenant.a]", "weight"]),
+            ("", "[tenant.a]\nclass = \"standard\"\nrate = inf", &["[tenant.a]", "rate"]),
             ("", "[tenant.a]\nclass = \"standard\"\nweight = \"2\"", &["[tenant.a]", "weight"]),
             ("", "[tenant.a]\nclass = \"standard\"\nburst = 2", &["[tenant.a]", "burst"]),
             ("", "[tenant.bad name]\nclass = \"standard\"", &["bad name"]),
@@ -1217,6 +1267,15 @@ warmup_ms = 15.0
             "\"host.wall_ratio.sequential\" = 2.0\n\"host.wall_ratio.threads4\" = 0.1",
         );
         assert_eq!(parse_spec(&text).unwrap().gates.min.len(), 3);
+        // A zero tolerance (exact match) and an infinite gate bound parse.
+        let text = SPEC.replace("default = 0.02", "default = 0");
+        assert_eq!(
+            parse_spec(&format!("{text}\n[gate.max]\nshed_rate = inf\n"))
+                .unwrap()
+                .tolerances
+                .default,
+            0.0
+        );
         let faults = "\n[faults]\nseed = 7\nmax_retries = 4294967295\nshed_deadline_ms = 5";
         let spec = parse_spec(&format!("{SPEC}{faults}")).unwrap();
         assert_eq!(spec.fault_policy.max_retries, u32::MAX);

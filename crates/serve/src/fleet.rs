@@ -32,8 +32,9 @@
 //! buckets predicted at a barrier compile in one batched fan-out
 //! ([`PlanCache::stage`]) instead of serially on first launch. The
 //! result is a pure function of `(engine configs, networks,
-//! FleetConfig)`: bit-identical across `MEMCNN_THREADS` and to the
-//! retained sequential loop (`MEMCNN_FLEET_SEQUENTIAL=1`).
+//! FleetConfig)`: bit-identical at every thread budget and to the
+//! reference drivers of [`serve_fleet_oracle`] (the retained sequential
+//! loop and the linear router scan).
 //!
 //! **One loop**: this is the crate's only serving event loop.
 //! [`serve`](crate::server::serve) is its K = 1 projection (one device,
@@ -1050,70 +1051,6 @@ fn step_device(
     Ok(events)
 }
 
-/// Whether `MEMCNN_FLEET_SEQUENTIAL` forces the legacy single-threaded
-/// event loop. Read on every call (unlike `MEMCNN_THREADS` it is not
-/// once-locked, so tests can pin both paths in one process); the result
-/// is bit-identical either way — the knob exists as the byte-identity
-/// control and an escape hatch.
-fn sequential_requested() -> bool {
-    sequential_from(std::env::var("MEMCNN_FLEET_SEQUENTIAL").ok().as_deref())
-}
-
-/// Parse a `MEMCNN_FLEET_SEQUENTIAL` value, warning on stderr and
-/// falling back to the parallel path when it is present but not a
-/// recognized boolean. Pure so the fallback is unit-testable; the
-/// `Once` guarantees the warning fires at most once per process.
-fn sequential_from(raw: Option<&str>) -> bool {
-    match raw {
-        None => false,
-        Some("1") | Some("true") => true,
-        Some("0") | Some("false") => false,
-        Some(v) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "memcnn: ignoring malformed MEMCNN_FLEET_SEQUENTIAL={v:?} \
-                     (want 1/0/true/false); using the parallel path"
-                );
-            });
-            false
-        }
-    }
-}
-
-/// Whether `MEMCNN_FLEET_LINEAR` forces the pre-index hot path: the
-/// O(K) linear `global_best` scan, a per-route placement snapshot that
-/// walks every lane queue, and a `device_best` scan of every device to
-/// find a barrier's committing devices. The selections are identical by construction (the index's
-/// comparator is the scan's total order — `tests/fleet.rs` pins report
-/// byte-identity); the knob exists as the regression-gate baseline for
-/// the `stream-k16` scenario's wall-time gate and as an escape
-/// hatch.
-fn linear_requested() -> bool {
-    linear_from(std::env::var("MEMCNN_FLEET_LINEAR").ok().as_deref())
-}
-
-/// Parse a `MEMCNN_FLEET_LINEAR` value, warning on stderr and falling
-/// back to the indexed path when it is present but not a recognized
-/// boolean (the `MEMCNN_FLEET_SEQUENTIAL` fallback convention).
-fn linear_from(raw: Option<&str>) -> bool {
-    match raw {
-        None => false,
-        Some("1") | Some("true") => true,
-        Some("0") | Some("false") => false,
-        Some(v) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "memcnn: ignoring malformed MEMCNN_FLEET_LINEAR={v:?} \
-                     (want 1/0/true/false); using the indexed router"
-                );
-            });
-            false
-        }
-    }
-}
-
 /// Load snapshot of device `d` for network `n`'s placement call — O(1)
 /// off the incrementally maintained queue counters (`linear` walks the
 /// lane queues like the pre-index code did).
@@ -1243,9 +1180,10 @@ struct FleetRun<'e, 'a> {
     /// routes, commits, sheds, health transitions, failovers, delay
     /// changes).
     index: RouteIndex,
-    /// `MEMCNN_FLEET_LINEAR=1`: bypass the index (see
-    /// [`linear_requested`]).
-    linear: bool,
+    /// The reference driver this run executes, if any: with
+    /// [`Oracle::Linear`] every read bypasses the index (see
+    /// [`FleetRun::linear`]).
+    oracle: Option<Oracle>,
     /// Recycled placement-snapshot buffer (the linear oracle's
     /// `route_one` and `requeue_transit` fill it instead of allocating).
     loads_buf: Vec<DeviceLoad>,
@@ -1254,6 +1192,14 @@ struct FleetRun<'e, 'a> {
 }
 
 impl<'e, 'a> FleetRun<'e, 'a> {
+    /// Whether this run is the [`Oracle::Linear`] reference: the O(K)
+    /// `global_best` scan, a placement snapshot that walks every lane
+    /// queue, and a `device_best` scan of every device for a barrier's
+    /// committing devices, in place of the index.
+    fn linear(&self) -> bool {
+        self.oracle == Some(Oracle::Linear)
+    }
+
     /// Freeze the step inputs for the current effective delay. Rebuilt
     /// whenever routing may have changed the delay; borrows only the
     /// run's `'a` inputs so the caller can keep mutating the run state.
@@ -1288,7 +1234,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// the selection — and therefore every report byte — is identical;
     /// debug builds re-run the scan and assert it.
     fn global_best(&mut self, ctx: &StepCtx) -> Option<(f64, usize, usize, usize)> {
-        if self.linear {
+        if self.linear() {
             return self.global_best_linear(ctx);
         }
         let (pairs, devs) = (&self.pairs, &self.devs);
@@ -1302,8 +1248,8 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         best
     }
 
-    /// The retained reference scan (`MEMCNN_FLEET_LINEAR=1`, the
-    /// debug-build cross-check, and the equivalence tests).
+    /// The retained reference scan ([`Oracle::Linear`] and the
+    /// debug-build cross-check).
     fn global_best_linear(&self, ctx: &StepCtx) -> Option<(f64, usize, usize, usize)> {
         let mut best: Option<(f64, usize, usize, usize)> = None;
         for (d, dev) in self.devs.iter().enumerate() {
@@ -1390,7 +1336,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         // since the last route (the linear oracle re-walks every lane
         // queue into the recycled buffer, as the pre-row router did).
         let mut loads = std::mem::take(&mut self.loads_buf);
-        let (rows, others_images): (&[DeviceLoad], usize) = if self.linear {
+        let (rows, others_images): (&[DeviceLoad], usize) = if self.linear() {
             loads.clear();
             loads.extend((0..self.k).map(|d| self.load_of(d, n)));
             (&loads, loads.iter().map(|l| l.queued_images).sum())
@@ -1450,7 +1396,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// Load snapshot of device `d` for network `n`'s placement call (see
     /// [`device_load`]).
     fn load_of(&self, d: usize, n: usize) -> DeviceLoad {
-        device_load(&self.pairs, &self.devs, &self.caps, self.linear, d, n)
+        device_load(&self.pairs, &self.devs, &self.caps, self.linear(), d, n)
     }
 
     /// The tenant lane a request routes to (lane 0 on class-blind runs).
@@ -1892,7 +1838,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             key.is_some_and(|(launch, _, _)| t_next.is_none_or(|t| launch < t))
         };
         let (pairs, devs) = (&self.pairs, &self.devs);
-        if self.linear {
+        if self.linear() {
             return (0..self.k).filter(|&d| due(device_best(ctx, &pairs[d], &devs[d]))).collect();
         }
         self.index.refresh(|d| device_best(ctx, &pairs[d], &devs[d]));
@@ -1983,9 +1929,9 @@ impl<'e, 'a> FleetRun<'e, 'a> {
 /// Run the fleet simulation to completion (every generated request is
 /// served or shed). Deterministic: same engine configs + networks +
 /// `cfg` give a bit-identical [`FleetReport`] — latencies, placements,
-/// batch records, fault statistics, and metrics timelines — independent
-/// of `MEMCNN_THREADS` and of the `MEMCNN_FLEET_SEQUENTIAL` escape
-/// hatch (the retained single-threaded loop).
+/// batch records, fault statistics, and metrics timelines — at every
+/// thread budget (`rayon::with_max_threads`, else `MEMCNN_THREADS`), and
+/// identical to each reference driver of [`serve_fleet_oracle`].
 ///
 /// `engines[d]` is device `d`; pass the same `&Engine` K times for a
 /// homogeneous fleet (they share the engine's simulation warmup, and
@@ -1999,17 +1945,45 @@ pub fn serve_fleet(
     nets: &[Network],
     cfg: &FleetConfig,
 ) -> Result<FleetReport, EngineError> {
-    run_fleet(engines, nets, cfg, trace::Track::Fleet)
+    run_fleet(engines, nets, cfg, trace::Track::Fleet, None)
+}
+
+/// A reference driver of the fleet loop: slower code that
+/// [`serve_fleet`] must match byte for byte. Tests and the scenario
+/// harness run one beside the shipping path and compare the reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Oracle {
+    /// The retained single-threaded event loop: one event at a time, no
+    /// routing barriers, no parallel device steps, no batched compiles.
+    Sequential,
+    /// The parallel loop with the route index bypassed: a linear scan of
+    /// every device per selection and placement rows rebuilt from the
+    /// lane queues per route (the pre-index router, whose wall time the
+    /// `stream-k16` scenario gates against).
+    Linear,
+}
+
+/// [`serve_fleet`] under a reference driver. The report must be
+/// byte-identical to [`serve_fleet`]'s; only the host time differs.
+pub fn serve_fleet_oracle(
+    engines: &[&Engine],
+    nets: &[Network],
+    cfg: &FleetConfig,
+    oracle: Oracle,
+) -> Result<FleetReport, EngineError> {
+    run_fleet(engines, nets, cfg, trace::Track::Fleet, Some(oracle))
 }
 
 /// [`serve_fleet`] with the Perfetto track its metrics timeline mirrors
 /// onto as counters (`Track::Serve` for [`serve`](crate::server::serve)'s
-/// one-device view; batch spans stay on `Track::Fleet` either way).
+/// one-device view; batch spans stay on `Track::Fleet` either way), under
+/// `oracle`'s reference driver if one is given.
 pub(crate) fn run_fleet(
     engines: &[&Engine],
     nets: &[Network],
     cfg: &FleetConfig,
     counter_track: trace::Track,
+    oracle: Option<Oracle>,
 ) -> Result<FleetReport, EngineError> {
     if engines.is_empty() {
         return Err(EngineError::Fatal("fleet needs at least one device".to_string()));
@@ -2204,11 +2178,11 @@ pub(crate) fn run_fleet(
         }),
         health,
         index: RouteIndex::new(k, nn),
-        linear: linear_requested(),
+        oracle,
         loads_buf: Vec::new(),
         eligible_buf: Vec::new(),
     };
-    if sequential_requested() {
+    if oracle == Some(Oracle::Sequential) {
         run.run_sequential()?;
     } else {
         run.run_parallel()?;
@@ -2549,19 +2523,5 @@ mod tests {
         );
         assert!(serve_fleet(&[], std::slice::from_ref(&net), &cfg).is_err());
         assert!(serve_fleet(&[&e], &[], &cfg).is_err());
-    }
-
-    #[test]
-    fn sequential_knob_parses_and_malformed_falls_back() {
-        assert!(!sequential_from(None));
-        assert!(sequential_from(Some("1")));
-        assert!(sequential_from(Some("true")));
-        assert!(!sequential_from(Some("0")));
-        assert!(!sequential_from(Some("false")));
-        // Malformed values warn once on stderr and keep the parallel
-        // path (mirroring MEMCNN_THREADS' fallback convention).
-        assert!(!sequential_from(Some("yes")));
-        assert!(!sequential_from(Some("")));
-        assert!(!sequential_from(Some(" 1 ")));
     }
 }

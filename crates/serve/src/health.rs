@@ -37,9 +37,9 @@
 //! Between routing points, commits are bounded by the device's next
 //! crash/hang time (`DeviceState::halt`), so no batch is ever committed
 //! past a pending failure in either loop. The result: fleet reports
-//! replay byte-identically across `MEMCNN_THREADS` and vs
-//! `MEMCNN_FLEET_SEQUENTIAL=1` with device faults on (pinned by
-//! `tests/failover.rs`).
+//! replay byte-identically across thread budgets and vs the
+//! [`Oracle::Sequential`](crate::fleet::Oracle) loop with device faults
+//! on (pinned by `tests/failover.rs`).
 //!
 //! The extended balance invariant this layer maintains, per tenant and
 //! in aggregate:

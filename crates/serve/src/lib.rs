@@ -69,8 +69,8 @@
 //! charged on the simulated clock), and the balance invariant extends
 //! to `admitted == completed + shed + rejected + in_flight +
 //! failed_over_in_transit`. A `None` or no-op plan leaves the layer off;
-//! everything stays bit-deterministic across `MEMCNN_THREADS` and vs
-//! `MEMCNN_FLEET_SEQUENTIAL=1`.
+//! everything stays bit-deterministic across thread budgets and vs the
+//! [`Oracle::Sequential`] loop.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
@@ -94,7 +94,10 @@ pub mod workload;
 pub use adaptive::AdaptivePolicy;
 pub use batch::{bucket_for, buckets, BatchPolicy};
 pub use capacity::{capacity_images_per_sec, feasible_max_batch};
-pub use fleet::{serve_fleet, DeviceReport, FleetBatch, FleetConfig, FleetReport, NetworkBuckets};
+pub use fleet::{
+    serve_fleet, serve_fleet_oracle, DeviceReport, FleetBatch, FleetConfig, FleetReport,
+    NetworkBuckets, Oracle,
+};
 pub use health::{HealthReport, HealthState};
 pub use metrics::{
     latency_stats, latency_stats_served, latency_stats_sorted, percentile, LatencyStats,

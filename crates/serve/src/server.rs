@@ -464,7 +464,8 @@ pub fn serve(
         tenants: cfg.tenants.clone(),
         device_faults: None,
     };
-    let fleet = run_fleet(&[engine], std::slice::from_ref(net), &fleet_cfg, trace::Track::Serve)?;
+    let fleet =
+        run_fleet(&[engine], std::slice::from_ref(net), &fleet_cfg, trace::Track::Serve, None)?;
     let dev = fleet.devices.into_iter().next().expect("a one-device fleet reports one device");
     Ok(ServeReport {
         network: net.name.clone(),

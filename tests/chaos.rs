@@ -4,10 +4,9 @@
 //! reference stream.
 //!
 //! Like `serve.rs` and `sim_cache.rs`, these assertions read
-//! process-global state (the perf-counter registry and the env-configured
-//! thread count), so everything lives in ONE `#[test]` — a second test in
-//! this binary would race the counters on the harness's concurrent
-//! threads.
+//! process-global state (the perf-counter registry), so everything lives
+//! in ONE `#[test]` — a second test in this binary would race the
+//! counters on the harness's concurrent threads.
 
 use memcnn::core::{
     with_retries, Engine, EngineError, LayoutThresholds, Mechanism, NetworkBuilder,
@@ -71,15 +70,19 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
         ..clean_cfg.clone()
     };
 
-    // (1) Bit-identical fault timelines across runs and MEMCNN_THREADS:
+    // (1) Bit-identical fault timelines under thread budgets {1, 4, 13}:
     // the fault stream keys on (launch key, launch index), never on
-    // worker scheduling. (Safe to set here: one test per binary.)
-    std::env::set_var("MEMCNN_THREADS", "1");
-    let base = digest(&serve(&engine(), &net, &faulty_cfg).unwrap());
-    for threads in ["4", "13"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let rerun = digest(&serve(&engine(), &net, &faulty_cfg).unwrap());
-        assert_eq!(base, rerun, "fault timeline diverged at MEMCNN_THREADS={threads}");
+    // worker scheduling.
+    let faulty = |threads| {
+        rayon::with_max_threads(threads, || digest(&serve(&engine(), &net, &faulty_cfg).unwrap()))
+    };
+    let base = faulty(1);
+    for threads in [4, 13] {
+        assert_eq!(
+            base,
+            faulty(threads),
+            "fault timeline diverged under a {threads}-thread budget"
+        );
     }
     // The injected run really did inject (the determinism is not vacuous)
     // and survived without a panic or terminal error.

@@ -5,15 +5,14 @@
 //! in_flight + failed_over_in_transit`), and total-fleet-loss survival.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
-//! perf registry, the once-locked `MEMCNN_THREADS`, and the per-call
-//! `MEMCNN_FLEET_SEQUENTIAL` knob), so everything lives in ONE
-//! `#[test]`.
+//! perf registry), so everything lives in ONE `#[test]`, run under a
+//! 4-thread budget (`rayon::with_max_threads`).
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan};
 use memcnn::serve::{
-    serve_fleet, Arrival, BatchPolicy, FleetConfig, FleetReport, Phase, Placement, TenantSpec,
-    WorkloadConfig,
+    serve_fleet, serve_fleet_oracle, Arrival, BatchPolicy, FleetConfig, FleetReport, Oracle, Phase,
+    Placement, TenantSpec, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 
@@ -61,10 +60,10 @@ fn assert_same_schedule(a: &FleetReport, b: &FleetReport, what: &str) {
 
 #[test]
 fn device_failover_is_deterministic_balanced_and_lossless() {
-    // Must precede every engine call in this process (once-locked).
-    std::env::set_var("MEMCNN_THREADS", "4");
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
+    rayon::with_max_threads(4, failover_checks);
+}
 
+fn failover_checks() {
     let net = NetworkBuilder::new("failover-net", Shape::new(1, 64, 8, 8))
         .conv("CV1", 64, 3, 1, 1)
         .max_pool("PL1", 2, 2)
@@ -96,23 +95,20 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
     let engines: Vec<&Engine> = vec![&shared, &shared, &shared, &shared];
     let nets = std::slice::from_ref(&net);
 
-    // (1) Bit-identical failover replay across MEMCNN_THREADS re-sets
-    // {1, 13, 4} (nominal after the once-locked first read; the
-    // cross-process replays live in the scenario harness).
-    let report = serve_fleet(&engines, nets, &cfg).unwrap();
+    // (1) Bit-identical failover replay under thread budgets {1, 13}
+    // besides 4.
+    let run = || serve_fleet(&engines, nets, &cfg).unwrap();
+    let report = run();
     let base = digest(&report);
-    for threads in ["1", "13", "4"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let rerun = digest(&serve_fleet(&engines, nets, &cfg).unwrap());
-        assert_eq!(base, rerun, "failover run diverged after re-setting MEMCNN_THREADS={threads}");
+    for threads in [1, 13] {
+        let rerun = digest(&rayon::with_max_threads(threads, run));
+        assert_eq!(base, rerun, "failover run diverged under a {threads}-thread budget");
     }
 
     // (2) Sequential-vs-parallel byte-identity holds WITH device
     // faults: the legacy loop must reproduce the whole report —
     // including the health block — byte for byte.
-    std::env::set_var("MEMCNN_FLEET_SEQUENTIAL", "1");
-    let seq = serve_fleet(&engines, nets, &cfg).unwrap();
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
+    let seq = serve_fleet_oracle(&engines, nets, &cfg, Oracle::Sequential).unwrap();
     assert_eq!(
         serde_json::to_string(&report).unwrap(),
         serde_json::to_string(&seq).unwrap(),

@@ -4,17 +4,18 @@
 //! placement actually spreading a heterogeneous fleet.
 //!
 //! Like `tests/serve.rs`, this binary reads process-global state (the
-//! perf registry and the once-locked `MEMCNN_THREADS`), so everything
-//! lives in ONE `#[test]`. The env var is set to 4 FIRST — before any
-//! engine call — so the fleet's plan compiles exercise the parallel
-//! probe fan-out (and its per-worker trace merge path) rather than the
-//! single-threaded fallback.
+//! perf registry), so everything lives in ONE `#[test]`. It runs under a
+//! 4-thread budget (`rayon::with_max_threads`) whatever the host's core
+//! count, so the fleet's plan compiles exercise the parallel probe
+//! fan-out (and its per-worker trace merge path) rather than the
+//! single-threaded fallback; each thread matrix below re-runs a fleet
+//! under budgets of 1 and 13 threads.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Mechanism, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan, FaultPlan};
 use memcnn::serve::{
-    feasible_max_batch, serve, serve_fleet, Arrival, BatchPolicy, FaultPolicy, FleetConfig,
-    FleetReport, Phase, Placement, ServeConfig, WorkloadConfig,
+    feasible_max_batch, serve, serve_fleet, serve_fleet_oracle, Arrival, BatchPolicy, FaultPolicy,
+    FleetConfig, FleetReport, Oracle, Phase, Placement, ServeConfig, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 
@@ -47,6 +48,24 @@ fn digest(r: &FleetReport) -> (Vec<u64>, Vec<u32>, Vec<Vec<BatchBits>>) {
     )
 }
 
+/// 64-bit FNV-1a of `text`, as 16 hex digits: the form of the pins below.
+fn pin(text: &str) -> String {
+    let h = text
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    format!("{h:016x}")
+}
+
+/// [`pin`]s of the base runs below — the `Debug` text of a [`digest`]
+/// (integers only), or a whole report's JSON — recorded while the
+/// sequential and linear oracles were still switched by env vars. A
+/// change that moves every run alike passes the rerun and oracle
+/// comparisons; it fails here.
+const PIN_HETERO: &str = "f7946cd0ad41b7c6";
+const PIN_K8: &str = "f60db8e10ced4c55";
+const PIN_K8_REPORT: &str = "0088fa89b453105c";
+const PIN_K64: &str = "8b518fa4b32de6b0";
+
 fn black() -> Engine {
     Engine::new(DeviceConfig::titan_black(), LayoutThresholds::titan_black_paper())
         .with_layout_policy(LayoutPolicy::Heuristic)
@@ -59,10 +78,10 @@ fn titan_x() -> Engine {
 
 #[test]
 fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
-    // Must precede every engine call in this process: the thread count
-    // is read once and cached, so this binary runs its fan-outs at 4.
-    std::env::set_var("MEMCNN_THREADS", "4");
+    rayon::with_max_threads(4, fleet_checks);
+}
 
+fn fleet_checks() {
     let net_a = NetworkBuilder::new("fleet-a", Shape::new(1, 64, 8, 8))
         .conv("CV1", 64, 3, 1, 1)
         .max_pool("PL1", 2, 2)
@@ -87,16 +106,16 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
     };
     let cfg = FleetConfig::new(wl.clone(), BatchPolicy::new(128, 0.004), Placement::LeastLoaded);
 
-    // (1) Heterogeneous 2-device, 2-network fleet is bit-deterministic
-    // across runs; re-setting MEMCNN_THREADS is nominal after the first
-    // read, so these reruns double as same-process replay checks.
-    let base = digest(&serve_fleet(&[&black(), &titan_x()], &nets, &cfg).unwrap());
-    for threads in ["1", "13"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let rerun = digest(&serve_fleet(&[&black(), &titan_x()], &nets, &cfg).unwrap());
-        assert_eq!(base, rerun, "fleet diverged after re-setting MEMCNN_THREADS={threads}");
+    // (1) Heterogeneous 2-device, 2-network fleet: its pinned digest,
+    // and the same digest under 1- and 13-thread budgets.
+    let run = || serve_fleet(&[&black(), &titan_x()], &nets, &cfg).unwrap();
+    let hetero = run();
+    let base = digest(&hetero);
+    assert_eq!(pin(&format!("{base:?}")), PIN_HETERO, "hetero fleet digest drifted");
+    for threads in [1, 13] {
+        let rerun = digest(&rayon::with_max_threads(threads, run));
+        assert_eq!(base, rerun, "fleet diverged under a {threads}-thread budget");
     }
-    let hetero = serve_fleet(&[&black(), &titan_x()], &nets, &cfg).unwrap();
     assert_eq!(hetero.placements.len(), hetero.requests);
     assert!(hetero.placements.iter().all(|&p| p < 2), "placement out of range");
     assert!(
@@ -193,23 +212,22 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
         faulted.shed_requests
     );
 
-    // (4) K = 8 digest equality across MEMCNN_THREADS re-sets {1, 4, 13}
-    // (nominal after the once-locked first read — the real cross-process
-    // thread matrix is the scenario harness's fleet-ll-k* replays). A
-    // homogeneous 8-device fleet shares one engine, so the parallel path's
-    // barrier batch-compile dedups shared (network, bucket) misses.
-    std::env::set_var("MEMCNN_THREADS", "4");
+    // (4) K = 8: its pinned digest, and the same digest under thread
+    // budgets {1, 13} as under 4. A homogeneous 8-device fleet shares one
+    // engine, so the parallel path's barrier batch-compile dedups shared
+    // (network, bucket) misses.
     let shared = black();
     let eights: Vec<&Engine> = std::iter::repeat_n(&shared, 8).collect();
-    let k8_base = digest(&serve_fleet(&eights, &nets, &cfg).unwrap());
-    for threads in ["1", "13", "4"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let rerun = digest(&serve_fleet(&eights, &nets, &cfg).unwrap());
-        assert_eq!(k8_base, rerun, "K=8 fleet diverged after re-setting MEMCNN_THREADS={threads}");
+    let k8 = || digest(&serve_fleet(&eights, &nets, &cfg).unwrap());
+    let k8_base = k8();
+    assert_eq!(pin(&format!("{k8_base:?}")), PIN_K8, "K=8 fleet digest drifted");
+    for threads in [1, 13] {
+        let rerun = rayon::with_max_threads(threads, k8);
+        assert_eq!(k8_base, rerun, "K=8 fleet diverged under a {threads}-thread budget");
     }
 
     // (5) Sequential-vs-parallel byte-identity: the retained legacy loop
-    // (MEMCNN_FLEET_SEQUENTIAL=1) must reproduce the parallel path's
+    // (`Oracle::Sequential`) must reproduce the parallel path's
     // *entire* report — config echo, latencies, batch records, fault
     // counters, and the metrics timeline — byte for byte (serde_json
     // prints f64s shortest-roundtrip, so equal strings == equal bits).
@@ -221,6 +239,7 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
     // serially on first launch.
     let before_par = memcnn::trace::perf::baseline();
     let par = serve_fleet(&eights, &nets, &cfg).unwrap();
+    assert_eq!(pin(&serde_json::to_string(&par).unwrap()), PIN_K8_REPORT, "K=8 report drifted");
     let par_hits = before_par.delta_of("serve.plan.hit");
     let par_misses = before_par.delta_of("serve.plan.miss");
     assert!(
@@ -235,9 +254,8 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
         before_par.delta_of("fleet.plan.batch_compile") > 0,
         "cold buckets at a barrier must batch-compile"
     );
-    std::env::set_var("MEMCNN_FLEET_SEQUENTIAL", "1");
     let before_seq = memcnn::trace::perf::baseline();
-    let seq = serve_fleet(&eights, &nets, &cfg).unwrap();
+    let seq = serve_fleet_oracle(&eights, &nets, &cfg, Oracle::Sequential).unwrap();
     assert_eq!(par_hits, before_seq.delta_of("serve.plan.hit"), "plan-cache hits diverged");
     assert_eq!(par_misses, before_seq.delta_of("serve.plan.miss"), "plan-cache misses diverged");
     assert_eq!(
@@ -251,19 +269,8 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
         "sequential and parallel fleet reports must be byte-identical"
     );
 
-    // (6) A malformed knob value warns (once, on stderr) and falls back
-    // to the parallel path — same digest, no crash.
-    std::env::set_var("MEMCNN_FLEET_SEQUENTIAL", "definitely");
-    let fallback = serve_fleet(&eights, &nets, &cfg).unwrap();
-    assert_eq!(
-        serde_json::to_string(&par).unwrap(),
-        serde_json::to_string(&fallback).unwrap(),
-        "malformed MEMCNN_FLEET_SEQUENTIAL must fall back to the (identical) parallel path"
-    );
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
-
-    // (7) Route-index equivalence at K = 8 (an existing <=16-device
-    // scenario): MEMCNN_FLEET_LINEAR=1 retains the pre-index linear
+    // (6) Route-index equivalence at K = 8 (an existing <=16-device
+    // scenario): `Oracle::Linear` retains the pre-index linear
     // global-best scan and lane-walking load snapshots, and its *entire*
     // report — latencies, placements, batch records, metrics timeline —
     // must match the indexed router's byte for byte. (Debug builds also
@@ -274,8 +281,9 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
     // the Titan X can plan, so its rows' feasible caps differ. One more
     // run adds a device-fault plan (hang, crashes, drain, heals) so the
     // failover, heal and transit mark sites all feed the rows.
-    let json = |engines: &[&Engine], nets: &[Network], cfg: &FleetConfig| {
-        serde_json::to_string(&serve_fleet(engines, nets, cfg).unwrap()).unwrap()
+    let linear = |engines: &[&Engine], nets: &[Network], cfg: &FleetConfig| {
+        let report = serve_fleet_oracle(engines, nets, cfg, Oracle::Linear).unwrap();
+        serde_json::to_string(&report).unwrap()
     };
     let wide = NetworkBuilder::new("fleet-wide", Shape::new(1, 3, 512, 512))
         .conv("CV1", 64, 3, 1, 1)
@@ -334,32 +342,24 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
         health.downs >= 3 && health.ups > 0 && health.requeued > 0,
         "the fault run must crash, heal and requeue: {health:?}"
     );
-    std::env::set_var("MEMCNN_FLEET_LINEAR", "1");
     for ((name, engines, nets, cfg), idx) in runs.iter().zip(&indexed) {
         assert_eq!(
             *idx,
-            json(engines, nets, cfg),
+            linear(engines, nets, cfg),
             "{name}: linear-scan and indexed-router fleet reports must be byte-identical"
         );
     }
-    // Malformed values warn once and keep the indexed router.
-    std::env::set_var("MEMCNN_FLEET_LINEAR", "sorta");
-    let lin_fallback = serve_fleet(&eights, &nets, &cfg).unwrap();
-    assert_eq!(
-        serde_json::to_string(&par).unwrap(),
-        serde_json::to_string(&lin_fallback).unwrap(),
-        "malformed MEMCNN_FLEET_LINEAR must fall back to the (identical) indexed router"
-    );
-    std::env::remove_var("MEMCNN_FLEET_LINEAR");
 
-    // (8) K = 64 digest matrix: thread re-sets {1, 13, 4}, the
-    // sequential oracle, and the linear router must all reproduce the
-    // same digest — the index maintains 64 tentative-launch keys
-    // incrementally without perturbing a single selection.
-    std::env::set_var("MEMCNN_THREADS", "4");
+    // (7) K = 64 digest matrix: the pinned digest, thread budgets
+    // {1, 13} besides 4, the sequential oracle, and the linear router
+    // must all reproduce the same digest — the index maintains 64
+    // tentative-launch keys incrementally without perturbing a single
+    // selection.
     let sixty_four: Vec<&Engine> = std::iter::repeat_n(&shared, 64).collect();
     let before_k64 = memcnn::trace::perf::baseline();
-    let k64_base = digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
+    let k64 = || digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
+    let k64_base = k64();
+    assert_eq!(pin(&format!("{k64_base:?}")), PIN_K64, "K=64 fleet digest drifted");
     // Complexity guard: a route recomputes only the placement rows of
     // devices marked since the previous route, not all K (the pre-row
     // router rebuilt 64 per arrival).
@@ -370,20 +370,20 @@ fn fleet_is_deterministic_exact_at_k1_and_balanced_under_faults() {
         rows < routes * 64 / 4,
         "K=64 recomputed {rows} placement rows over {routes} routes (want < K/4 per route)"
     );
-    for threads in ["1", "13", "4"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let rerun = digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
-        assert_eq!(
-            k64_base, rerun,
-            "K=64 fleet diverged after re-setting MEMCNN_THREADS={threads}"
-        );
+    for threads in [1, 13] {
+        let rerun = rayon::with_max_threads(threads, k64);
+        assert_eq!(k64_base, rerun, "K=64 fleet diverged under a {threads}-thread budget");
     }
-    std::env::set_var("MEMCNN_FLEET_SEQUENTIAL", "1");
-    let k64_seq = digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
-    assert_eq!(k64_base, k64_seq, "K=64 sequential oracle diverged from the parallel path");
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
-    std::env::set_var("MEMCNN_FLEET_LINEAR", "1");
-    let k64_lin = digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
-    assert_eq!(k64_base, k64_lin, "K=64 linear scan diverged from the indexed router");
-    std::env::remove_var("MEMCNN_FLEET_LINEAR");
+    let k64_oracle =
+        |oracle| digest(&serve_fleet_oracle(&sixty_four, &nets, &cfg, oracle).unwrap());
+    assert_eq!(
+        k64_base,
+        k64_oracle(Oracle::Sequential),
+        "K=64 sequential oracle diverged from the parallel path"
+    );
+    assert_eq!(
+        k64_base,
+        k64_oracle(Oracle::Linear),
+        "K=64 linear scan diverged from the indexed router"
+    );
 }

@@ -5,9 +5,9 @@
 //! per-device queue series.
 //!
 //! Like `tests/serve.rs`, this binary reads process-global state (the
-//! trace collector and the once-locked `MEMCNN_THREADS`), so everything
-//! lives in ONE `#[test]`. The env var is set to 4 FIRST — before any
-//! engine call — so plan compiles exercise the parallel probe fan-out.
+//! trace collector), so everything lives in ONE `#[test]`. It runs under
+//! a 4-thread budget (`rayon::with_max_threads`), so plan compiles
+//! exercise the parallel probe fan-out whatever the host's core count.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::DeviceConfig;
@@ -46,10 +46,10 @@ fn digest(t: &MetricsTimeline) -> (Vec<SeriesBits>, Histogram) {
 
 #[test]
 fn timelines_are_deterministic_monotonic_and_histogram_laws_hold() {
-    // Must precede every engine call in this process: the thread count
-    // is read once and cached, so this binary runs its fan-outs at 4.
-    std::env::set_var("MEMCNN_THREADS", "4");
+    rayon::with_max_threads(4, timeline_checks);
+}
 
+fn timeline_checks() {
     let net = NetworkBuilder::new("metrics-net", Shape::new(1, 64, 8, 8))
         .conv("CV1", 64, 3, 1, 1)
         .max_pool("PL1", 2, 2)
@@ -149,21 +149,26 @@ fn timelines_are_deterministic_monotonic_and_histogram_laws_hold() {
         }
     }
 
-    // (3) Timelines are bit-identical across MEMCNN_THREADS — the env
-    // re-set is nominal after the first read, so these reruns double as
-    // same-process replay checks (matching tests/fleet.rs).
+    // (3) Timelines are bit-identical under thread budgets {1, 13}
+    // besides 4.
     let serve_base = digest(&serve(&black(), &net, &scfg).unwrap().timeline);
     let fleet_base = digest(&fleet_report.timeline);
-    for threads in ["1", "13"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let s = digest(&serve(&black(), &net, &scfg).unwrap().timeline);
-        assert_eq!(serve_base, s, "serve timeline diverged at MEMCNN_THREADS={threads}");
-        let f = digest(
-            &serve_fleet(&[&black(), &black()], std::slice::from_ref(&net), &fcfg)
-                .unwrap()
-                .timeline,
+    for threads in [1, 13] {
+        let (s, f) = rayon::with_max_threads(threads, || {
+            let s = serve(&black(), &net, &scfg).unwrap().timeline;
+            let f = serve_fleet(&[&black(), &black()], std::slice::from_ref(&net), &fcfg);
+            (s, f.unwrap().timeline)
+        });
+        assert_eq!(
+            serve_base,
+            digest(&s),
+            "serve timeline diverged under a {threads}-thread budget"
         );
-        assert_eq!(fleet_base, f, "fleet timeline diverged at MEMCNN_THREADS={threads}");
+        assert_eq!(
+            fleet_base,
+            digest(&f),
+            "fleet timeline diverged under a {threads}-thread budget"
+        );
     }
 
     // (4) The convoy fix is visible in the per-device queue series: on

@@ -3,9 +3,9 @@
 //! surfacing across serving buckets.
 //!
 //! Like `sim_cache.rs`, these assertions read process-global state (the
-//! perf-counter registry and the env-configured thread count), so
-//! everything lives in ONE `#[test]` — a second test in this binary would
-//! race the counters on the harness's concurrent threads.
+//! perf-counter registry), so everything lives in ONE `#[test]` — a
+//! second test in this binary would race the counters on the harness's
+//! concurrent threads.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Mechanism, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, FaultPlan};
@@ -183,16 +183,16 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
         tenants: Vec::new(),
     };
 
-    // (1) Determinism across runs and across MEMCNN_THREADS: the report —
-    // latency histogram, bucket decisions, compiled plans — must be
-    // bit-identical however the planner's probe fan-out is parallelized.
-    // (Safe to set here: one test per binary, see module docs.)
-    std::env::set_var("MEMCNN_THREADS", "1");
-    let base = digest(&serve(&engine(), &net, &cfg).unwrap());
-    for threads in ["4", "13"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let rerun = digest(&serve(&engine(), &net, &cfg).unwrap());
-        assert_eq!(base, rerun, "serving diverged at MEMCNN_THREADS={threads}");
+    // (1) Determinism across runs and thread budgets {1, 4, 13}: the
+    // report — latency histogram, bucket decisions, compiled plans — must
+    // be bit-identical however the planner's probe fan-out is
+    // parallelized.
+    let served = |threads| {
+        rayon::with_max_threads(threads, || digest(&serve(&engine(), &net, &cfg).unwrap()))
+    };
+    let base = served(1);
+    for threads in [4, 13] {
+        assert_eq!(base, served(threads), "serving diverged under a {threads}-thread budget");
     }
     // And a different seed actually changes the stream (the determinism
     // above is not vacuous).

@@ -23,7 +23,7 @@ fn spec(name: &str) -> ScenarioSpec {
 
 fn serve(spec: &ScenarioSpec) -> FleetReport {
     let fleet = scenario::fleet(spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    fleet.serve().unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+    fleet.serve(None).unwrap_or_else(|e| panic!("{}: {e}", spec.name))
 }
 
 /// Throughput of `network` on four least-loaded devices over one, at the

@@ -13,12 +13,12 @@ use memcnn::models::{alexnet, cifar10, lenet};
 
 #[test]
 fn cache_is_invisible_in_reports_and_earns_its_keep() {
-    // Exercise the parallel probe fan-out too, whatever this container's
-    // core count: the worker budget latches on first use, before any
-    // simulation has run. (Safe here: this binary has exactly one test,
-    // so nothing else can have touched rayon yet.)
-    std::env::set_var("MEMCNN_THREADS", "4");
+    // Exercise the parallel probe fan-out too, whatever the host's core
+    // count.
+    rayon::with_max_threads(4, cache_checks);
+}
 
+fn cache_checks() {
     let engine = |use_cache: bool| {
         Engine::new(DeviceConfig::titan_black(), LayoutThresholds::titan_black_paper())
             .with_sim_options(SimOptions { use_cache, ..SimOptions::default() })

@@ -5,15 +5,14 @@
 //! and the weighted-fair bound on best-effort starvation.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
-//! perf registry, the once-locked `MEMCNN_THREADS`, and the per-call
-//! `MEMCNN_FLEET_SEQUENTIAL` knob), so everything lives in ONE
-//! `#[test]`.
+//! perf registry), so everything lives in ONE `#[test]`, run under a
+//! 4-thread budget (`rayon::with_max_threads`).
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::DeviceConfig;
 use memcnn::serve::{
-    serve, serve_fleet, Arrival, BatchPolicy, FleetConfig, FleetReport, Phase, Placement,
-    ServeConfig, TenantSpec, WorkloadConfig,
+    serve, serve_fleet, serve_fleet_oracle, Arrival, BatchPolicy, FleetConfig, FleetReport, Oracle,
+    Phase, Placement, ServeConfig, TenantSpec, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 
@@ -47,6 +46,22 @@ fn digest(r: &FleetReport) -> (Vec<u64>, Vec<u32>, Vec<TenantRow>) {
     )
 }
 
+/// 64-bit FNV-1a of `text`, as 16 hex digits: the form of the pins below.
+fn pin(text: &str) -> String {
+    let h = text
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    format!("{h:016x}")
+}
+
+/// [`pin`]s of the tenant-enabled base run — the `Debug` text of its
+/// [`digest`] (integers only) and its whole report's JSON — recorded
+/// while the sequential oracle was still switched by an env var. A
+/// change that moves every run alike passes the rerun and oracle
+/// comparisons; it fails here.
+const PIN_SLO: &str = "838fff2e4724919f";
+const PIN_SLO_REPORT: &str = "c8374c518d815828";
+
 fn black() -> Engine {
     Engine::new(DeviceConfig::titan_black(), LayoutThresholds::titan_black_paper())
         .with_layout_policy(LayoutPolicy::Heuristic)
@@ -54,10 +69,10 @@ fn black() -> Engine {
 
 #[test]
 fn slo_scheduling_is_deterministic_balanced_and_fair() {
-    // Must precede every engine call in this process (once-locked).
-    std::env::set_var("MEMCNN_THREADS", "4");
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
+    rayon::with_max_threads(4, slo_checks);
+}
 
+fn slo_checks() {
     let net = NetworkBuilder::new("slo-net", Shape::new(1, 64, 8, 8))
         .conv("CV1", 64, 3, 1, 1)
         .max_pool("PL1", 2, 2)
@@ -81,23 +96,25 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
     let cfg =
         FleetConfig::new(wl.clone(), policy, Placement::LeastLoaded).with_tenants(tenants.clone());
 
-    // (1) Tenant-enabled 2-device fleet: bit-identical digests across
-    // MEMCNN_THREADS re-sets {1, 13, 4} (nominal after the once-locked
-    // first read; the scenario harness replays across processes).
+    // (1) Tenant-enabled 2-device fleet: its pinned digest and report,
+    // and the same digest under 1- and 13-thread budgets.
     let shared = black();
     let engines: Vec<&Engine> = vec![&shared, &shared];
-    let base = digest(&serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap());
-    for threads in ["1", "13", "4"] {
-        std::env::set_var("MEMCNN_THREADS", threads);
-        let rerun = digest(&serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap());
-        assert_eq!(base, rerun, "SLO fleet diverged after re-setting MEMCNN_THREADS={threads}");
+    let run = || serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap();
+    let report = run();
+    let base = digest(&report);
+    assert_eq!(pin(&format!("{base:?}")), PIN_SLO, "SLO fleet digest drifted");
+    let json = serde_json::to_string(&report).unwrap();
+    assert_eq!(pin(&json), PIN_SLO_REPORT, "SLO fleet report drifted");
+    for threads in [1, 13] {
+        let rerun = digest(&rayon::with_max_threads(threads, run));
+        assert_eq!(base, rerun, "SLO fleet diverged under a {threads}-thread budget");
     }
 
     // (2) Per-tenant AND aggregate accounting balance, attribution
     // totals, and the starvation bound: the weighted-fair deficit
     // tiebreak must keep the best-effort tenant serving through the
     // saturating burst, not just the interactive one.
-    let report = serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap();
     let slo = report.slo.as_ref().unwrap();
     assert!(slo.balanced(), "per-tenant accounting out of balance");
     assert_eq!(slo.tenants.len(), 3);
@@ -146,11 +163,10 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
     // (4) Sequential-vs-parallel byte-identity holds WITH tenants: the
     // legacy loop must reproduce the whole report — including the slo
     // block and the per-tenant keyed histograms — byte for byte.
-    std::env::set_var("MEMCNN_FLEET_SEQUENTIAL", "1");
-    let seq = serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap();
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
+    let seq =
+        serve_fleet_oracle(&engines, std::slice::from_ref(&net), &cfg, Oracle::Sequential).unwrap();
     assert_eq!(
-        serde_json::to_string(&report).unwrap(),
+        json,
         serde_json::to_string(&seq).unwrap(),
         "sequential and parallel SLO reports must be byte-identical"
     );
@@ -173,7 +189,6 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
     // (6) Single-device tenant path agrees with a K = 1 fleet, field
     // for field on the per-tenant books (the same lanes arithmetic runs
     // under both drivers).
-    std::env::set_var("MEMCNN_THREADS", "4");
     let stcfg = ServeConfig::new(wl, policy).with_tenants(tenants);
     let single = serve(&black(), &net, &stcfg).unwrap();
     let k1 = serve_fleet(&[&black()], std::slice::from_ref(&net), &cfg).unwrap();

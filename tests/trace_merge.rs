@@ -4,10 +4,10 @@
 //! is indistinguishable — span for span, bit for bit — from a
 //! sequential run's.
 //!
-//! This binary reads process-global state (the perf registry and the
-//! once-locked `MEMCNN_THREADS`), so everything lives in ONE `#[test]`.
-//! The env var is set FIRST, before any engine call, to lock the rayon
-//! pool at 4 workers and actually exercise the fan-out path.
+//! This binary reads process-global state (the perf registry), so
+//! everything lives in ONE `#[test]`. It runs under a 4-thread budget
+//! (`rayon::with_max_threads`) to actually exercise the fan-out path
+//! whatever the host's core count.
 
 use memcnn::core::Mechanism;
 use memcnn::gpusim::SimOptions;
@@ -31,9 +31,10 @@ fn span_key(sp: &trace::SpanEvent) -> (String, String, u64, u64, Vec<(String, St
 
 #[test]
 fn traced_fanout_merges_to_the_sequential_trace() {
-    // Must happen before the first engine call in this process: the
-    // thread count is read once and cached.
-    std::env::set_var("MEMCNN_THREADS", "4");
+    rayon::with_max_threads(4, fanout_checks);
+}
+
+fn fanout_checks() {
     let net = memcnn::models::cifar10().unwrap();
 
     // (1) Traced run with the fan-out enabled (default options: the
