@@ -218,9 +218,6 @@ pub fn direct_conv_chwn(input: &Tensor, filter: &Tensor, shape: &ConvShape) -> T
                             continue;
                         }
                         let w = filter.get(co, ci, fy, fx);
-                        if w == 0.0 {
-                            continue;
-                        }
                         let in_row = ((ci * shape.h + iy as usize) * shape.w + ix as usize) * n;
                         for (a, &x) in acc.iter_mut().zip(&in_data[in_row..in_row + n]) {
                             *a += w * x;
@@ -239,6 +236,10 @@ mod tests {
     use crate::conv::conv_reference;
     use memcnn_gpusim::{simulate, DeviceConfig, SimOptions};
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn imgs_per_thread_rule() {
         assert_eq!(imgs_per_thread(128), 4);
@@ -255,7 +256,27 @@ mod tests {
         let filter = Tensor::random(s.filter_shape(), Layout::NCHW, 2);
         let got = direct_conv_chwn(&input, &filter, &s);
         let want = conv_reference(&input, &filter, &s, Layout::CHWN).unwrap();
-        assert!(got.approx_eq(&want, 1e-3), "diff {}", got.max_abs_diff(&want).unwrap());
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn zero_weight_over_infinite_input_is_nan_as_in_the_reference() {
+        let s = ConvShape::table1(4, 2, 6, 3, 3, 1);
+        let mut input = Tensor::random(s.input_shape(), Layout::CHWN, 5);
+        input.set(1, 1, 2, 3, f32::INFINITY);
+        let mut filter = Tensor::random(s.filter_shape(), Layout::NCHW, 6);
+        for co in 0..s.co {
+            for fy in 0..s.fh {
+                for fx in 0..s.fw {
+                    filter.set(co, 1, fy, fx, 0.0);
+                }
+            }
+        }
+        let got = direct_conv_chwn(&input, &filter, &s);
+        let want = conv_reference(&input, &filter, &s, Layout::CHWN).unwrap();
+        // 0 * inf = NaN in each of the 3x3 outputs per filter that see it.
+        assert_eq!(want.as_slice().iter().filter(|v| v.is_nan()).count(), 2 * 9);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -265,7 +286,7 @@ mod tests {
         let filter = Tensor::random(s.filter_shape(), Layout::NCHW, 4);
         let got = direct_conv_chwn(&input, &filter, &s);
         let want = conv_reference(&input, &filter, &s, Layout::CHWN).unwrap();
-        assert!(got.approx_eq(&want, 1e-3));
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! | FC, ReLU, LRN (whole-network support) | [`layers`] |
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod backward;
 pub mod conv;

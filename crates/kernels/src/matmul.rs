@@ -12,15 +12,23 @@
 //! `B` ([`sgemm`]), the implicit-GEMM convolution (`conv::conv_forward`,
 //! which gathers `B` straight from the input and stores `C` as NCHW planes)
 //! and the fully-connected layer (`layers::fc_forward`, which reads `B`
-//! transposed) differ only in their packer and where they store `C`. Every element of `C` is `((0 + a0*b0) + a1*b1) + ...` in
-//! ascending `k`, with no fused multiply-add, computed by exactly one task:
-//! the result is bit-identical to [`sgemm_naive`] at any thread count.
+//! transposed) differ only in their packer and where they store `C`.
+//!
+//! The per-chunk body (pack a panel of `B`, sweep it with the register
+//! tile) is compiled twice: once for the baseline target and once, on
+//! x86-64, under `#[target_feature(enable = "avx2")]`, where the 6x16 tile
+//! fits in 12 of the 16 ymm registers. Each call picks the AVX2 copy when
+//! the CPU reports AVX2 at run time, else the portable one; no build
+//! setting or option is involved. Both copies run the same Rust, so every
+//! element of `C` is `((0 + a0*b0) + a1*b1) + ...` in ascending `k`, with
+//! no fused multiply-add, computed by exactly one task: the result is
+//! bit-identical to [`sgemm_naive`] at any thread count and on either copy.
 
 use crate::gemm_model::GemmKernel;
 use rayon::prelude::*;
 
 /// Rows of `A` per packed panel, and rows of the register tile.
-const MR: usize = 4;
+const MR: usize = 6;
 /// Columns of `B` per packed panel, and columns of the register tile.
 pub const NR: usize = 16;
 /// Columns of `C` per parallel task.
@@ -36,8 +44,18 @@ const NC: usize = 1024;
 ///
 /// Tasks run over contiguous `NC`-column chunks of `C`; inside a chunk,
 /// each `k x NR` panel of `B` is packed once and swept by every `MR`-row
-/// panel of `A` through an `MR x NR` register tile.
-pub fn gemm_packed<P, S>(m: usize, k: usize, n: usize, a: &[f32], pack_b: P, mut store: S)
+/// panel of `A` through an `MR x NR` register tile, in the widest copy of
+/// that loop the CPU runs (see the module doc).
+pub fn gemm_packed<P, S>(m: usize, k: usize, n: usize, a: &[f32], pack_b: P, store: S)
+where
+    P: Fn(usize, usize, &mut [f32]) + Sync,
+    S: FnMut(usize, usize, &[f32]),
+{
+    gemm_on(Body::widest(), m, k, n, a, pack_b, store)
+}
+
+/// [`gemm_packed`] through the given copy of the chunk body.
+fn gemm_on<P, S>(body: Body, m: usize, k: usize, n: usize, a: &[f32], pack_b: P, mut store: S)
 where
     P: Fn(usize, usize, &mut [f32]) + Sync,
     S: FnMut(usize, usize, &[f32]),
@@ -51,41 +69,119 @@ where
         (0..m).for_each(|i| store(i, 0, &zeros));
         return;
     }
-    // a_packed[panel][kk][r] = A[panel * MR + r][kk]; rows past m are zero.
-    let mut a_packed = vec![0f32; m.div_ceil(MR) * k * MR];
-    for (panel, ap) in a_packed.chunks_exact_mut(k * MR).enumerate() {
-        for r in 0..MR.min(m - panel * MR) {
-            let row = &a[(panel * MR + r) * k..][..k];
-            for (slot, &v) in ap.iter_mut().skip(r).step_by(MR).zip(row) {
-                *slot = v;
-            }
-        }
-    }
+    let ops = Operands::pack(m, k, a, pack_b);
     let blocks: Vec<Vec<f32>> = (0..n.div_ceil(NC))
         .into_par_iter()
-        .map(|chunk| {
-            let (j0, w) = (chunk * NC, NC.min(n - chunk * NC));
-            // Row-major m x w block of C.
-            let mut block = vec![0f32; m * w];
-            let mut panel = vec![0f32; k * NR];
-            for jp in (0..w).step_by(NR) {
-                let width = NR.min(w - jp);
-                pack_b(j0 + jp, width, &mut panel);
-                for (p, ap) in a_packed.chunks_exact(k * MR).enumerate() {
-                    let tile = register_tile(ap, &panel);
-                    for (r, row) in tile.iter().enumerate().take(m - p * MR) {
-                        block[(p * MR + r) * w + jp..][..width].copy_from_slice(&row[..width]);
-                    }
-                }
-            }
-            block
-        })
+        .map(|chunk| body.run(&ops, chunk * NC, NC.min(n - chunk * NC)))
         .collect();
     // Each block is freed as soon as it is stored.
     for (chunk, block) in blocks.into_iter().enumerate() {
         let w = NC.min(n - chunk * NC);
         for (i, row) in block.chunks_exact(w).enumerate() {
             store(i, chunk * NC, row);
+        }
+    }
+}
+
+/// What every task of one call shares: `A (m x k)` packed into `MR`-row
+/// panels, and the caller's packer for `B`.
+struct Operands<P> {
+    m: usize,
+    k: usize,
+    /// `a_packed[panel][kk][r] = A[panel * MR + r][kk]`; rows past `m` are
+    /// zero.
+    a_packed: Vec<f32>,
+    pack_b: P,
+}
+
+impl<P: Fn(usize, usize, &mut [f32])> Operands<P> {
+    fn pack(m: usize, k: usize, a: &[f32], pack_b: P) -> Self {
+        let mut a_packed = vec![0f32; m.div_ceil(MR) * k * MR];
+        for (panel, ap) in a_packed.chunks_exact_mut(k * MR).enumerate() {
+            for r in 0..MR.min(m - panel * MR) {
+                let row = &a[(panel * MR + r) * k..][..k];
+                for (slot, &v) in ap.iter_mut().skip(r).step_by(MR).zip(row) {
+                    *slot = v;
+                }
+            }
+        }
+        Operands { m, k, a_packed, pack_b }
+    }
+
+    /// The row-major `m x w` block of `C` at columns `j0..j0 + w`: each
+    /// `k x NR` panel of `B` is packed once and swept by every `MR`-row
+    /// panel of `A` through an `MR x NR` register tile. Inlined into each
+    /// copy in [`Body::run`], so each compiles it for its own target
+    /// features.
+    #[inline(always)]
+    fn block(&self, j0: usize, w: usize) -> Vec<f32> {
+        let (m, k) = (self.m, self.k);
+        let mut block = vec![0f32; m * w];
+        let mut panel = vec![0f32; k * NR];
+        for jp in (0..w).step_by(NR) {
+            let width = NR.min(w - jp);
+            (self.pack_b)(j0 + jp, width, &mut panel);
+            for (p, ap) in self.a_packed.chunks_exact(k * MR).enumerate() {
+                let tile = register_tile(ap, &panel);
+                for (r, row) in tile.iter().enumerate().take(m - p * MR) {
+                    block[(p * MR + r) * w + jp..][..width].copy_from_slice(&row[..width]);
+                }
+            }
+        }
+        block
+    }
+}
+
+/// A compiled copy of [`Operands::block`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Body {
+    /// Compiled for the baseline target (SSE2 on x86-64).
+    Portable,
+    /// Compiled with AVX2 enabled. Only [`Body::widest`] makes this value,
+    /// and only after the CPU reported AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Body {
+    /// The widest copy this CPU can run.
+    fn widest() -> Body {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Body::Avx2;
+        }
+        Body::Portable
+    }
+
+    /// [`Operands::block`] through this copy.
+    #[allow(unsafe_code)]
+    fn run<P: Fn(usize, usize, &mut [f32])>(
+        self,
+        ops: &Operands<P>,
+        j0: usize,
+        w: usize,
+    ) -> Vec<f32> {
+        /// [`Operands::block`] compiled with AVX2 enabled.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2<P: Fn(usize, usize, &mut [f32])>(
+            ops: &Operands<P>,
+            j0: usize,
+            w: usize,
+        ) -> Vec<f32> {
+            ops.block(j0, w)
+        }
+
+        match self {
+            Body::Portable => ops.block(j0, w),
+            // SAFETY: `Body::Avx2` comes only from `Body::widest`, after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2 => unsafe { avx2(ops, j0, w) },
         }
     }
 }
@@ -173,6 +269,47 @@ mod tests {
         let fast = sgemm(m, k, n, &a, &b);
         assert_eq!(fast.len(), m * n);
         assert_eq!(bits(&fast), bits(&sgemm_naive(m, k, n, &a, &b)), "m={m} k={k} n={n}");
+    }
+
+    /// [`sgemm`] through one given copy of the chunk body.
+    fn sgemm_on(body: Body, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut c = vec![0f32; m * n];
+        let pack_b = |j0: usize, width: usize, panel: &mut [f32]| {
+            for (dst, src) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+                dst[..width].copy_from_slice(&src[j0..j0 + width]);
+            }
+        };
+        gemm_on(body, m, k, n, a, pack_b, |i, j0, row| {
+            c[i * n + j0..][..row.len()].copy_from_slice(row);
+        });
+        c
+    }
+
+    #[test]
+    fn every_compiled_copy_matches_naive() {
+        let mut bodies = vec![Body::Portable];
+        if Body::widest() == Body::Portable {
+            eprintln!("skipped the AVX2 copy: this CPU does not report AVX2");
+        } else {
+            bodies.push(Body::widest());
+        }
+        // Signed zeros, subnormals (operands and products) and normals.
+        let values = [0.0, -0.0, 1.5e-39, -3.0e-41, f32::from_bits(1), 0.37, -2.1, 7.25, 1.0e-20];
+        let pick = |seed: usize| values[seed % values.len()];
+        let mut shapes = Vec::new();
+        // m across two MR-row panels and a ragged third.
+        shapes.extend((1..=2 * MR + 1).map(|m| (m, 11, 40)));
+        // n below one panel, across a panel edge and across several tasks.
+        shapes.extend([1, NR - 1, NR + 1, NC - 1, NC + 1, 3 * NC + 5].map(|n| (MR + 1, 9, n)));
+        shapes.extend([(2 * MR + 1, 1, 33), (1, 1, 1)]);
+        for body in bodies {
+            for &(m, k, n) in &shapes {
+                let a = mat(m, k, |i, j| pick(i * 7 + j * 3));
+                let b = mat(k, n, |i, j| pick(i * 5 + j * 2 + 1));
+                let want = bits(&sgemm_naive(m, k, n, &a, &b));
+                assert_eq!(bits(&sgemm_on(body, m, k, n, &a, &b)), want, "{body:?} {m}x{k}x{n}");
+            }
+        }
     }
 
     #[test]
