@@ -877,6 +877,7 @@ impl Engine {
     /// Every compile bumps the `engine.plan.compile` perf counter, so plan
     /// caches can prove they never re-run the DP for a cached entry.
     pub fn plan(&self, net: &Network, mech: Mechanism) -> Result<Plan, SimError> {
+        let _buffers = memcnn_gpusim::reuse_trace_buffers();
         let _net_scope = trace::scope(trace::Scope::Network(net.name.clone()));
         trace::perf::incr("engine.plan.compile");
         let layouts: Vec<Layout> = match mech.fixed_layout() {

@@ -74,6 +74,7 @@ impl EngineError {
                 EngineError::PlanOom { batch, needed, available }
             }
             SimError::Unlaunchable(msg) => EngineError::PlanInfeasible(msg),
+            err @ SimError::AddressOutOfRange(_) => EngineError::Fatal(err.to_string()),
         }
     }
 

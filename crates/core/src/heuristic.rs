@@ -113,6 +113,7 @@ pub fn derive_thresholds(
     device: &DeviceConfig,
     opts: &SimOptions,
 ) -> Result<LayoutThresholds, SimError> {
+    let _buffers = memcnn_gpusim::reuse_trace_buffers();
     // Ct: smallest C at which NCHW wins with N fixed at 64.
     let c_sweep = [16usize, 32, 64, 128, 256];
     let mut ct = *c_sweep.last().unwrap() * 2; // "never": CHWN always wins

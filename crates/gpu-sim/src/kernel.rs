@@ -115,8 +115,12 @@ pub struct BlockTrace {
     bank_mode: BankMode,
     banks: u32,
     /// Ordered sector stream for the cache model, each entry a sector and
-    /// its store flag packed into one word (see [`pack`] and [`unpack`]).
-    pub(crate) sectors: Vec<u64>,
+    /// its store flag packed into one 32-bit word (see [`pack`] and
+    /// [`unpack`]).
+    pub(crate) sectors: Vec<u32>,
+    /// OR of every sector recorded: it reaches [`SECTOR_LIMIT`] once any
+    /// sector does (see [`out_of_range`](Self::out_of_range)).
+    high_bits: u64,
     /// Scratch for the coalescer.
     scratch: Vec<u64>,
     /// Warp-level global memory instructions issued.
@@ -144,10 +148,19 @@ pub struct BlockTrace {
 impl BlockTrace {
     /// New empty trace under a bank mode.
     pub fn new(bank_mode: BankMode, banks: u32) -> BlockTrace {
+        BlockTrace::with_buffer(bank_mode, banks, Vec::new())
+    }
+
+    /// New empty trace that records its sector stream into `buffer`
+    /// (cleared first), so a launch can reuse the capacity of an earlier
+    /// one's streams.
+    pub(crate) fn with_buffer(bank_mode: BankMode, banks: u32, mut buffer: Vec<u32>) -> BlockTrace {
+        buffer.clear();
         BlockTrace {
             bank_mode,
             banks,
-            sectors: Vec::new(),
+            sectors: buffer,
+            high_bits: 0,
             scratch: Vec::new(),
             mem_instrs: 0,
             load_sectors: 0,
@@ -168,7 +181,8 @@ impl BlockTrace {
         }
         debug_assert!(addrs.len() <= 32, "a warp access has at most 32 lanes");
         coalesce::coalesce(addrs, bytes_per_lane, &mut self.scratch);
-        let flag = u64::from(store);
+        let flag = u32::from(store);
+        self.high_bits |= self.scratch.iter().fold(0, |bits, &s| bits | s);
         self.sectors.extend(self.scratch.iter().map(|&s| pack(s, flag)));
         self.tally(self.scratch.len() as u64, addrs.len() as u64 * bytes_per_lane, store);
     }
@@ -210,7 +224,7 @@ impl BlockTrace {
             return;
         }
         debug_assert!(lanes <= 32, "a warp access has at most 32 lanes");
-        let flag = u64::from(store);
+        let flag = u32::from(store);
         let before = self.sectors.len();
         // Lowest sector this access has not pushed yet, and the lowest
         // address the next run may start at.
@@ -219,6 +233,8 @@ impl BlockTrace {
             debug_assert!(addr >= min_addr, "runs must come in non-decreasing address order");
             let end = addr + n * bytes_per_lane;
             let last = coalesce::sector_of(end - 1);
+            // The run's sectors ascend, so its last bounds them all.
+            self.high_bits |= last;
             self.sectors
                 .extend((coalesce::sector_of(addr).max(next)..=last).map(|s| pack(s, flag)));
             next = last + 1;
@@ -270,6 +286,15 @@ impl BlockTrace {
     pub fn total_sectors(&self) -> u64 {
         self.load_sectors + self.store_sectors
     }
+
+    /// Whether an access touched a sector at or above [`SECTOR_LIMIT`]
+    /// (byte address 64 GiB), which the 32-bit stream cannot hold: its
+    /// entries are then meaningless, and
+    /// [`simulate`](crate::launch::simulate) fails the launch with
+    /// [`SimError::AddressOutOfRange`](crate::SimError::AddressOutOfRange).
+    pub(crate) fn out_of_range(&self) -> bool {
+        self.high_bits >= SECTOR_LIMIT
+    }
 }
 
 /// Two traces are equal when they recorded the same accesses: the same
@@ -294,19 +319,27 @@ impl PartialEq for BlockTrace {
         self.bank_mode == other.bank_mode
             && self.banks == other.banks
             && self.sectors == other.sectors
+            && self.out_of_range() == other.out_of_range()
             && counters(self) == counters(other)
     }
 }
 
-/// Pack a sector and its store flag (0 or 1) into one stream entry.
+/// First sector a stream entry cannot hold: entries keep a sector in 31
+/// bits (64 GiB of simulated address space, over five times the memory
+/// of either modelled device) beside its store flag.
+pub const SECTOR_LIMIT: u64 = 1 << 31;
+
+/// Pack a sector below [`SECTOR_LIMIT`] and its store flag (0 or 1) into
+/// one stream entry. Higher sectors lose their top bits; the trace's
+/// `high_bits` flags them.
 #[inline]
-fn pack(sector: u64, store: u64) -> u64 {
-    sector << 1 | store
+fn pack(sector: u64, store: u32) -> u32 {
+    (sector as u32) << 1 | store
 }
 
 /// A stream entry's sector and whether it is a store.
 #[inline]
-pub(crate) fn unpack(entry: u64) -> (u64, bool) {
+pub(crate) fn unpack(entry: u32) -> (u32, bool) {
     (entry >> 1, entry & 1 == 1)
 }
 
@@ -364,6 +397,22 @@ mod tests {
         assert_eq!(t.flops, 100);
         assert_eq!(t.aux_warp_instrs, 7);
         assert_eq!(t.syncs, 1);
+    }
+
+    #[test]
+    fn sectors_past_the_limit_are_flagged_not_kept() {
+        let limit = SECTOR_LIMIT * 32;
+        let mut t = BlockTrace::new(BankMode::FourByte, 32);
+        t.global_load(&[limit - 4], 4);
+        t.global_runs(&[(limit - 128, 32)], 4, true);
+        assert!(!t.out_of_range(), "the last sector below the limit fits");
+        assert_eq!(unpack(t.sectors[0]), ((SECTOR_LIMIT - 1) as u32, false));
+        let mut lanes = BlockTrace::new(BankMode::FourByte, 32);
+        lanes.global_store(&[limit], 4);
+        assert!(lanes.out_of_range());
+        let mut runs = BlockTrace::new(BankMode::FourByte, 32);
+        runs.global_runs(&[(limit - 64, 32)], 4, false);
+        assert!(runs.out_of_range(), "a run that crosses the limit");
     }
 
     #[test]

@@ -8,6 +8,8 @@ use crate::occupancy::{occupancy, Occupancy};
 use crate::SimError;
 use rayon::prelude::*;
 use serde::Serialize;
+use std::cell::RefCell;
+use std::marker::PhantomData;
 
 /// Simulation options.
 #[derive(Clone, Copy, Debug)]
@@ -154,6 +156,66 @@ fn sample_blocks(grid: u64, max: u64) -> Vec<u64> {
     out
 }
 
+thread_local! {
+    /// Sector-stream buffers of this thread's finished cold simulations,
+    /// kept for the next launch while a [`TraceBufferScope`] is open on
+    /// the thread; `None` outside every scope.
+    static TRACE_BUFFERS: RefCell<Option<Vec<Vec<u32>>>> = const { RefCell::new(None) };
+}
+
+/// While alive, cold simulations started on this thread record their
+/// block traces into buffers kept from earlier ones instead of fresh
+/// allocations (a plan's largest launch records tens of megabytes, and
+/// fresh pages for every launch cost more than the recording). Scopes
+/// nest; the outermost frees the buffers when dropped, so nothing
+/// outlives the planning call that opened it. Reports are identical with
+/// or without a scope.
+#[must_use = "buffers are reused only while the scope is alive"]
+pub struct TraceBufferScope {
+    outermost: bool,
+    /// Tied to the thread whose buffers it frees.
+    _thread: PhantomData<*const ()>,
+}
+
+/// Open a [`TraceBufferScope`] on this thread.
+pub fn reuse_trace_buffers() -> TraceBufferScope {
+    let outermost = TRACE_BUFFERS.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let outermost = pool.is_none();
+        pool.get_or_insert_with(Vec::new);
+        outermost
+    });
+    TraceBufferScope { outermost, _thread: PhantomData }
+}
+
+impl Drop for TraceBufferScope {
+    fn drop(&mut self) {
+        if self.outermost {
+            TRACE_BUFFERS.with(|pool| pool.borrow_mut().take());
+        }
+    }
+}
+
+/// `n` sector-stream buffers: kept ones while a scope is open, then empty.
+fn take_trace_buffers(n: usize) -> Vec<Vec<u32>> {
+    let mut bufs = TRACE_BUFFERS.with(|pool| match pool.borrow_mut().as_mut() {
+        Some(kept) => kept.split_off(kept.len().saturating_sub(n)),
+        None => Vec::new(),
+    });
+    bufs.resize_with(n, Vec::new);
+    bufs
+}
+
+/// Keep `traces`' sector-stream buffers for the next launch, if a scope
+/// is open.
+fn keep_trace_buffers(traces: Vec<BlockTrace>) {
+    TRACE_BUFFERS.with(|pool| {
+        if let Some(kept) = pool.borrow_mut().as_mut() {
+            kept.extend(traces.into_iter().map(|t| t.sectors));
+        }
+    });
+}
+
 /// Simulate one kernel launch on a device.
 ///
 /// Fails if the kernel cannot launch (resources) or its declared footprint
@@ -212,14 +274,19 @@ fn simulate_cold(
     let occ = occupancy(device, &launch)?;
 
     let sampled = sample_blocks(launch.grid_blocks, opts.max_sampled_blocks);
-    let traces: Vec<BlockTrace> = sampled
-        .par_iter()
-        .map(|&b| {
-            let mut t = BlockTrace::new(launch.bank_mode, device.smem_banks);
+    let jobs: Vec<(u64, Vec<u32>)> =
+        sampled.iter().copied().zip(take_trace_buffers(sampled.len())).collect();
+    let traces: Vec<BlockTrace> = jobs
+        .into_par_iter()
+        .map(|(b, buf)| {
+            let mut t = BlockTrace::with_buffer(launch.bank_mode, device.smem_banks, buf);
             kernel.trace_block(b, &mut t);
             t
         })
         .collect();
+    if traces.iter().any(BlockTrace::out_of_range) {
+        return Err(SimError::AddressOutOfRange(kernel.name()));
+    }
 
     let scale = launch.grid_blocks as f64 / sampled.len().max(1) as f64;
 
@@ -257,10 +324,7 @@ fn simulate_cold(
     let mut l2_hit_rate = 0.0;
     if opts.l2_enabled && !traces.is_empty() {
         let wave = (occ.concurrent_blocks as usize).max(1);
-        let sampled_in_wave = traces.len().min(wave);
-        let cache_frac = sampled_in_wave as f64 / wave as f64;
-        let cache_size = ((device.l2_size as f64 * cache_frac) as u64)
-            .max(DeviceConfig::SECTOR_BYTES * device.l2_assoc as u64);
+        let cache_size = sampled_l2_bytes(device, traces.len().min(wave) as u64, wave as u64);
         let mut cache = Cache::new(cache_size, device.l2_assoc, DeviceConfig::SECTOR_BYTES);
         const CHUNK: usize = 8;
         for wave_traces in traces.chunks(wave) {
@@ -290,6 +354,7 @@ fn simulate_cold(
     } else {
         miss_load = traces.iter().map(|t| t.load_sectors).sum();
     }
+    keep_trace_buffers(traces);
 
     let sector = DeviceConfig::SECTOR_BYTES as f64;
     // Loads: scale misses to the grid; floor by compulsory traffic, cap by
@@ -319,6 +384,15 @@ fn simulate_cold(
         grid_blocks: launch.grid_blocks,
     };
     Ok((report, totals.smem_passes, totals.smem_bytes))
+}
+
+/// L2 bytes a launch's replay models when `sampled` of a wave of `wave`
+/// co-resident blocks are replayed: the sampled share of the real cache,
+/// at least one sector per way.
+pub(crate) fn sampled_l2_bytes(device: &DeviceConfig, sampled: u64, wave: u64) -> u64 {
+    let cache_frac = sampled as f64 / wave as f64;
+    ((device.l2_size as f64 * cache_frac) as u64)
+        .max(DeviceConfig::SECTOR_BYTES * device.l2_assoc as u64)
 }
 
 /// Publish a report's counters to an active trace collector (the closure
@@ -506,6 +580,74 @@ mod tests {
             }
             other => panic!("expected OOM, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn addresses_past_64_gib_fail_with_a_typed_error() {
+        /// Reads one warp at `addr`, which its footprint does not cover.
+        struct FarRead {
+            addr: u64,
+        }
+        impl KernelSpec for FarRead {
+            fn name(&self) -> String {
+                format!("far-read {:#x}", self.addr)
+            }
+            fn launch(&self) -> LaunchConfig {
+                LaunchConfig {
+                    grid_blocks: 4,
+                    threads_per_block: 32,
+                    regs_per_thread: 16,
+                    smem_per_block: 0,
+                    bank_mode: BankMode::FourByte,
+                }
+            }
+            fn work(&self) -> WorkSummary {
+                WorkSummary::new(128.0, 0.0, 128)
+            }
+            fn trace_block(&self, block: u64, t: &mut BlockTrace) {
+                let addrs: Vec<u64> = (0..32u64).map(|l| self.addr + l * 4).collect();
+                if block == 2 {
+                    t.global_load(&addrs, 4);
+                }
+            }
+        }
+        let d = DeviceConfig::titan_black();
+        let gib = 1u64 << 30;
+        // The last warp that fits below 64 GiB simulates; one past does not.
+        assert!(simulate(&d, &FarRead { addr: 64 * gib - 128 }, &SimOptions::default()).is_ok());
+        for addr in [64 * gib - 64, 64 * gib, 100 * gib, 1 << 62] {
+            let _buffers = reuse_trace_buffers();
+            let k = FarRead { addr };
+            match simulate(&d, &k, &SimOptions { use_cache: false, ..Default::default() }) {
+                Err(SimError::AddressOutOfRange(name)) => assert_eq!(name, k.name()),
+                other => panic!("{addr:#x}: expected AddressOutOfRange, got {other:?}"),
+            }
+            assert!(simulate(&d, &k, &SimOptions::default()).is_err(), "errors are never cached");
+        }
+    }
+
+    #[test]
+    fn trace_buffers_are_kept_only_inside_a_scope() {
+        let d = DeviceConfig::titan_black();
+        let k = CopyKernel { grid: 64, src_base: 0, dst_base: 1 << 33, stride: 1 };
+        let opts = SimOptions { use_cache: false, ..Default::default() };
+        let kept = || TRACE_BUFFERS.with(|p| p.borrow().as_ref().map(Vec::len));
+        let unscoped = simulate(&d, &k, &opts).unwrap();
+        assert_eq!(kept(), None);
+        {
+            let _outer = reuse_trace_buffers();
+            let first = simulate(&d, &k, &opts).unwrap();
+            assert_eq!(kept(), Some(24));
+            {
+                let _inner = reuse_trace_buffers();
+                let again = simulate(&d, &k, &opts).unwrap();
+                assert_eq!(again.dram_bytes, first.dram_bytes);
+            }
+            assert_eq!(kept(), Some(24), "an inner scope leaves the buffers to the outer one");
+            assert_eq!(first.time(), unscoped.time());
+            assert_eq!(first.l2_hit_rate, unscoped.l2_hit_rate);
+        }
+        assert_eq!(kept(), None, "the outermost scope frees the buffers");
     }
 
     #[test]

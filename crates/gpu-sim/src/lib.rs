@@ -75,7 +75,10 @@ pub use address::{AddressSpace, DeviceBuffer};
 pub use device::{BankMode, DeviceConfig};
 pub use faults::{DeviceFault, DeviceFaultKind, DeviceFaultPlan, Fault, FaultPlan, Roll};
 pub use kernel::{BlockTrace, KernelSpec, LaunchConfig, WorkSummary};
-pub use launch::{simulate, simulate_sequence, KernelReport, SequenceReport, SimOptions};
+pub use launch::{
+    reuse_trace_buffers, simulate, simulate_sequence, KernelReport, SequenceReport, SimOptions,
+    TraceBufferScope,
+};
 pub use model::{Bound, KernelTime};
 pub use occupancy::{occupancy, Limiter, Occupancy};
 pub use simcache::derived_cache_key;
@@ -95,6 +98,11 @@ pub enum SimError {
         /// Bytes the device has.
         available: u64,
     },
+    /// A block trace touched a byte address at or above 64 GiB, past the
+    /// sectors the simulator's 32-bit sector streams can hold
+    /// ([`kernel::SECTOR_LIMIT`]). No modelled device has that much
+    /// memory, so this is a spec bug, reported instead of truncated.
+    AddressOutOfRange(String),
 }
 
 impl fmt::Display for SimError {
@@ -106,6 +114,10 @@ impl fmt::Display for SimError {
                 "out of device memory: kernel needs {:.1} MB, device has {:.1} MB",
                 *needed as f64 / 1e6,
                 *available as f64 / 1e6
+            ),
+            SimError::AddressOutOfRange(kernel) => write!(
+                f,
+                "kernel {kernel} touches device memory at or above 64 GiB, past the simulated address space"
             ),
         }
     }

@@ -222,24 +222,39 @@ proptest! {
     }
 
     /// The move-to-front cache hits and misses exactly where an
-    /// age-stamped LRU does, over random streams and geometries (one set,
-    /// one way, and odd set counts included).
+    /// age-stamped LRU does, over random streams and geometries: one set,
+    /// one way and odd set counts, and the devices' own shape (16 ways,
+    /// thousands of sets, mostly not powers of two) over long streams.
     #[test]
     fn move_to_front_cache_matches_age_stamped_lru(
         seed in any::<u64>(),
-        sets in 1u64..=9,
-        assoc in 1u32..=17,
-        len in 1usize..600,
+        tiny in prop::bool::ANY,
+        sets in 1u64..=6144,
+        assoc in 1u32..=24,
+        len in 1usize..20_000,
     ) {
         let mut mix = Mix(seed);
+        // Half the cases keep to at most nine sets, and draws above 17
+        // ways (7 of 24) fold to the devices' 16.
+        let sets = if tiny { sets % 9 + 1 } else { sets };
+        let assoc = if assoc > 17 { 16 } else { assoc };
         let size = sets * u64::from(assoc) * 32;
         let mut fast = Cache::new(size, assoc, 32);
         let mut lru = reference::AgeLru::new(size, assoc, 32);
-        // A footprint around the capacity, so streams both hit and evict.
+        // A footprint around the capacity, so streams both hit and evict,
+        // and a few hot sets given more tags than they have ways, so a
+        // large cache evicts too.
         let span = 1 + sets * u64::from(assoc) * (1 + mix.below(3));
+        let hot = 1 + mix.below(sets.min(32));
+        let depth = 1 + mix.below(2 * u64::from(assoc) + 2);
         for i in 0..len {
-            let sector = if mix.below(4) == 0 { mix.next() >> 6 } else { mix.below(span) };
-            prop_assert_eq!(fast.access(sector), lru.access(sector), "access {} sector {}", i, sector);
+            let sector = match mix.below(4) {
+                // Anywhere in the 31-bit sector range a stream holds.
+                0 => mix.next() >> 33,
+                1 => mix.below(hot) + sets * mix.below(depth),
+                _ => mix.below(span),
+            };
+            prop_assert_eq!(fast.access(sector as u32), lru.access(sector), "access {} sector {}", i, sector);
         }
     }
 
@@ -320,7 +335,7 @@ proptest! {
     /// Cache sanity: hits + misses == accesses; a repeated single-sector
     /// stream has exactly one miss; hit rate is within [0, 1].
     #[test]
-    fn cache_accounting(sectors in proptest::collection::vec(0u64..512, 1..200)) {
+    fn cache_accounting(sectors in proptest::collection::vec(0u32..512, 1..200)) {
         let mut c = Cache::new(16 * 1024, 8, 32);
         for &s in &sectors {
             c.access(s);

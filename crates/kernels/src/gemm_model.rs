@@ -160,21 +160,11 @@ impl KernelSpec for GemmKernel {
             // consecutive lanes walk K (row-major A) — coalesced up to
             // k_eff, then the next row.
             let a_elems = tm_eff * k_eff;
-            for chunk_start in (0..a_elems).step_by(32) {
-                let lanes = 32.min(a_elems - chunk_start);
-                tile_access(t, self.a, chunk_start, lanes, k_eff, false, |r| {
-                    (bm + r) * self.k + k0
-                });
-            }
+            tile_walk(t, self.a, a_elems, k_eff, false, |r| (bm + r) * self.k + k0);
             // Stage B tile (k_eff x tn_eff): consecutive lanes walk N —
             // coalesced.
             let b_elems = k_eff * tn_eff;
-            for chunk_start in (0..b_elems).step_by(32) {
-                let lanes = 32.min(b_elems - chunk_start);
-                tile_access(t, self.b, chunk_start, lanes, tn_eff, false, |kk| {
-                    (k0 + kk) * self.n + bn
-                });
-            }
+            tile_walk(t, self.b, b_elems, tn_eff, false, |kk| (k0 + kk) * self.n + bn);
             // Shared-memory staging stores.
             smem_accesses += ((a_elems + b_elems) / 32).max(1) as u64;
             t.sync();
@@ -191,41 +181,108 @@ impl KernelSpec for GemmKernel {
         t.shared_repeat(&stage_addrs, 4, smem_accesses);
         // Write C tile: consecutive lanes along N — coalesced.
         let c_elems = tm_eff * tn_eff;
-        for chunk_start in (0..c_elems).step_by(32) {
-            let lanes = 32.min(c_elems - chunk_start);
-            tile_access(t, self.c, chunk_start, lanes, tn_eff, true, |r| (bm + r) * self.n + bn);
-        }
+        tile_walk(t, self.c, c_elems, tn_eff, true, |r| (bm + r) * self.n + bn);
     }
 }
 
-/// One warp access to elements `e0..e0 + lanes` of a row-major tile `width`
-/// elements wide whose row `r` starts at `f32` element `row(r)` of `buf`.
+/// The warp accesses that cover elements `0..elems` of a row-major tile
+/// `width` elements wide whose row `r` starts at `f32` element `row(r)` of
+/// `buf`: 32 consecutive elements per access, the last one ragged.
 /// Consecutive lanes walk a row, then the next (rows lie at increasing
-/// addresses), so the access is one unit-stride run per row it touches.
-fn tile_access(
+/// addresses), so an access is one unit-stride run per row it touches.
+/// The walk carries its `(row, col)` position across accesses, so no
+/// access divides by `width`.
+fn tile_walk(
     t: &mut BlockTrace,
     buf: DeviceBuffer,
-    e0: usize,
-    lanes: usize,
+    elems: usize,
     width: usize,
     store: bool,
     row: impl Fn(usize) -> usize,
 ) {
     let mut runs = [(0u64, 0u64); 32];
-    let (mut r, mut c) = (e0 / width, e0 % width);
-    let (mut n, mut left) = (0, lanes);
-    while left > 0 {
-        let len = (width - c).min(left);
-        runs[n] = (buf.f32((row(r) + c) as u64), len as u64);
-        (n, left, r, c) = (n + 1, left - len, r + 1, 0);
+    let (mut r, mut c) = (0, 0);
+    let mut left_in_tile = elems;
+    while left_in_tile > 0 {
+        let lanes = 32.min(left_in_tile);
+        let (mut n, mut left) = (0, lanes);
+        while left > 0 {
+            let len = (width - c).min(left);
+            runs[n] = (buf.f32((row(r) + c) as u64), len as u64);
+            (n, left, c) = (n + 1, left - len, c + len);
+            if c == width {
+                (r, c) = (r + 1, 0);
+            }
+        }
+        t.global_runs(&runs[..n], 4, store);
+        left_in_tile -= lanes;
     }
-    t.global_runs(&runs[..n], 4, store);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use memcnn_gpusim::{simulate, DeviceConfig, SimOptions};
+    use proptest::prelude::*;
+
+    /// The tile walk before it carried its position: one warp access per
+    /// 32 elements, each locating its first element by division.
+    fn reference_walk(
+        t: &mut BlockTrace,
+        buf: DeviceBuffer,
+        elems: usize,
+        width: usize,
+        store: bool,
+        row: impl Fn(usize) -> usize,
+    ) {
+        for e0 in (0..elems).step_by(32) {
+            let lanes = 32.min(elems - e0);
+            let mut runs = [(0u64, 0u64); 32];
+            let (mut r, mut c) = (e0 / width, e0 % width);
+            let (mut n, mut left) = (0, lanes);
+            while left > 0 {
+                let len = (width - c).min(left);
+                runs[n] = (buf.f32((row(r) + c) as u64), len as u64);
+                (n, left, r, c) = (n + 1, left - len, r + 1, 0);
+            }
+            t.global_runs(&runs[..n], 4, store);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The carried-position walk records exactly what the per-access
+        /// division did, for the A, B and C tiles of any block and K step
+        /// of random GEMMs: ragged edge tiles, `k < tk` and `n < 32`
+        /// included.
+        #[test]
+        fn tile_walk_matches_per_access_division(
+            m in 1usize..200,
+            k in 1usize..100,
+            n in 1usize..200,
+            pick in any::<u64>(),
+        ) {
+            let g = GemmKernel::with_fresh_buffers(m, k, n, GemmConfig::default());
+            let (tm, tn, tk) = (g.cfg.tm, g.cfg.tn, g.cfg.tk);
+            let (_, gn) = g.grid_dims();
+            let block = (pick % g.launch().grid_blocks) as usize;
+            let (bm, bn) = (block / gn * tm, block % gn * tn);
+            let (tm_eff, tn_eff) = (tm.min(m - bm), tn.min(n - bn));
+            let k0 = (pick >> 32) as usize % k.div_ceil(tk) * tk;
+            let k_eff = tk.min(k - k0);
+            let mut walked = BlockTrace::new(BankMode::FourByte, 32);
+            let mut reference = BlockTrace::new(BankMode::FourByte, 32);
+            let mut check = |buf, rows, width, store, row: &dyn Fn(usize) -> usize| {
+                tile_walk(&mut walked, buf, rows * width, width, store, row);
+                reference_walk(&mut reference, buf, rows * width, width, store, row);
+                assert_eq!(walked, reference, "{rows}x{width} tile at ({bm}, {bn}), k0 {k0}");
+            };
+            check(g.a, tm_eff, k_eff, false, &|r| (bm + r) * k + k0);
+            check(g.b, k_eff, tn_eff, false, &|kk| (k0 + kk) * n + bn);
+            check(g.c, tm_eff, tn_eff, true, &|r| (bm + r) * n + bn);
+        }
+    }
 
     #[test]
     fn big_square_gemm_is_compute_bound_at_decent_utilization() {

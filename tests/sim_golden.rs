@@ -8,17 +8,29 @@
 //! recording fast paths (monotone coalescing, run-based warp accesses,
 //! the move-to-front L2) went in: any change to a simulated number, in
 //! any spec, on either device, moves it.
+//!
+//! A second digest covers the specs Table 1 does not list: the classifier
+//! GEMMs, ReLU and LRN layers of the five evaluation networks at their
+//! Table-1 batches (the largest single launches a plan simulates), and
+//! the Winograd pipeline of every Table 1 convolution it supports. It was
+//! recorded before the 32-bit sector streams, the division-free L2 set
+//! index and the incremental GEMM tile walk went in.
 
+use memcnn::core::LayerSpec;
 use memcnn::gpusim::{simulate, DeviceConfig, KernelReport, KernelSpec, SimOptions};
 use memcnn::kernels::conv::direct_chwn::DirectConvChwn;
 use memcnn::kernels::conv::fft_nchw::{FftConvMode, FftConvNchw};
 use memcnn::kernels::conv::mm_nchw::MmConvNchw;
+use memcnn::kernels::conv::winograd::WinogradConvNchw;
+use memcnn::kernels::layers::{ElementwiseKernel, LrnKernel};
+use memcnn::kernels::matmul::gemm_kernel;
 use memcnn::kernels::pool::chwn::PoolChwn;
 use memcnn::kernels::pool::nchw::{PoolNchwCaffe, PoolNchwCudnn};
 use memcnn::kernels::softmax::{
     cudnn_pipeline, five_kernel_pipeline, SoftmaxFused, SoftmaxFusedSerial,
 };
 use memcnn::kernels::transform::{TransformImpl, TransformKernel, VECTORIZE_MIN_N};
+use memcnn::models::all_networks;
 use memcnn::models::table1::{CLASS_LAYERS, CONV_LAYERS, POOL_LAYERS};
 use memcnn::tensor::Layout;
 
@@ -26,6 +38,10 @@ use memcnn::tensor::Layout;
 /// recording fast paths. A change that moves it changed a simulated
 /// number.
 const GOLDEN: u64 = 0xe9c9_a224_f351_4d9c;
+
+/// Digest of the network-layer and Winograd reports below, recorded on
+/// the simulator before its 32-bit sector streams.
+const GOLDEN_NETWORK_LAYERS: u64 = 0x4956_c79c_cef7_c77e;
 
 /// 64-bit FNV-1a, folded incrementally.
 struct Fnv(u64);
@@ -134,22 +150,66 @@ fn specs() -> Vec<Entry> {
     out
 }
 
-#[test]
-fn cold_simulation_of_every_table1_spec_matches_the_golden_digest() {
+/// The FC GEMM, ReLU and LRN spec of every such layer of the five
+/// networks (in network then layer order), then the Winograd pipeline of
+/// every Table 1 convolution it supports.
+fn network_layer_specs() -> Vec<Box<dyn KernelSpec + Send>> {
+    let mut out: Vec<Box<dyn KernelSpec + Send>> = Vec::new();
+    for net in all_networks() {
+        for layer in net.layers() {
+            let elems = layer.input.len() as u64;
+            match layer.spec {
+                LayerSpec::Fc { outputs } => {
+                    let inputs = layer.input.c * layer.input.h * layer.input.w;
+                    out.push(Box::new(gemm_kernel(outputs, inputs, layer.input.n)));
+                }
+                LayerSpec::ReLU => out.push(Box::new(ElementwiseKernel::new("relu", elems, 1))),
+                LayerSpec::Lrn { size } => out.push(Box::new(LrnKernel::new(elems, size as u64))),
+                _ => {}
+            }
+        }
+    }
+    for e in CONV_LAYERS {
+        if let Ok(w) = WinogradConvNchw::new(e.shape) {
+            out.extend(w.kernels());
+        }
+    }
+    out
+}
+
+/// Cold-simulate `kernels` on both devices and fold every report.
+fn digest(kernels: &[&dyn KernelSpec]) -> u64 {
     let opts = SimOptions { use_cache: false, ..SimOptions::default() };
-    let specs = specs();
-    let kernels: Vec<&dyn KernelSpec> = specs.iter().flat_map(Entry::kernels).collect();
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for device in [DeviceConfig::titan_black(), DeviceConfig::titan_x()] {
         h.bytes(device.name.as_bytes());
-        for &k in &kernels {
+        for &k in kernels {
             let r = simulate(&device, k, &opts).unwrap_or_else(|e| panic!("{}: {e}", k.name()));
             h.report(&r);
         }
     }
+    h.0
+}
+
+#[test]
+fn cold_simulation_of_every_table1_spec_matches_the_golden_digest() {
+    let specs = specs();
+    let kernels: Vec<&dyn KernelSpec> = specs.iter().flat_map(Entry::kernels).collect();
     assert_eq!(
-        format!("{:016x}", h.0),
+        format!("{:016x}", digest(&kernels)),
         format!("{GOLDEN:016x}"),
+        "a simulated number moved ({} kernels x 2 devices)",
+        kernels.len()
+    );
+}
+
+#[test]
+fn cold_simulation_of_network_layers_and_winograd_matches_the_golden_digest() {
+    let specs = network_layer_specs();
+    let kernels: Vec<&dyn KernelSpec> = specs.iter().map(|k| k.as_ref() as _).collect();
+    assert_eq!(
+        format!("{:016x}", digest(&kernels)),
+        format!("{GOLDEN_NETWORK_LAYERS:016x}"),
         "a simulated number moved ({} kernels x 2 devices)",
         kernels.len()
     );
