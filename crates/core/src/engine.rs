@@ -338,32 +338,39 @@ impl Engine {
         self.opts.use_cache && rayon::max_threads() > 1
     }
 
-    /// Fan the NCHW convolution candidates (mm, fft, fft-tiling) out across
-    /// rayon workers, priming the simulation cache. Results — including
-    /// errors, which are never cached — are discarded; the caller re-runs
-    /// the same probes sequentially and reads hits, so candidate selection
-    /// and the final report are bit-identical to the sequential path.
-    fn prewarm_conv_candidates(&self, shape: &ConvShape) {
+    /// Run `probe(i, &jobs[i])` for every job across rayon workers, each
+    /// recording under worker `i` of a `trace::fork`, to prime the
+    /// simulation cache; a no-op unless
+    /// [`parallel_probes_enabled`](Self::parallel_probes_enabled). The
+    /// probes' outcomes are for the cache only (errors included: they are
+    /// never cached): the caller re-runs the same probes sequentially and
+    /// reads hits, so its results are bit-identical to a cold run.
+    fn fan_out<J: Sync>(&self, jobs: &[J], probe: impl Fn(usize, &J) + Sync) {
         if !self.parallel_probes_enabled() {
             return;
         }
-        trace::perf::add("engine.probe.fanout", 3);
+        trace::perf::add("engine.probe.fanout", jobs.len() as u64);
         let fork = trace::fork();
-        (0..3usize).into_par_iter().for_each(|i| {
+        jobs.par_iter().enumerate().for_each(|(i, job)| {
             let _w = fork.attach(i);
-            let _ = match i {
-                0 => MmConvNchw::new(*shape).simulate(&self.device, &self.opts).is_ok(),
-                1 => FftConvNchw::new(*shape, FftConvMode::Full)
-                    .ok()
-                    .and_then(|p| p.simulate(&self.device, &self.opts).ok())
-                    .is_some(),
-                _ => FftConvNchw::new(*shape, FftConvMode::Tiled)
+            probe(i, job);
+        });
+        fork.merge();
+    }
+
+    /// Fan the NCHW convolution candidates (mm, fft, fft-tiling) out across
+    /// rayon workers, priming the simulation cache for the caller's
+    /// sequential candidate selection.
+    fn prewarm_conv_candidates(&self, shape: &ConvShape) {
+        self.fan_out(&[None, Some(FftConvMode::Full), Some(FftConvMode::Tiled)], |_, mode| {
+            let _ = match mode {
+                None => MmConvNchw::new(*shape).simulate(&self.device, &self.opts).is_ok(),
+                Some(mode) => FftConvNchw::new(*shape, *mode)
                     .ok()
                     .and_then(|p| p.simulate(&self.device, &self.opts).ok())
                     .is_some(),
             };
         });
-        fork.merge();
     }
 
     fn sim_seq(&self, ks: &[Box<dyn KernelSpec + Send>]) -> Result<f64, SimError> {
@@ -632,41 +639,31 @@ impl Engine {
 
         // Fan the DP's whole probe set — every (layer, state) time plus
         // both boundary transforms of every sensitive layer — out across
-        // rayon workers, priming the simulation cache. Outcomes are
-        // discarded (errors included: they are never cached, so the DP
-        // below re-derives them deterministically); the sequential DP then
-        // reads hits and produces the exact costs a cold run would.
-        if self.parallel_probes_enabled() {
-            enum Job<'a> {
-                Time(&'a Layer, Layout),
-                Transform(Shape, Layout, Layout),
-            }
-            let mut jobs: Vec<Job> = Vec::with_capacity(4 * n);
-            for layer in layers {
-                if layer.layout_sensitive() {
-                    jobs.push(Job::Time(layer, Layout::NCHW));
-                    jobs.push(Job::Time(layer, Layout::CHWN));
-                    jobs.push(Job::Transform(layer.input, Layout::NCHW, Layout::CHWN));
-                    jobs.push(Job::Transform(layer.input, Layout::CHWN, Layout::NCHW));
-                } else {
-                    jobs.push(Job::Time(layer, Layout::NCHW));
-                }
-            }
-            trace::perf::add("engine.probe.fanout", jobs.len() as u64);
-            let fork = trace::fork();
-            jobs.par_iter().enumerate().for_each(|(ji, job)| {
-                let _w = fork.attach(ji);
-                let _ = match job {
-                    Job::Time(layer, layout) => {
-                        self.layer_time(layer, Mechanism::Opt, *layout).map(|_| ()).is_ok()
-                    }
-                    Job::Transform(shape, from, to) => {
-                        self.transform_time(*shape, *from, *to).is_ok()
-                    }
-                };
-            });
-            fork.merge();
+        // rayon workers, priming the simulation cache; the sequential DP
+        // then reads hits and produces the exact costs a cold run would.
+        enum Job<'a> {
+            Time(&'a Layer, Layout),
+            Transform(Shape, Layout, Layout),
         }
+        let mut jobs: Vec<Job> = Vec::with_capacity(4 * n);
+        for layer in layers {
+            if layer.layout_sensitive() {
+                jobs.push(Job::Time(layer, Layout::NCHW));
+                jobs.push(Job::Time(layer, Layout::CHWN));
+                jobs.push(Job::Transform(layer.input, Layout::NCHW, Layout::CHWN));
+                jobs.push(Job::Transform(layer.input, Layout::CHWN, Layout::NCHW));
+            } else {
+                jobs.push(Job::Time(layer, Layout::NCHW));
+            }
+        }
+        self.fan_out(&jobs, |_, job| {
+            let _ = match job {
+                Job::Time(layer, layout) => {
+                    self.layer_time(layer, Mechanism::Opt, *layout).map(|_| ()).is_ok()
+                }
+                Job::Transform(shape, from, to) => self.transform_time(*shape, *from, *to).is_ok(),
+            };
+        });
         let mut cost = vec![[f64::INFINITY; 2]; n];
         let mut parent = vec![[0usize; 2]; n];
         for (i, layer) in layers.iter().enumerate() {
@@ -812,16 +809,9 @@ impl Engine {
             .collect();
         // Prime the backward-pass simulations in parallel before the
         // sequential, trace-ordered accumulation below reads them as hits.
-        if self.parallel_probes_enabled() {
-            let layers = net.layers();
-            trace::perf::add("engine.probe.fanout", layers.len() as u64);
-            let fork = trace::fork();
-            (0..layers.len()).into_par_iter().for_each(|i| {
-                let _w = fork.attach(i);
-                let _ = self.layer_backward_time(&layers[i], mech, layouts[i], i == 0).is_ok();
-            });
-            fork.merge();
-        }
+        self.fan_out(net.layers(), |i, layer| {
+            let _ = self.layer_backward_time(layer, mech, layouts[i], i == 0).is_ok();
+        });
         {
             let _net_scope = trace::scope(trace::Scope::Network(net.name.clone()));
             let _bwd_scope = trace::scope(trace::Scope::Backward);
@@ -886,16 +876,9 @@ impl Engine {
         };
         // Prime the per-layer simulations in parallel (all hits afterwards;
         // a no-op when probing is off or everything is already cached).
-        if self.parallel_probes_enabled() {
-            let layers = net.layers();
-            trace::perf::add("engine.probe.fanout", layers.len() as u64);
-            let fork = trace::fork();
-            (0..layers.len()).into_par_iter().for_each(|i| {
-                let _w = fork.attach(i);
-                let _ = self.layer_time(&layers[i], mech, layouts[i]).is_ok();
-            });
-            fork.merge();
-        }
+        self.fan_out(net.layers(), |i, layer| {
+            let _ = self.layer_time(layer, mech, layouts[i]).is_ok();
+        });
         let mut planned = Vec::with_capacity(net.layers().len());
         let mut prev_layout: Option<Layout> = None;
         for (layer, &layout) in net.layers().iter().zip(&layouts) {
@@ -1053,23 +1036,6 @@ impl Engine {
             }
         }
         LaunchAttempt { time, throttled, error: None }
-    }
-
-    /// [`Engine::execute_attempt`] as a typed `Result`: the attempt's time
-    /// on success, its [`EngineError`] on any injected failure. For
-    /// callers that don't charge partial progress (tests, one-shot runs);
-    /// composes with [`crate::error::with_retries`].
-    pub fn try_execute(
-        &self,
-        plan: &Plan,
-        faults: Option<&FaultPlan>,
-        launch_index: u64,
-    ) -> Result<f64, EngineError> {
-        let att = self.execute_attempt(plan, faults, launch_index);
-        match att.error {
-            None => Ok(att.time),
-            Some(e) => Err(e),
-        }
     }
 
     /// Simulate a whole network under a mechanism, producing the per-layer

@@ -67,6 +67,17 @@ impl Network {
     }
 }
 
+/// `shape` if it holds at least one element and its `f32` byte size fits
+/// in `usize`. Every dimension of such a shape is at most `usize::MAX / 4`,
+/// so the layer arithmetic in [`NetworkBuilder`] cannot overflow on it.
+fn sized(name: &str, shape: Shape) -> Result<Shape, NetError> {
+    let dims = [shape.n, shape.c, shape.h, shape.w];
+    match dims.iter().try_fold(std::mem::size_of::<f32>(), |acc, &d| acc.checked_mul(d)) {
+        Some(bytes) if bytes > 0 => Ok(shape),
+        _ => Err(NetError::BadShape(format!("{name}: shape {shape} is empty or too large"))),
+    }
+}
+
 /// Builder that tracks the running shape and resolves each layer.
 #[derive(Clone, Debug)]
 pub struct NetworkBuilder {
@@ -80,7 +91,9 @@ pub struct NetworkBuilder {
 impl NetworkBuilder {
     /// Start a network taking `input`-shaped batches.
     pub fn new(name: impl Into<String>, input: Shape) -> NetworkBuilder {
-        NetworkBuilder { name: name.into(), input, current: input, layers: Vec::new(), error: None }
+        let name = name.into();
+        let error = sized(&name, input).err();
+        NetworkBuilder { name, input, current: input, layers: Vec::new(), error }
     }
 
     fn push(mut self, name: &str, spec: LayerSpec) -> Self {
@@ -90,19 +103,22 @@ impl NetworkBuilder {
         let input = self.current;
         let output = match &spec {
             LayerSpec::Conv { co, f, stride, pad } => {
-                let padded = input.h + 2 * pad;
-                if *f > padded || *f > input.w + 2 * pad || *stride == 0 {
+                // Output extent along one axis; `None` if the filter does
+                // not fit or the padded extent overflows.
+                let extent = |x: usize| {
+                    let padded = pad.checked_mul(2)?.checked_add(x)?;
+                    if *stride == 0 || *f > padded {
+                        return None;
+                    }
+                    ((padded - f) / stride).checked_add(1)
+                };
+                let (Some(h), Some(w)) = (extent(input.h), extent(input.w)) else {
                     self.error = Some(NetError::BadShape(format!(
                         "{name}: filter {f} (stride {stride}) does not fit {input}"
                     )));
                     return self;
-                }
-                Shape::new(
-                    input.n,
-                    *co,
-                    (input.h + 2 * pad - f) / stride + 1,
-                    (input.w + 2 * pad - f) / stride + 1,
-                )
+                };
+                Shape::new(input.n, *co, h, w)
             }
             LayerSpec::Pool { window, stride, .. } => {
                 if *window > input.h || *window > input.w || *stride == 0 {
@@ -136,6 +152,10 @@ impl NetworkBuilder {
                 input
             }
         };
+        if let Err(e) = sized(name, output) {
+            self.error = Some(e);
+            return self;
+        }
         self.layers.push(Layer { name: name.to_string(), spec, input, output });
         self.current = output;
         self

@@ -254,6 +254,20 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_padding_is_a_shape_error() {
+        let text = format!("name: x\ninput: 1 1 8 8\nconv c co=4 f=3 pad={}\n", usize::MAX);
+        let e = parse_network(&text).unwrap_err();
+        assert!(matches!(e, ParseError::Net(NetError::BadShape(_))), "{e}");
+    }
+
+    #[test]
+    fn overflowing_input_size_is_a_shape_error() {
+        let text = format!("name: x\ninput: {0} {0} 8 8\n", usize::MAX);
+        let e = parse_network(&text).unwrap_err();
+        assert!(matches!(e, ParseError::Net(NetError::BadShape(_))), "{e}");
+    }
+
+    #[test]
     fn parsed_network_matches_builder_equivalent() {
         let parsed = parse_network(LENET).unwrap();
         let built = crate::net::NetworkBuilder::new("LeNet", Shape::new(128, 1, 28, 28))

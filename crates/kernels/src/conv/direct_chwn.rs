@@ -67,11 +67,6 @@ impl DirectConvChwn {
         DirectConvChwn { shape, input, filter, output, ipt: imgs_per_thread(shape.n) }
     }
 
-    /// The images-per-thread register-reuse factor the kernel chose.
-    pub fn images_per_thread(&self) -> usize {
-        self.ipt
-    }
-
     fn modules(&self) -> usize {
         self.shape.out_h() * self.shape.out_w()
     }

@@ -14,7 +14,6 @@
 //! memory overhead is bounded (no large-frame padding).
 
 use crate::conv::ConvError;
-use crate::gemm_model::{GemmConfig, GemmKernel};
 use crate::shapes::ConvShape;
 use memcnn_gpusim::{
     simulate_sequence, AddressSpace, BankMode, BlockTrace, DeviceBuffer, DeviceConfig, KernelSpec,
@@ -466,17 +465,6 @@ impl KernelSpec for WinogradPointwiseKernel {
             t.global_store(&addrs, 4);
         }
     }
-}
-
-/// Convenience: a GEMM with the same FLOP volume as this Winograd pipeline's
-/// multiply stage, for quick intensity comparisons in tests.
-pub fn equivalent_gemm(shape: &ConvShape, tiles: usize) -> GemmKernel {
-    GemmKernel::with_fresh_buffers(
-        shape.co,
-        shape.ci,
-        shape.n * tiles * T * T,
-        GemmConfig::default(),
-    )
 }
 
 #[cfg(test)]

@@ -109,16 +109,6 @@ impl Im2colKernel {
     pub fn col_elems(shape: &ConvShape) -> usize {
         shape.ci * shape.fh * shape.fw * shape.n * shape.out_h() * shape.out_w()
     }
-
-    /// The column buffer (handed to the GEMM that consumes it).
-    pub fn col_buffer(&self) -> DeviceBuffer {
-        self.col
-    }
-
-    /// The input buffer.
-    pub fn input_buffer(&self) -> DeviceBuffer {
-        self.input
-    }
 }
 
 impl KernelSpec for Im2colKernel {

@@ -2,7 +2,6 @@
 //! fully-connected (GEMM-backed), ReLU, and local response normalization
 //! (AlexNet/ZFNet use LRN between their early conv/pool stages).
 
-use crate::gemm_model::{GemmConfig, GemmKernel};
 use crate::matmul::{gemm_row_major, NR};
 use memcnn_gpusim::{
     AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
@@ -28,12 +27,6 @@ pub fn fc_forward(input: &Tensor, weights: &[f32], outputs: usize) -> Vec<f32> {
             }
         }
     })
-}
-
-/// GPU kernel spec of a fully-connected layer: a GEMM of
-/// `[outputs x inputs] x [inputs x batch]`.
-pub fn fc_kernel(batch: usize, inputs: usize, outputs: usize) -> GemmKernel {
-    GemmKernel::with_fresh_buffers(outputs, inputs, batch, GemmConfig::default())
 }
 
 /// Backward of the fully-connected layer: given `grad_out[n][o]`, the

@@ -439,13 +439,13 @@ mod tests {
         r.gauge("queue.depth", 0.5, 3.0);
         let t = r.finish();
         trace::start();
-        t.emit_trace_counters(trace::Track::Serve);
+        t.emit_trace_counters(trace::Track::Fleet);
         let tr = trace::finish().unwrap();
         assert_eq!(tr.counters.len(), 2);
-        assert_eq!(tr.counters[0].track, trace::Track::Serve);
+        assert_eq!(tr.counters[0].track, trace::Track::Fleet);
         assert_eq!(tr.counters[0].ts_us, 0.0);
         assert_eq!(tr.counters[1].ts_us, 0.5e6);
         // Inactive collection: a clean no-op.
-        t.emit_trace_counters(trace::Track::Serve);
+        t.emit_trace_counters(trace::Track::Fleet);
     }
 }

@@ -1,8 +1,8 @@
 //! Multi-device fleet serving: one request stream, K simulated devices,
 //! cross-network multiplexing, and load-aware placement.
 //!
-//! The fleet generalizes [`serve`](crate::server::serve) along three
-//! axes while keeping its discrete-event core intact:
+//! The fleet extends a single-device discrete-event loop along three
+//! axes:
 //!
 //! - **K devices** (heterogeneous allowed): each device is an
 //!   independent engine with its own `gpu_free` clock, fault stream,
@@ -36,11 +36,11 @@
 //! reference drivers of [`serve_fleet_oracle`] (the retained sequential
 //! loop and the linear router scan).
 //!
-//! **One loop**: this is the crate's only serving event loop.
-//! [`serve`](crate::server::serve) is its K = 1 projection (one device,
-//! one network, round-robin placement, no adaptive delay, no device
-//! faults), and tenant lanes are a mode of the same loop;
-//! `tests/serve.rs` pins `serve()`'s reports to recorded digests.
+//! **One loop**: this is the crate's only serving event loop and
+//! [`serve_fleet`] its only entry point. A single-device server is a
+//! one-engine fleet (`FleetConfig::new(workload, policy,
+//! Placement::RoundRobin)`), and tenant lanes are a mode of the same
+//! loop; `tests/serve.rs` pins one-device reports to recorded digests.
 
 use crate::adaptive::AdaptivePolicy;
 use crate::batch::{bucket_for, buckets, BatchPolicy};
@@ -188,7 +188,7 @@ impl FleetConfig {
 /// One completed batch on one device, tagged with its network.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct FleetBatch {
-    /// The batch record (the shape `serve` reports).
+    /// The batch record.
     pub record: BatchRecord,
     /// Index of the network the batch executed.
     pub network: u32,
@@ -1945,7 +1945,7 @@ pub fn serve_fleet(
     nets: &[Network],
     cfg: &FleetConfig,
 ) -> Result<FleetReport, EngineError> {
-    run_fleet(engines, nets, cfg, trace::Track::Fleet, None)
+    run_fleet(engines, nets, cfg, None)
 }
 
 /// A reference driver of the fleet loop: slower code that
@@ -1971,18 +1971,14 @@ pub fn serve_fleet_oracle(
     cfg: &FleetConfig,
     oracle: Oracle,
 ) -> Result<FleetReport, EngineError> {
-    run_fleet(engines, nets, cfg, trace::Track::Fleet, Some(oracle))
+    run_fleet(engines, nets, cfg, Some(oracle))
 }
 
-/// [`serve_fleet`] with the Perfetto track its metrics timeline mirrors
-/// onto as counters (`Track::Serve` for [`serve`](crate::server::serve)'s
-/// one-device view; batch spans stay on `Track::Fleet` either way), under
-/// `oracle`'s reference driver if one is given.
-pub(crate) fn run_fleet(
+/// [`serve_fleet`] under `oracle`'s reference driver if one is given.
+fn run_fleet(
     engines: &[&Engine],
     nets: &[Network],
     cfg: &FleetConfig,
-    counter_track: trace::Track,
     oracle: Option<Oracle>,
 ) -> Result<FleetReport, EngineError> {
     if engines.is_empty() {
@@ -2002,7 +1998,7 @@ pub(crate) fn run_fleet(
 
     // MemoryAware needs each (device, network)'s feasible batch cap up
     // front; the other policies never read it, so they skip the probe
-    // compiles entirely (which is why `serve` places round-robin).
+    // compiles entirely (so a one-device run places round-robin).
     let bucket_list = buckets(&cfg.policy);
     let caps: Vec<Vec<usize>> = (0..k)
         .map(|d| {
@@ -2366,7 +2362,7 @@ pub(crate) fn run_fleet(
     let timeline = rec.finish();
     // Mirror the timeline onto the Perfetto counter tracks (a no-op when
     // tracing is inactive).
-    timeline.emit_trace_counters(counter_track);
+    timeline.emit_trace_counters(trace::Track::Fleet);
     Ok(FleetReport {
         config: cfg.clone(),
         networks: nets.iter().map(|n| n.name.clone()).collect(),
@@ -2523,5 +2519,148 @@ mod tests {
         );
         assert!(serve_fleet(&[], std::slice::from_ref(&net), &cfg).is_err());
         assert!(serve_fleet(&[&e], &[], &cfg).is_err());
+    }
+
+    /// One engine, one network, round-robin: the single-device server.
+    fn serve_one(net: &Network, cfg: &FleetConfig) -> FleetReport {
+        serve_fleet(&[&tiny_engine()], std::slice::from_ref(net), cfg).unwrap()
+    }
+
+    /// Device 0's batch records, in launch order.
+    fn records(report: &FleetReport) -> Vec<BatchRecord> {
+        report.devices[0].batches.iter().map(|b| b.record).collect()
+    }
+
+    fn uniform(rate: f64, duration: f64, images_max: usize, seed: u64) -> WorkloadConfig {
+        WorkloadConfig {
+            phases: vec![Phase { arrival: Arrival::Uniform { rate }, duration }],
+            images_min: 1,
+            images_max,
+            seed,
+        }
+    }
+
+    #[test]
+    fn every_request_is_served_with_positive_latency() {
+        let cfg = FleetConfig::new(
+            workload(400.0, 0.2, 5),
+            BatchPolicy::new(32, 0.005),
+            Placement::RoundRobin,
+        );
+        let report = serve_one(&tiny_net("tiny-serve"), &cfg);
+        let batches = records(&report);
+        assert!(report.requests > 0);
+        assert_eq!(report.latencies.len(), report.requests);
+        assert!(report.latencies.iter().all(|&l| l > 0.0));
+        assert_eq!(batches.iter().map(|b| b.requests).sum::<usize>(), report.requests);
+        assert!(report.makespan > 0.0);
+        assert_eq!(report.shed_requests, 0);
+        assert_eq!(report.faults, FaultStats::default());
+        assert!(batches.iter().all(|b| b.attempts == 0 && b.throttled == 0));
+        let lat = report.latency();
+        assert!(lat.p50 <= lat.p95 && lat.p95 <= lat.p99 && lat.p99 <= lat.max);
+    }
+
+    #[test]
+    fn batches_respect_policy_and_buckets_cover_batches() {
+        let cfg = FleetConfig::new(
+            WorkloadConfig {
+                phases: vec![Phase { arrival: Arrival::Poisson { rate: 2000.0 }, duration: 0.1 }],
+                images_min: 1,
+                images_max: 3,
+                seed: 9,
+            },
+            BatchPolicy::new(16, 0.002),
+            Placement::RoundRobin,
+        );
+        let report = serve_one(&tiny_net("tiny-serve"), &cfg);
+        let batches = records(&report);
+        let buckets = &report.devices[0].networks[0].buckets;
+        for b in &batches {
+            assert!(b.images <= 16);
+            assert!(b.bucket >= b.images);
+            assert!(b.done > b.launch);
+        }
+        // Batches never overlap on the single device.
+        for w in batches.windows(2) {
+            assert!(w[0].done <= w[1].launch + 1e-12);
+        }
+        // Every bucket used by a batch has stats and a compiled plan.
+        for b in &batches {
+            assert!(buckets.iter().any(|s| s.bucket == b.bucket));
+        }
+        for s in buckets {
+            assert!(s.fill > 0.0 && s.fill <= 1.0);
+            assert!(!s.conv_layouts.is_empty());
+        }
+    }
+
+    #[test]
+    fn quiet_stream_launches_on_deadline_not_full() {
+        // 10 req/s with a 1 ms delay cap: every batch is a single request
+        // launched at its deadline (service time is far below the gap).
+        let cfg = FleetConfig::new(
+            uniform(10.0, 1.0, 1, 2),
+            BatchPolicy::new(64, 0.001),
+            Placement::RoundRobin,
+        );
+        let report = serve_one(&tiny_net("tiny-serve"), &cfg);
+        let batches = records(&report);
+        assert!(batches.iter().all(|b| b.requests == 1 && b.bucket == 1));
+        for (b, r) in batches.iter().zip(&report.latencies) {
+            // Latency = queue delay cap + service time.
+            assert!((r - (0.001 + (b.done - b.launch))).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn certain_transients_shed_everything_without_panicking() {
+        // launch_failed = 1.0: every attempt of every batch fails, retries
+        // exhaust, every request is shed — and the run still returns Ok
+        // with balanced accounting.
+        let cfg = FleetConfig::new(
+            uniform(100.0, 0.1, 2, 3),
+            BatchPolicy::new(8, 0.002),
+            Placement::RoundRobin,
+        )
+        .with_faults(
+            FaultPlan::new(7, 1.0, 0.0, 0.0),
+            FaultPolicy { max_retries: 2, ..FaultPolicy::default() },
+        );
+        let report = serve_one(&tiny_net("tiny-serve"), &cfg);
+        assert_eq!(report.shed_requests, report.requests);
+        assert!(report.devices[0].batches.is_empty());
+        assert!(report.latencies.iter().all(|&l| l == 0.0));
+        assert!(report.faults.balanced());
+        // Every batch tried 1 + max_retries times: 2 retried + 1 shed per
+        // formed batch, all injected.
+        assert_eq!(report.faults.injected, report.faults.retried + report.faults.shed);
+        assert_eq!(report.faults.retried, 2 * report.faults.shed);
+        assert_eq!(report.latency().count, 0);
+    }
+
+    #[test]
+    fn certain_throttles_slow_everything_but_serve_everything() {
+        let net = tiny_net("tiny-serve");
+        let clean_cfg = FleetConfig::new(
+            uniform(100.0, 0.1, 2, 3),
+            BatchPolicy::new(8, 0.002),
+            Placement::RoundRobin,
+        );
+        let clean = serve_one(&net, &clean_cfg);
+        let cfg = clean_cfg.with_faults(
+            FaultPlan::new(7, 0.0, 0.0, 1.0).with_throttle_factor(3.0),
+            FaultPolicy::default(),
+        );
+        let throttled = serve_one(&net, &cfg);
+        assert_eq!(throttled.shed_requests, 0);
+        assert_eq!(throttled.requests, clean.requests);
+        assert!(throttled.faults.balanced());
+        assert_eq!(throttled.faults.injected, throttled.faults.throttled);
+        assert_eq!(throttled.faults.degraded, throttled.faults.throttled);
+        assert!(throttled.faults.throttled > 0);
+        // Everything served, just slower.
+        assert!(throttled.makespan > clean.makespan);
+        assert!(throttled.latency().mean > clean.latency().mean);
     }
 }

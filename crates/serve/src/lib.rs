@@ -16,25 +16,26 @@
 //!    (`Engine::plan_at`: layout DP + mechanism selection at that `N`)
 //!    and reuses it for every later batch in the bucket — so the server
 //!    observably flips between CHWN and NCHW plans as load changes.
-//! 4. [`serve`] runs one device through the event loop on a simulated
-//!    clock and reports p50/p95/p99 latency, throughput, queue depth,
-//!    bucket occupancy, and plan-cache hits/misses (via `trace::perf`).
-//!    It is the K = 1 projection of [`serve_fleet`], the crate's only
-//!    event loop: its report is device 0 of a one-device fleet, and its
-//!    metrics timeline is the fleet's (`dev0.*` series), mirrored onto
-//!    the `Track::Serve` counter track when tracing is active.
+//! 4. [`serve_fleet`], the crate's only serving entry point, runs the
+//!    event loop on a simulated clock and reports p50/p95/p99 latency,
+//!    throughput, queue depth, bucket occupancy, and plan-cache
+//!    hits/misses (via `trace::perf`). One engine with
+//!    `FleetConfig::new(workload, policy, Placement::RoundRobin)` is a
+//!    single-device server; its metrics timeline (`dev0.*` series) is
+//!    mirrored onto the `Track::Fleet` counter track when tracing is
+//!    active.
 //!
-//! Everything is a pure function of `(engine config, network,
-//! ServeConfig)`: same inputs give bit-identical reports, independent of
+//! Everything is a pure function of `(engine configs, networks,
+//! FleetConfig)`: same inputs give bit-identical reports, independent of
 //! `MEMCNN_THREADS`. That purity extends to fault injection: with a
-//! seeded [`FaultPlan`](memcnn_gpusim::FaultPlan) in the config, [`serve`]
+//! seeded [`FaultPlan`](memcnn_gpusim::FaultPlan) in the config, the loop
 //! answers injected faults with [`policy`]'s degradation ladder (bounded
 //! retry, OOM bucket downshift, deadline shedding, circuit-style degraded
 //! mode) and still replays bit-identically.
 //!
 //! # Multi-device fleets
 //!
-//! [`fleet`] scales the same loop out to K simulated devices
+//! [`fleet`] scales the loop out to K simulated devices
 //! (heterogeneous allowed — the same bucket compiles different layout
 //! plans on devices with different `(Ct, Nt)` thresholds): one request
 //! stream, per-(device, network, bucket) plan caches for cross-network
@@ -43,7 +44,7 @@
 //! [`adaptive`] estimator that re-derives `max_queue_delay` from the
 //! observed inter-arrival EMA at workload phase boundaries. The fleet
 //! event loop is bit-deterministic whether devices step sequentially or
-//! in parallel, and [`serve`] is literally its K = 1 view.
+//! in parallel.
 //!
 //! # Multi-tenant SLO scheduling
 //!
@@ -108,6 +109,6 @@ pub use placement::{
 };
 pub use plan_cache::PlanCache;
 pub use policy::{FaultPolicy, FaultStats};
-pub use server::{serve, BatchRecord, BucketStats, ServeConfig, ServeReport};
+pub use server::{BatchRecord, BucketStats};
 pub use tenant::{tenant_tags, SloFairness, SloReport, TenantClass, TenantReport, TenantSpec};
 pub use workload::{generate, Arrival, Phase, Request, WorkloadConfig};

@@ -97,22 +97,6 @@ impl<'e> PlanCache<'e> {
         self.staged.contains_key(&bucket)
     }
 
-    /// Compile every bucket in `buckets` up front (e.g. to move all plan
-    /// compiles before the event loop). Counted as misses, not hits.
-    pub fn prewarm(&mut self, buckets: &[usize]) -> Result<(), EngineError> {
-        for &b in buckets {
-            if !self.plans.contains_key(&b) {
-                perf::incr("serve.plan.miss");
-                let plan = self
-                    .engine
-                    .plan_at(&self.template, self.mech, b)
-                    .map_err(|e| EngineError::plan(b, e))?;
-                self.plans.insert(b, plan);
-            }
-        }
-        Ok(())
-    }
-
     /// Drop every compiled and staged plan, leaving the cache as freshly
     /// constructed. The fleet's healer calls this when a replacement
     /// device warms up: its per-(device, network, bucket) cache starts

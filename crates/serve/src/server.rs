@@ -1,19 +1,12 @@
-//! Single-device serving: the [`ServeConfig`]/[`ServeReport`] surface and
-//! the launch-attempt helpers the event loop shares.
-//!
-//! [`serve`] has no event loop of its own. It is the K = 1 projection of
-//! [`serve_fleet`](crate::fleet::serve_fleet): one engine, one network,
-//! round-robin placement, a fixed queue delay, and no device faults. All
-//! time is simulated. A batch's service time is its bucket plan's
-//! simulated forward time (`Plan::total_time` — layers plus inserted
-//! layout transformations), and queueing delay falls out of the fleet's
-//! event loop, so an entire run is a pure function of `(engine config,
-//! network, ServeConfig)`.
+//! Batch records and the launch-attempt helpers of the fleet loop
+//! ([`serve_fleet`](crate::fleet::serve_fleet)): the [`BatchRecord`] and
+//! [`BucketStats`] rows its reports carry, greedy FIFO batch formation,
+//! and the fault ladder every batch launch runs through.
 //!
 //! # Fault handling
 //!
-//! With a [`FaultPlan`] in the config, every batch launch rolls the plan
-//! (through [`Engine::execute_attempt`]) and `launch_ladder` answers
+//! With a [`FaultPlan`] in the fleet config, every batch launch rolls the
+//! plan (through [`Engine::execute_attempt`]) and `launch_ladder` answers
 //! faults with the [`FaultPolicy`]'s degradation ladder instead of failing
 //! the run: transients retry with deterministic backoff, execute-time OOM
 //! downshifts the bucket and pins it (degraded mode) until a clean streak
@@ -28,88 +21,12 @@
 //! stream is a pure function of `(seed, launch key, launch index)`, a
 //! faulted run replays bit-identically, independent of `MEMCNN_THREADS`.
 
-use crate::batch::BatchPolicy;
-use crate::fleet::{run_fleet, FleetConfig};
-use crate::metrics::{latency_stats_served, LatencyStats};
-use crate::placement::Placement;
 use crate::policy::{FaultPolicy, FaultStats};
-use crate::tenant::{SloReport, TenantSpec};
-use crate::workload::{Request, WorkloadConfig};
-use memcnn_core::{Engine, EngineError, Mechanism, Network, Plan};
+use crate::workload::Request;
+use memcnn_core::{Engine, EngineError, Plan};
 use memcnn_gpusim::FaultPlan;
-use memcnn_metrics::MetricsTimeline;
 use memcnn_trace as trace;
 use serde::Serialize;
-
-/// Everything a serving run needs besides the engine and the network.
-#[derive(Clone, Debug)]
-pub struct ServeConfig {
-    /// The synthetic request stream.
-    pub workload: WorkloadConfig,
-    /// The dynamic-batching policy.
-    pub policy: BatchPolicy,
-    /// Mechanism plans are compiled under (the paper's `Opt` by default).
-    pub mechanism: Mechanism,
-    /// Seeded fault injection. `None` — or a plan with all-zero rates —
-    /// leaves the run bit-identical to the fault-free loop.
-    pub faults: Option<FaultPlan>,
-    /// How the loop responds to faults and queue pressure.
-    pub fault_policy: FaultPolicy,
-    /// SLO tenants. Empty (the default) keeps the class-blind scheduler
-    /// and a report byte-identical to the pre-tenant one; non-empty turns
-    /// on the fleet loop's per-tenant lanes (`serve::slo`).
-    pub tenants: Vec<TenantSpec>,
-}
-
-// Manual impl: `tenants` is omitted when empty so default configs
-// serialize to the exact bytes the derived impl produced before the
-// field existed (the report byte-identity pin in `tests/slo.rs`).
-impl Serialize for ServeConfig {
-    fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"workload\":");
-        self.workload.serialize_json(out);
-        out.push_str(",\"policy\":");
-        self.policy.serialize_json(out);
-        out.push_str(",\"mechanism\":");
-        self.mechanism.serialize_json(out);
-        out.push_str(",\"faults\":");
-        self.faults.serialize_json(out);
-        out.push_str(",\"fault_policy\":");
-        self.fault_policy.serialize_json(out);
-        if !self.tenants.is_empty() {
-            out.push_str(",\"tenants\":");
-            self.tenants.serialize_json(out);
-        }
-        out.push('}');
-    }
-}
-
-impl ServeConfig {
-    /// `Opt`-mechanism config from a workload and policy, fault-free.
-    pub fn new(workload: WorkloadConfig, policy: BatchPolicy) -> ServeConfig {
-        ServeConfig {
-            workload,
-            policy,
-            mechanism: Mechanism::Opt,
-            faults: None,
-            fault_policy: FaultPolicy::default(),
-            tenants: Vec::new(),
-        }
-    }
-
-    /// The same config with fault injection enabled.
-    pub fn with_faults(mut self, faults: FaultPlan, policy: FaultPolicy) -> ServeConfig {
-        self.faults = Some(faults);
-        self.fault_policy = policy;
-        self
-    }
-
-    /// The same config with SLO tenants declared.
-    pub fn with_tenants(mut self, tenants: Vec<TenantSpec>) -> ServeConfig {
-        self.tenants = tenants;
-        self
-    }
-}
 
 /// One launched batch.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -151,132 +68,6 @@ pub struct BucketStats {
     pub transforms: usize,
     /// The plan's simulated service time, seconds.
     pub service_time: f64,
-}
-
-/// A finished serving run.
-#[derive(Clone, Debug)]
-pub struct ServeReport {
-    /// Network name.
-    pub network: String,
-    /// The config the run used.
-    pub config: ServeConfig,
-    /// Requests generated by the workload (served + shed).
-    pub requests: usize,
-    /// Images actually served (shed requests excluded).
-    pub images: usize,
-    /// Completion time of the last batch, seconds.
-    pub makespan: f64,
-    /// Per-request latency (completion - arrival), in request-id order —
-    /// the determinism tests compare this vector bit for bit. Shed
-    /// requests keep the 0.0 sentinel (no request can complete with zero
-    /// latency, so the encoding is unambiguous).
-    pub latencies: Vec<f64>,
-    /// Every *completed* batch, in launch order (shed batches never
-    /// complete and are accounted in `faults`/`shed_requests` instead).
-    pub batches: Vec<BatchRecord>,
-    /// Per-bucket aggregates, ascending by bucket.
-    pub buckets: Vec<BucketStats>,
-    /// Requests dropped (deadline shedding plus fault shedding).
-    pub shed_requests: usize,
-    /// Fault accounting for the run (all zero when injection is off).
-    pub faults: FaultStats,
-    /// The one-device fleet timeline: `dev0.*` and fleet-wide gauges
-    /// sampled at routing and launch boundaries, plus the run's latency
-    /// histogram. Every sample is a pure function of loop state on the
-    /// simulated clock, so the timeline is bit-identical across
-    /// `MEMCNN_THREADS` like the rest of the report.
-    pub timeline: MetricsTimeline,
-    /// Per-tenant accounting, fairness, and SLO violations; `None` for
-    /// class-blind runs (no tenants).
-    pub slo: Option<SloReport>,
-}
-
-// Manual impl: `slo` is omitted when `None` so class-blind reports keep
-// the exact pre-tenant byte layout.
-impl Serialize for ServeReport {
-    fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"network\":");
-        self.network.serialize_json(out);
-        out.push_str(",\"config\":");
-        self.config.serialize_json(out);
-        out.push_str(",\"requests\":");
-        self.requests.serialize_json(out);
-        out.push_str(",\"images\":");
-        self.images.serialize_json(out);
-        out.push_str(",\"makespan\":");
-        self.makespan.serialize_json(out);
-        out.push_str(",\"latencies\":");
-        self.latencies.serialize_json(out);
-        out.push_str(",\"batches\":");
-        self.batches.serialize_json(out);
-        out.push_str(",\"buckets\":");
-        self.buckets.serialize_json(out);
-        out.push_str(",\"shed_requests\":");
-        self.shed_requests.serialize_json(out);
-        out.push_str(",\"faults\":");
-        self.faults.serialize_json(out);
-        out.push_str(",\"timeline\":");
-        self.timeline.serialize_json(out);
-        if let Some(slo) = &self.slo {
-            out.push_str(",\"slo\":");
-            slo.serialize_json(out);
-        }
-        out.push('}');
-    }
-}
-
-impl ServeReport {
-    /// Latency summary over served requests (shed and admission-rejected
-    /// requests — the 0.0 sentinels — are excluded; neither has a
-    /// latency). Sorts into a reused thread-local scratch buffer instead
-    /// of cloning the latency vector per report.
-    pub fn latency(&self) -> LatencyStats {
-        latency_stats_served(&self.latencies)
-    }
-
-    /// Served images per second of makespan.
-    pub fn throughput_images_per_sec(&self) -> f64 {
-        if self.makespan > 0.0 {
-            self.images as f64 / self.makespan
-        } else {
-            0.0
-        }
-    }
-
-    /// Served requests per second of makespan.
-    pub fn throughput_requests_per_sec(&self) -> f64 {
-        if self.makespan > 0.0 {
-            (self.requests - self.shed_requests) as f64 / self.makespan
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of generated requests that were shed, in [0, 1].
-    pub fn shed_rate(&self) -> f64 {
-        if self.requests > 0 {
-            self.shed_requests as f64 / self.requests as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean queue depth observed at batch launches.
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.batches.is_empty() {
-            return 0.0;
-        }
-        self.batches.iter().map(|b| b.queue_depth as f64).sum::<f64>() / self.batches.len() as f64
-    }
-
-    /// Distinct convolution-layout signatures across buckets — `> 1`
-    /// means the server observably flipped plans as load changed.
-    pub fn distinct_conv_signatures(&self) -> usize {
-        let mut sigs: Vec<&str> = self.buckets.iter().map(|b| b.conv_layouts.as_str()).collect();
-        sigs.sort_unstable();
-        sigs.dedup();
-        sigs.len()
-    }
 }
 
 /// Greedy FIFO batch formation at time `launch`: take requests arrived by
@@ -431,217 +222,4 @@ pub(crate) fn launch_ladder(
         }
     };
     Ok(LadderEnd { outcome, attempts: attempt, throttles })
-}
-
-/// Run the serving simulation to completion (every generated request is
-/// served or shed). Deterministic: same engine config + network + `cfg`
-/// gives a bit-identical [`ServeReport`] — latencies, batch records, and
-/// fault statistics — independent of `MEMCNN_THREADS`.
-///
-/// `serve` is the one-device view of [`serve_fleet`](crate::fleet::serve_fleet):
-/// it runs the fleet loop on `[engine]` and `[net]` with round-robin
-/// placement (no capacity probe compiles), a fixed queue delay, and no
-/// device faults, then projects the fleet report onto device 0. Its
-/// Perfetto counters stay on `Track::Serve`.
-///
-/// Errors are typed and terminal: plan-time OOM that cannot downshift
-/// further (bucket 1 does not fit) or a structurally infeasible plan.
-/// Injected faults never surface as `Err` — they are retried, degraded,
-/// or shed per `cfg.fault_policy`.
-pub fn serve(
-    engine: &Engine,
-    net: &Network,
-    cfg: &ServeConfig,
-) -> Result<ServeReport, EngineError> {
-    let fleet_cfg = FleetConfig {
-        workload: cfg.workload.clone(),
-        policy: cfg.policy,
-        adaptive: None,
-        placement: Placement::RoundRobin,
-        mechanism: cfg.mechanism,
-        faults: cfg.faults,
-        fault_policy: cfg.fault_policy,
-        tenants: cfg.tenants.clone(),
-        device_faults: None,
-    };
-    let fleet =
-        run_fleet(&[engine], std::slice::from_ref(net), &fleet_cfg, trace::Track::Serve, None)?;
-    let dev = fleet.devices.into_iter().next().expect("a one-device fleet reports one device");
-    Ok(ServeReport {
-        network: net.name.clone(),
-        config: cfg.clone(),
-        requests: fleet.requests,
-        images: dev.images,
-        makespan: fleet.makespan,
-        latencies: fleet.latencies,
-        batches: dev.batches.into_iter().map(|b| b.record).collect(),
-        buckets: dev.networks.into_iter().next().map_or_else(Vec::new, |n| n.buckets),
-        shed_requests: fleet.shed_requests,
-        faults: fleet.faults,
-        timeline: fleet.timeline,
-        slo: fleet.slo,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::workload::{Arrival, Phase};
-    use memcnn_core::{LayoutThresholds, NetworkBuilder};
-    use memcnn_gpusim::DeviceConfig;
-    use memcnn_tensor::Shape;
-
-    fn tiny_engine() -> Engine {
-        Engine::new(DeviceConfig::titan_black(), LayoutThresholds::titan_black_paper())
-    }
-
-    fn tiny_net() -> Network {
-        NetworkBuilder::new("tiny-serve", Shape::new(1, 4, 16, 16))
-            .conv("CV", 8, 3, 1, 1)
-            .max_pool("PL", 2, 2)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn every_request_is_served_with_positive_latency() {
-        let engine = tiny_engine();
-        let net = tiny_net();
-        let cfg = ServeConfig::new(
-            WorkloadConfig {
-                phases: vec![Phase { arrival: Arrival::Poisson { rate: 400.0 }, duration: 0.2 }],
-                images_min: 1,
-                images_max: 4,
-                seed: 5,
-            },
-            BatchPolicy::new(32, 0.005),
-        );
-        let report = serve(&engine, &net, &cfg).unwrap();
-        assert!(report.requests > 0);
-        assert_eq!(report.latencies.len(), report.requests);
-        assert!(report.latencies.iter().all(|&l| l > 0.0));
-        assert_eq!(report.batches.iter().map(|b| b.requests).sum::<usize>(), report.requests);
-        assert!(report.makespan > 0.0);
-        assert_eq!(report.shed_requests, 0);
-        assert_eq!(report.faults, FaultStats::default());
-        assert!(report.batches.iter().all(|b| b.attempts == 0 && b.throttled == 0));
-        let lat = report.latency();
-        assert!(lat.p50 <= lat.p95 && lat.p95 <= lat.p99 && lat.p99 <= lat.max);
-    }
-
-    #[test]
-    fn batches_respect_policy_and_buckets_cover_batches() {
-        let engine = tiny_engine();
-        let net = tiny_net();
-        let cfg = ServeConfig::new(
-            WorkloadConfig {
-                phases: vec![Phase { arrival: Arrival::Poisson { rate: 2000.0 }, duration: 0.1 }],
-                images_min: 1,
-                images_max: 3,
-                seed: 9,
-            },
-            BatchPolicy::new(16, 0.002),
-        );
-        let report = serve(&engine, &net, &cfg).unwrap();
-        for b in &report.batches {
-            assert!(b.images <= 16);
-            assert!(b.bucket >= b.images);
-            assert!(b.done > b.launch);
-        }
-        // Batches never overlap on the single device.
-        for w in report.batches.windows(2) {
-            assert!(w[0].done <= w[1].launch + 1e-12);
-        }
-        // Every bucket used by a batch has stats and a compiled plan.
-        for b in &report.batches {
-            assert!(report.buckets.iter().any(|s| s.bucket == b.bucket));
-        }
-        for s in &report.buckets {
-            assert!(s.fill > 0.0 && s.fill <= 1.0);
-            assert!(!s.conv_layouts.is_empty());
-        }
-    }
-
-    #[test]
-    fn quiet_stream_launches_on_deadline_not_full() {
-        // 10 req/s with a 1 ms delay cap: every batch is a single request
-        // launched at its deadline (service time is far below the gap).
-        let engine = tiny_engine();
-        let net = tiny_net();
-        let cfg = ServeConfig::new(
-            WorkloadConfig {
-                phases: vec![Phase { arrival: Arrival::Uniform { rate: 10.0 }, duration: 1.0 }],
-                images_min: 1,
-                images_max: 1,
-                seed: 2,
-            },
-            BatchPolicy::new(64, 0.001),
-        );
-        let report = serve(&engine, &net, &cfg).unwrap();
-        assert!(report.batches.iter().all(|b| b.requests == 1 && b.bucket == 1));
-        for (b, r) in report.batches.iter().zip(&report.latencies) {
-            // Latency = queue delay cap + service time.
-            assert!((r - (0.001 + (b.done - b.launch))).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn certain_transients_shed_everything_without_panicking() {
-        // launch_failed = 1.0: every attempt of every batch fails, retries
-        // exhaust, every request is shed — and the run still returns Ok
-        // with balanced accounting.
-        let engine = tiny_engine();
-        let net = tiny_net();
-        let cfg = ServeConfig::new(
-            WorkloadConfig {
-                phases: vec![Phase { arrival: Arrival::Uniform { rate: 100.0 }, duration: 0.1 }],
-                images_min: 1,
-                images_max: 2,
-                seed: 3,
-            },
-            BatchPolicy::new(8, 0.002),
-        )
-        .with_faults(
-            FaultPlan::new(7, 1.0, 0.0, 0.0),
-            FaultPolicy { max_retries: 2, ..FaultPolicy::default() },
-        );
-        let report = serve(&engine, &net, &cfg).unwrap();
-        assert_eq!(report.shed_requests, report.requests);
-        assert!(report.batches.is_empty());
-        assert!(report.latencies.iter().all(|&l| l == 0.0));
-        assert!(report.faults.balanced());
-        // Every batch tried 1 + max_retries times: 2 retried + 1 shed per
-        // formed batch, all injected.
-        assert_eq!(report.faults.injected, report.faults.retried + report.faults.shed);
-        assert_eq!(report.faults.retried, 2 * report.faults.shed);
-        assert_eq!(report.latency().count, 0);
-    }
-
-    #[test]
-    fn certain_throttles_slow_everything_but_serve_everything() {
-        let engine = tiny_engine();
-        let net = tiny_net();
-        let workload = WorkloadConfig {
-            phases: vec![Phase { arrival: Arrival::Uniform { rate: 100.0 }, duration: 0.1 }],
-            images_min: 1,
-            images_max: 2,
-            seed: 3,
-        };
-        let policy = BatchPolicy::new(8, 0.002);
-        let clean = serve(&engine, &net, &ServeConfig::new(workload.clone(), policy)).unwrap();
-        let cfg = ServeConfig::new(workload, policy).with_faults(
-            FaultPlan::new(7, 0.0, 0.0, 1.0).with_throttle_factor(3.0),
-            FaultPolicy::default(),
-        );
-        let throttled = serve(&engine, &net, &cfg).unwrap();
-        assert_eq!(throttled.shed_requests, 0);
-        assert_eq!(throttled.requests, clean.requests);
-        assert!(throttled.faults.balanced());
-        assert_eq!(throttled.faults.injected, throttled.faults.throttled);
-        assert_eq!(throttled.faults.degraded, throttled.faults.throttled);
-        assert!(throttled.faults.throttled > 0);
-        // Everything served, just slower.
-        assert!(throttled.makespan > clean.makespan);
-        assert!(throttled.latency().mean > clean.latency().mean);
-    }
 }

@@ -2,9 +2,8 @@
 //! deadline-driven batch commit, and weighted-fair slot arbitration.
 //!
 //! Tenants are a mode of the one serving loop
-//! ([`serve_fleet`](crate::fleet::serve_fleet), and
-//! [`serve`](crate::server::serve) as its K = 1 projection), not a
-//! separate scheduler. With tenants configured, every (device, network)
+//! ([`serve_fleet`](crate::fleet::serve_fleet)), not a separate
+//! scheduler. With tenants configured, every (device, network)
 //! pair splits its queue into one [`Lane`] per tenant and keeps the
 //! class-blind event arithmetic — the same
 //! `max(gpu_free, min(T_full, T_deadline))` window rule
@@ -161,7 +160,8 @@ pub(crate) fn slo_report(
 #[cfg(test)]
 mod tests {
     use crate::batch::BatchPolicy;
-    use crate::server::{serve, ServeConfig, ServeReport};
+    use crate::fleet::{serve_fleet, FleetConfig, FleetReport};
+    use crate::placement::Placement;
     use crate::tenant::TenantSpec;
     use crate::workload::{Arrival, Phase, WorkloadConfig};
     use memcnn_core::{Engine, LayoutThresholds, Network, NetworkBuilder};
@@ -180,6 +180,15 @@ mod tests {
             .unwrap()
     }
 
+    /// A one-device, round-robin run: the single-device server.
+    fn serve_one(engine: &Engine, net: &Network, cfg: &FleetConfig) -> FleetReport {
+        serve_fleet(&[engine], std::slice::from_ref(net), cfg).unwrap()
+    }
+
+    fn config(workload: WorkloadConfig, policy: BatchPolicy) -> FleetConfig {
+        FleetConfig::new(workload, policy, Placement::RoundRobin)
+    }
+
     fn mix() -> Vec<TenantSpec> {
         vec![
             TenantSpec::interactive("chat", 0.02, 1.0),
@@ -192,7 +201,7 @@ mod tests {
     fn tenant_run_serves_everything_with_balanced_accounting() {
         let engine = tiny_engine();
         let net = tiny_net();
-        let cfg = ServeConfig::new(
+        let cfg = config(
             WorkloadConfig {
                 phases: vec![Phase { arrival: Arrival::Poisson { rate: 400.0 }, duration: 0.2 }],
                 images_min: 1,
@@ -202,7 +211,7 @@ mod tests {
             BatchPolicy::new(32, 0.005),
         )
         .with_tenants(mix());
-        let report = serve(&engine, &net, &cfg).unwrap();
+        let report = serve_one(&engine, &net, &cfg);
         assert!(report.requests > 0);
         assert!(report.latencies.iter().all(|&l| l > 0.0));
         let slo = report.slo.as_ref().unwrap();
@@ -219,9 +228,9 @@ mod tests {
         // Fairness is finite when nobody starved.
         assert!(slo.fairness.ratio >= 1.0);
         // Replays bit-identically.
-        let again = serve(&engine, &net, &cfg).unwrap();
+        let again = serve_one(&engine, &net, &cfg);
         let bits =
-            |r: &ServeReport| -> Vec<u64> { r.latencies.iter().map(|l| l.to_bits()).collect() };
+            |r: &FleetReport| -> Vec<u64> { r.latencies.iter().map(|l| l.to_bits()).collect() };
         assert_eq!(bits(&report), bits(&again));
     }
 
@@ -233,7 +242,7 @@ mod tests {
             TenantSpec::interactive("chat", 0.02, 1.0),
             TenantSpec::best_effort("batch", 1.0).with_rate_limit(20.0),
         ];
-        let cfg = ServeConfig::new(
+        let cfg = config(
             WorkloadConfig {
                 phases: vec![Phase { arrival: Arrival::Poisson { rate: 800.0 }, duration: 0.2 }],
                 images_min: 1,
@@ -243,7 +252,7 @@ mod tests {
             BatchPolicy::new(32, 0.005),
         )
         .with_tenants(tenants);
-        let report = serve(&engine, &net, &cfg).unwrap();
+        let report = serve_one(&engine, &net, &cfg);
         let slo = report.slo.as_ref().unwrap();
         assert!(slo.balanced());
         assert!(slo.rejected > 0, "the 20 req/s cap must reject under ~400 req/s of traffic");
@@ -280,10 +289,8 @@ mod tests {
             TenantSpec::interactive("chat", 0.008, 1.0),
             TenantSpec::best_effort("batch", 1.0),
         ];
-        let aware =
-            serve(&engine, &net, &ServeConfig::new(wl.clone(), policy).with_tenants(tenants))
-                .unwrap();
-        let blind = serve(&engine, &net, &ServeConfig::new(wl, policy)).unwrap();
+        let aware = serve_one(&engine, &net, &config(wl.clone(), policy).with_tenants(tenants));
+        let blind = serve_one(&engine, &net, &config(wl, policy));
         let slo = aware.slo.as_ref().unwrap();
         assert!(slo.early_commits > 0, "the 4 ms interactive budget must fire early commits");
         let chat_p99 = slo.tenants[0].latency.p99;

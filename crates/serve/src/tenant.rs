@@ -96,7 +96,7 @@ impl Serialize for TenantClass {
     }
 }
 
-/// One tenant's declaration in a `ServeConfig`/`FleetConfig`.
+/// One tenant's declaration in a `FleetConfig`.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TenantSpec {
     /// Tenant name (stable key for metrics series and reports).

@@ -140,7 +140,7 @@ pub fn chrome_trace(trace: &Trace) -> String {
     for track in [Track::Layers, Track::Transforms, Track::Kernels, Track::Backward] {
         events.push(thread_meta(track));
     }
-    for track in [Track::Serve, Track::Faults, Track::Fleet] {
+    for track in [Track::Faults, Track::Fleet] {
         if uses_track(track) {
             events.push(thread_meta(track));
         }
@@ -559,7 +559,7 @@ mod tests {
         for (ts, v) in [(0.0, 1.0), (5.0, 3.0), (9.0, 0.0)] {
             t.counters.push(crate::CounterEvent {
                 name: "queue.depth".to_string(),
-                track: Track::Serve,
+                track: Track::Fleet,
                 ts_us: ts,
                 value: v,
             });
@@ -570,7 +570,7 @@ mod tests {
         let counters: Vec<_> =
             events.iter().filter(|e| e.get("ph").unwrap().as_str() == Some("C")).collect();
         assert_eq!(counters.len(), 3);
-        // Non-decreasing timestamps, value carried in args, and the serve
+        // Non-decreasing timestamps, value carried in args, and the fleet
         // track's thread metadata present (referenced only by counters).
         let ts: Vec<f64> =
             counters.iter().map(|e| e.get("ts").unwrap().as_f64().unwrap()).collect();
@@ -578,8 +578,8 @@ mod tests {
         assert_eq!(counters[1].get("args").unwrap().get("value").unwrap().as_f64(), Some(3.0));
         assert!(
             events.iter().any(|e| e.get("ph").unwrap().as_str() == Some("M")
-                && e.get("args").unwrap().get("name").unwrap().as_str() == Some("serving")),
-            "serve thread metadata missing"
+                && e.get("args").unwrap().get("name").unwrap().as_str() == Some("fleet")),
+            "fleet thread metadata missing"
         );
     }
 

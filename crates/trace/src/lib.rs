@@ -95,15 +95,13 @@ pub enum Track {
     Kernels,
     /// Backward-pass work (simulated time).
     Backward,
-    /// Served inference batches (simulated serving-clock time; one span
-    /// per launched batch).
-    Serve,
     /// Fault-handling events on the serving clock: injected-fault
     /// retries (the span covers the backoff), OOM bucket downshifts,
     /// sheds, and degraded-mode transitions.
     Faults,
-    /// Multi-device fleet serving (simulated serving-clock time; one
-    /// span per launched batch, tagged with its device and network).
+    /// Fleet serving (simulated serving-clock time): one span per
+    /// launched batch, tagged with its device and network, and the
+    /// run's metrics timeline as counter series.
     Fleet,
     /// Functional execution on the host (wall clock).
     Exec,
@@ -117,7 +115,6 @@ impl Track {
             Track::Transforms => 2,
             Track::Kernels => 3,
             Track::Backward => 4,
-            Track::Serve => 5,
             Track::Faults => 6,
             Track::Fleet => 7,
             Track::Exec => 1,
@@ -139,7 +136,6 @@ impl Track {
             Track::Transforms => "transforms",
             Track::Kernels => "kernels",
             Track::Backward => "backward",
-            Track::Serve => "serving",
             Track::Faults => "faults",
             Track::Fleet => "fleet",
             Track::Exec => "exec (wall clock)",
@@ -595,14 +591,14 @@ mod tests {
         for (i, v) in [(0, 3.0), (1, 5.0), (2, 2.0)] {
             record_counter(|| CounterEvent {
                 name: "queue.depth".to_string(),
-                track: Track::Serve,
+                track: Track::Fleet,
                 ts_us: i as f64 * 10.0,
                 value: v,
             });
         }
         record_counter(|| CounterEvent {
             name: "util".to_string(),
-            track: Track::Serve,
+            track: Track::Fleet,
             ts_us: 0.0,
             value: 0.5,
         });

@@ -8,25 +8,33 @@
 //! in ONE `#[test]` — a second test in this binary would race the
 //! counters on the harness's concurrent threads.
 
-use memcnn::core::{
-    with_retries, Engine, EngineError, LayoutThresholds, Mechanism, NetworkBuilder,
-};
+use memcnn::core::{with_retries, Engine, EngineError, LayoutThresholds, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, Fault, FaultPlan};
 use memcnn::serve::{
-    serve, Arrival, BatchPolicy, FaultPolicy, Phase, ServeConfig, ServeReport, WorkloadConfig,
+    serve_fleet, Arrival, BatchPolicy, FaultPolicy, FleetConfig, FleetReport, Phase, Placement,
+    WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 use memcnn::trace::perf;
 use memcnn_bench::scenario;
 
-/// Everything the ISSUE requires a chaos run to reproduce bit-for-bit:
-/// the full latency vector, every batch's (bucket, images, attempts,
-/// throttled) tuple, the shed count, and the complete fault accounting.
+/// A one-device fleet: the single-device server.
+fn serve_one(engine: &Engine, net: &Network, cfg: &FleetConfig) -> FleetReport {
+    serve_fleet(&[engine], std::slice::from_ref(net), cfg).unwrap()
+}
+
+/// Everything a chaos run must reproduce bit-for-bit: the full latency
+/// vector, every batch's (bucket, images, attempts, throttled) tuple, the
+/// shed count, and the complete fault accounting.
 #[allow(clippy::type_complexity)]
-fn digest(r: &ServeReport) -> (Vec<u64>, Vec<(usize, usize, u32, u32)>, usize, String) {
+fn digest(r: &FleetReport) -> (Vec<u64>, Vec<(usize, usize, u32, u32)>, usize, String) {
     (
         r.latencies.iter().map(|l| l.to_bits()).collect(),
-        r.batches.iter().map(|b| (b.bucket, b.images, b.attempts, b.throttled)).collect(),
+        r.devices[0]
+            .batches
+            .iter()
+            .map(|b| (b.record.bucket, b.record.images, b.record.attempts, b.record.throttled))
+            .collect(),
         r.shed_requests,
         format!("{:?}", r.faults),
     )
@@ -49,17 +57,10 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
         images_max: 8,
         seed: 1234,
     };
-    let clean_cfg = ServeConfig {
-        workload,
-        policy: BatchPolicy::new(256, 0.004),
-        mechanism: Mechanism::Opt,
-        faults: None,
-        fault_policy: FaultPolicy::default(),
-        tenants: Vec::new(),
-    };
+    let clean_cfg = FleetConfig::new(workload, BatchPolicy::new(256, 0.004), Placement::RoundRobin);
     // A plan hot enough to exercise every ladder rung: retries, OOM
     // downshifts, throttles, and (at burst depth) shedding.
-    let faulty_cfg = ServeConfig {
+    let faulty_cfg = FleetConfig {
         faults: Some(FaultPlan::new(42, 0.05, 0.01, 0.02)),
         fault_policy: FaultPolicy {
             max_retries: 2,
@@ -74,7 +75,7 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
     // the fault stream keys on (launch key, launch index), never on
     // worker scheduling.
     let faulty = |threads| {
-        rayon::with_max_threads(threads, || digest(&serve(&engine(), &net, &faulty_cfg).unwrap()))
+        rayon::with_max_threads(threads, || digest(&serve_one(&engine(), &net, &faulty_cfg)))
     };
     let base = faulty(1);
     for threads in [4, 13] {
@@ -86,13 +87,13 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
     }
     // The injected run really did inject (the determinism is not vacuous)
     // and survived without a panic or terminal error.
-    let faulted = serve(&engine(), &net, &faulty_cfg).unwrap();
+    let faulted = serve_one(&engine(), &net, &faulty_cfg);
     assert!(faulted.faults.injected > 0, "fault plan never fired");
     assert!(faulted.faults.retried > 0, "no transient was retried");
     // A different fault seed changes the timeline.
     let mut reseeded = faulty_cfg.clone();
     reseeded.faults = Some(FaultPlan::new(43, 0.05, 0.01, 0.02));
-    assert_ne!(base, digest(&serve(&engine(), &net, &reseeded).unwrap()));
+    assert_ne!(base, digest(&serve_one(&engine(), &net, &reseeded)));
 
     // (2) Counter discipline: the report balances, and the global perf
     // mirror agrees with it exactly.
@@ -108,7 +109,7 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
         perf::get("fault.shed"),
         perf::get("serve.shed"),
     );
-    let again = serve(&engine(), &net, &faulty_cfg).unwrap();
+    let again = serve_one(&engine(), &net, &faulty_cfg);
     assert_eq!(perf::get("fault.injected") - before.0, again.faults.injected);
     assert_eq!(perf::get("fault.retried") - before.1, again.faults.retried);
     assert_eq!(perf::get("fault.degraded") - before.2, again.faults.degraded);
@@ -117,12 +118,12 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
 
     // (3) A zero-rate FaultPlan is a byte-identical no-op against no plan
     // at all: the fault path must not even perturb float evaluation order.
-    let clean = digest(&serve(&engine(), &net, &clean_cfg).unwrap());
+    let clean = digest(&serve_one(&engine(), &net, &clean_cfg));
     let mut quiet_cfg = clean_cfg.clone();
     quiet_cfg.faults = Some(FaultPlan::quiet(42));
-    let quiet = digest(&serve(&engine(), &net, &quiet_cfg).unwrap());
+    let quiet = digest(&serve_one(&engine(), &net, &quiet_cfg));
     assert_eq!(clean, quiet, "zero-fault plan perturbed the run");
-    let clean_report = serve(&engine(), &net, &clean_cfg).unwrap();
+    let clean_report = serve_one(&engine(), &net, &clean_cfg);
     assert_eq!(clean_report.faults.injected, 0);
     assert_eq!(clean_report.shed_requests, 0);
 
@@ -147,9 +148,9 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
     // is shed, the run still returns Ok, and the accounting still balances.
     let mut doomed_cfg = faulty_cfg.clone();
     doomed_cfg.faults = Some(FaultPlan::new(7, 1.0, 0.0, 0.0));
-    let doomed = serve(&engine(), &net, &doomed_cfg).unwrap();
+    let doomed = serve_one(&engine(), &net, &doomed_cfg);
     assert_eq!(doomed.shed_requests, doomed.requests);
-    assert!(doomed.batches.is_empty());
+    assert!(doomed.devices[0].batches.is_empty());
     assert!(doomed.faults.balanced());
     assert_eq!(doomed.latency().count, 0);
 
@@ -163,18 +164,14 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
     spec.requests_per_device = 240;
     let fleet = scenario::fleet(&spec).unwrap();
     let top = fleet.top_service;
-    let reference = ServeConfig {
-        workload: fleet.cfg.workload.clone(),
-        policy: fleet.cfg.policy,
-        mechanism: Mechanism::Opt,
-        faults: None,
+    let reference = FleetConfig {
         fault_policy: FaultPolicy {
             max_retries: 3,
             backoff_base: (0.05 * top).max(1e-5),
             shed_deadline: Some(20.0 * top),
             recovery_batches: 4,
         },
-        tenants: Vec::new(),
+        ..FleetConfig::new(fleet.cfg.workload.clone(), fleet.cfg.policy, Placement::RoundRobin)
     };
     let alexnet = &fleet.nets[0];
     let mut clean_p99 = None;
@@ -183,7 +180,7 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
         if transient > 0.0 {
             cfg.faults = Some(FaultPlan::new(42, transient, transient / 5.0, 0.0));
         }
-        let point = serve(&engine(), alexnet, &cfg).unwrap();
+        let point = serve_one(&engine(), alexnet, &cfg);
         assert!(point.faults.balanced(), "unbalanced at {transient}: {:?}", point.faults);
         let p99 = point.latency().p99;
         match clean_p99 {

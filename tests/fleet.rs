@@ -1,7 +1,6 @@
 //! Fleet-serving integration tests: bit-identical determinism across
-//! thread counts, exact K = 1 equivalence with the single-device server,
-//! balanced per-device and aggregate fault accounting, and load-aware
-//! placement actually spreading a heterogeneous fleet.
+//! thread counts, balanced per-device and aggregate fault accounting,
+//! and load-aware placement actually spreading a heterogeneous fleet.
 //!
 //! Like `tests/serve.rs`, this binary reads process-global state (the
 //! perf registry), so everything lives in ONE `#[test]`. It runs under a
@@ -14,8 +13,8 @@
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Mechanism, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan, FaultPlan};
 use memcnn::serve::{
-    feasible_max_batch, serve, serve_fleet, serve_fleet_oracle, Arrival, BatchPolicy, FaultPolicy,
-    FleetConfig, FleetReport, Oracle, Phase, Placement, ServeConfig, WorkloadConfig,
+    feasible_max_batch, serve_fleet, serve_fleet_oracle, Arrival, BatchPolicy, FaultPolicy,
+    FleetConfig, FleetReport, Oracle, Phase, Placement, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 
@@ -137,46 +136,7 @@ fn fleet_checks() {
         }
     }
 
-    // (2) K = 1, one network: the fleet IS the single-device server,
-    // field for field, bit for bit.
-    let policy = BatchPolicy::new(128, 0.004);
-    let scfg = ServeConfig::new(wl.clone(), policy);
-    let fcfg = FleetConfig::new(wl.clone(), policy, Placement::RoundRobin);
-    let s = serve(&black(), &net_a, &scfg).unwrap();
-    let f = serve_fleet(&[&black()], std::slice::from_ref(&net_a), &fcfg).unwrap();
-    assert_eq!(s.requests, f.requests);
-    assert_eq!(s.shed_requests, f.shed_requests);
-    assert_eq!(s.makespan.to_bits(), f.makespan.to_bits());
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(&s.latencies), bits(&f.latencies), "K=1 latencies diverged from serve()");
-    let dev = &f.devices[0];
-    assert_eq!(s.batches.len(), dev.batches.len());
-    for (a, b) in s.batches.iter().zip(&dev.batches) {
-        assert_eq!(a.launch.to_bits(), b.record.launch.to_bits());
-        assert_eq!(a.done.to_bits(), b.record.done.to_bits());
-        assert_eq!(a.requests, b.record.requests);
-        assert_eq!(a.images, b.record.images);
-        assert_eq!(a.bucket, b.record.bucket);
-        assert_eq!(a.queue_depth, b.record.queue_depth);
-        assert_eq!(a.attempts, b.record.attempts);
-        assert_eq!(a.throttled, b.record.throttled);
-        assert_eq!(b.network, 0);
-    }
-    assert_eq!(dev.networks.len(), 1);
-    assert_eq!(s.buckets.len(), dev.networks[0].buckets.len());
-    for (a, b) in s.buckets.iter().zip(&dev.networks[0].buckets) {
-        assert_eq!(a.bucket, b.bucket);
-        assert_eq!(a.batches, b.batches);
-        assert_eq!(a.images, b.images);
-        assert_eq!(a.fill.to_bits(), b.fill.to_bits());
-        assert_eq!(a.conv_layouts, b.conv_layouts);
-        assert_eq!(a.transforms, b.transforms);
-        assert_eq!(a.service_time.to_bits(), b.service_time.to_bits());
-    }
-    assert_eq!(s.faults, f.faults);
-    assert_eq!(s.images, f.images());
-
-    // (3) Injected faults: accounting balances per device AND in the
+    // (2) Injected faults: accounting balances per device AND in the
     // fleet aggregate (which must be exactly the per-device sum).
     let fpol = FaultPolicy { max_retries: 2, shed_deadline: Some(0.02), ..FaultPolicy::default() };
     let faulted = serve_fleet(
@@ -212,7 +172,7 @@ fn fleet_checks() {
         faulted.shed_requests
     );
 
-    // (4) K = 8: its pinned digest, and the same digest under thread
+    // (3) K = 8: its pinned digest, and the same digest under thread
     // budgets {1, 13} as under 4. A homogeneous 8-device fleet shares one
     // engine, so the parallel path's barrier batch-compile dedups shared
     // (network, bucket) misses.
@@ -226,7 +186,7 @@ fn fleet_checks() {
         assert_eq!(k8_base, rerun, "K=8 fleet diverged under a {threads}-thread budget");
     }
 
-    // (5) Sequential-vs-parallel byte-identity: the retained legacy loop
+    // (4) Sequential-vs-parallel byte-identity: the retained legacy loop
     // (`Oracle::Sequential`) must reproduce the parallel path's
     // *entire* report — config echo, latencies, batch records, fault
     // counters, and the metrics timeline — byte for byte (serde_json
@@ -269,7 +229,7 @@ fn fleet_checks() {
         "sequential and parallel fleet reports must be byte-identical"
     );
 
-    // (6) Route-index equivalence at K = 8 (an existing <=16-device
+    // (5) Route-index equivalence at K = 8 (an existing <=16-device
     // scenario): `Oracle::Linear` retains the pre-index linear
     // global-best scan and lane-walking load snapshots, and its *entire*
     // report — latencies, placements, batch records, metrics timeline —
@@ -350,7 +310,7 @@ fn fleet_checks() {
         );
     }
 
-    // (7) K = 64 digest matrix: the pinned digest, thread budgets
+    // (6) K = 64 digest matrix: the pinned digest, thread budgets
     // {1, 13} besides 4, the sequential oracle, and the linear router
     // must all reproduce the same digest — the index maintains 64
     // tentative-launch keys incrementally without perturbing a single

@@ -1,16 +1,19 @@
 //! Differential fleet serving over generated fleets: for every sampled
-//! fleet — 1 to 6 devices of either kind, one or two networks, every
-//! placement policy, tenants on or off, kernel faults, device faults,
-//! adaptive delay on or off — the shipping loop under 1- and 4-thread
-//! budgets and both reference drivers ([`Oracle::Sequential`],
-//! [`Oracle::Linear`]) serve byte-identical reports, and the fault and
-//! SLO books balance.
+//! fleet — 1 to 6 devices of either kind (one device is the
+//! single-device server), one or two networks, every placement policy,
+//! tenants on or off, kernel faults, device faults, adaptive delay on or
+//! off — the shipping loop under 1- and 4-thread budgets and both
+//! reference drivers ([`Oracle::Sequential`], [`Oracle::Linear`]) serve
+//! byte-identical reports, and the fault and SLO books balance. Two
+//! physical bounds hold as well: no request is served faster than the
+//! shortest plan its network has, and no device launches a batch while
+//! a crash holds it down.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Network, NetworkBuilder};
-use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan, FaultPlan};
+use memcnn::gpusim::{DeviceConfig, DeviceFaultKind, DeviceFaultPlan, FaultPlan};
 use memcnn::serve::{
-    serve_fleet, serve_fleet_oracle, AdaptivePolicy, Arrival, BatchPolicy, FaultPolicy,
-    FleetConfig, FleetReport, Oracle, Phase, Placement, TenantSpec, WorkloadConfig,
+    buckets, generate, serve_fleet, serve_fleet_oracle, AdaptivePolicy, Arrival, BatchPolicy,
+    FaultPolicy, FleetConfig, FleetReport, Oracle, Phase, Placement, TenantSpec, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 use proptest::prelude::*;
@@ -65,6 +68,37 @@ fn workload(seed: u64, requests: usize, rate: f64, bursty: bool) -> WorkloadConf
 
 fn json(report: &FleetReport) -> String {
     serde_json::to_string(report).unwrap()
+}
+
+/// The shortest simulated service time of any plan `net` has on any of
+/// `engines`, over every bucket `cfg`'s policy can form.
+fn shortest_service(engines: &[&Engine], net: &Network, cfg: &FleetConfig) -> f64 {
+    let mut best = f64::INFINITY;
+    for engine in engines {
+        for bucket in buckets(&cfg.policy) {
+            if let Ok(plan) = engine.plan_at(net, cfg.mechanism, bucket) {
+                best = best.min(plan.total_time());
+            }
+        }
+    }
+    best
+}
+
+/// `(device, t)` of every crash in `cfg`'s device-fault plan that is its
+/// device's first lifecycle event: the device is surely healthy when it
+/// lands, so it is `Down` for the plan's whole repair time. (A later event
+/// may land on a device that is already down or warming, which spends
+/// it.)
+fn first_crashes(cfg: &FleetConfig, k: usize) -> Vec<(usize, f64)> {
+    let Some(plan) = &cfg.device_faults else { return Vec::new() };
+    let horizon = generate(&cfg.workload).last().map_or(0.0, |r| r.arrival);
+    let events = plan.events_for(k, horizon);
+    (0..k)
+        .filter_map(|d| {
+            let first = events.iter().find(|e| e.device as usize == d)?;
+            (first.kind == DeviceFaultKind::Crash).then_some((d, first.t))
+        })
+        .collect()
 }
 
 proptest! {
@@ -150,6 +184,31 @@ proptest! {
         }
         if let Some(health) = &report.health {
             prop_assert!(health.ups <= health.downs, "a device healed without going down");
+        }
+
+        // No served request beats the shortest plan of its network (0.0
+        // marks shed and rejected requests). The tolerance absorbs the
+        // rounding of summing layer times in a different order.
+        let floors: Vec<f64> = nets.iter().map(|n| shortest_service(&engines, n, &cfg)).collect();
+        for (id, &latency) in report.latencies.iter().enumerate() {
+            let floor = floors[id % nets.len()];
+            prop_assert!(
+                latency == 0.0 || latency >= floor * (1.0 - 1e-9),
+                "request {} served in {} < shortest plan {}: {:?}", id, latency, floor, cfg
+            );
+        }
+        // A crashed device launches nothing until its repair is over.
+        if let Some(plan) = &cfg.device_faults {
+            for (d, t) in first_crashes(&cfg, k) {
+                let down = t..t + plan.repair;
+                for b in &report.devices[d].batches {
+                    prop_assert!(
+                        !down.contains(&b.record.launch),
+                        "device {} launched at {} while down over {:?}: {:?}",
+                        d, b.record.launch, down, cfg
+                    );
+                }
+            }
         }
     }
 }

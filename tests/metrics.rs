@@ -1,5 +1,5 @@
 //! Metrics-timeline integration tests: histogram merge laws on real
-//! serve latency vectors, bucket-resolution percentile accuracy,
+//! served latency vectors, bucket-resolution percentile accuracy,
 //! monotonic Perfetto counter tracks, bit-identical timelines across
 //! thread counts, and the queue-weighted convoy fix showing up in the
 //! per-device queue series.
@@ -13,8 +13,7 @@ use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::DeviceConfig;
 use memcnn::metrics::{bucket_index, Histogram, MetricsTimeline};
 use memcnn::serve::{
-    serve, serve_fleet, Arrival, BatchPolicy, FleetConfig, Phase, Placement, ServeConfig,
-    WorkloadConfig,
+    serve_fleet, Arrival, BatchPolicy, FleetConfig, FleetReport, Phase, Placement, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 use memcnn::trace::{self, Track};
@@ -64,11 +63,12 @@ fn timeline_checks() {
         images_max: 8,
         seed: 77,
     };
-    let scfg = ServeConfig::new(wl.clone(), BatchPolicy::new(128, 0.004));
+    let scfg = FleetConfig::new(wl.clone(), BatchPolicy::new(128, 0.004), Placement::RoundRobin);
+    let single = || serve_fleet(&[&black()], std::slice::from_ref(&net), &scfg).unwrap();
 
     // (1) Histogram laws on a real served latency vector. The timeline's
     // run histogram covers exactly the served (non-shed) requests.
-    let report = serve(&black(), &net, &scfg).unwrap();
+    let report = single();
     let served: Vec<f64> = report.latencies.iter().copied().filter(|&l| l > 0.0).collect();
     assert!(served.len() >= 50, "need a meaningful latency vector, got {}", served.len());
     assert_eq!(report.timeline.latency_hist.count(), served.len() as u64);
@@ -111,58 +111,63 @@ fn timeline_checks() {
         );
     }
 
-    // (2) Perfetto counter tracks: run serve and a fleet under an active
-    // collector; every counter series' timestamps must be non-decreasing
-    // — on the fleet track too, where batches on different devices
-    // overlap in time (the fleet samples at committed launches, which
-    // are globally ordered; `done` times are not).
+    // (2) Perfetto counter tracks: run the one-device server and a
+    // two-device fleet, each under its own collector session (both
+    // write the same counter names to `Track::Fleet`); every counter
+    // series' timestamps must be non-decreasing — on the two-device run
+    // too, where batches on different devices overlap in time (the
+    // fleet samples at committed launches, which are globally ordered;
+    // `done` times are not).
     let fcfg = FleetConfig::new(wl.clone(), BatchPolicy::new(128, 0.004), Placement::LeastLoaded);
-    trace::start();
-    let _ = serve(&black(), &net, &scfg).unwrap();
-    let fleet_report =
-        serve_fleet(&[&black(), &black()], std::slice::from_ref(&net), &fcfg).unwrap();
-    let captured = trace::finish().expect("collector was started");
-    let mut names: Vec<(Track, String)> =
-        captured.counters.iter().map(|c| (c.track, c.name.clone())).collect();
-    names.sort_by(|x, y| (x.0.tid(), &x.1).cmp(&(y.0.tid(), &y.1)));
-    names.dedup();
-    assert!(
-        names.iter().any(|(t, _)| *t == Track::Serve)
-            && names.iter().any(|(t, _)| *t == Track::Fleet),
-        "both serve and fleet counter tracks must be populated"
-    );
-    for (track, name) in &names {
-        let series: Vec<f64> = captured
-            .counters
-            .iter()
-            .filter(|c| c.track == *track && c.name == *name)
-            .map(|c| c.ts_us)
-            .collect();
-        assert!(!series.is_empty());
-        for w in series.windows(2) {
-            assert!(
-                w[0] <= w[1],
-                "{name} on {track:?}: counter timestamps regress ({} > {})",
-                w[0],
-                w[1]
-            );
+    let traced = |run: &dyn Fn() -> FleetReport| {
+        trace::start();
+        let report = run();
+        (report, trace::finish().expect("collector was started").counters)
+    };
+    let (_, single_counters) = traced(&single);
+    let (fleet_report, fleet_counters) =
+        traced(&|| serve_fleet(&[&black(), &black()], std::slice::from_ref(&net), &fcfg).unwrap());
+    for (run, counters) in [("one-device", &single_counters), ("two-device", &fleet_counters)] {
+        let mut names: Vec<(Track, String)> =
+            counters.iter().map(|c| (c.track, c.name.clone())).collect();
+        names.sort_by(|x, y| (x.0.tid(), &x.1).cmp(&(y.0.tid(), &y.1)));
+        names.dedup();
+        assert!(
+            names.iter().any(|(t, _)| *t == Track::Fleet),
+            "the {run} run must populate the fleet counter track"
+        );
+        for (track, name) in &names {
+            let series: Vec<f64> = counters
+                .iter()
+                .filter(|c| c.track == *track && c.name == *name)
+                .map(|c| c.ts_us)
+                .collect();
+            assert!(!series.is_empty());
+            for w in series.windows(2) {
+                assert!(
+                    w[0] <= w[1],
+                    "{run}: {name} on {track:?}: counter timestamps regress ({} > {})",
+                    w[0],
+                    w[1]
+                );
+            }
         }
     }
 
     // (3) Timelines are bit-identical under thread budgets {1, 13}
     // besides 4.
-    let serve_base = digest(&serve(&black(), &net, &scfg).unwrap().timeline);
+    let serve_base = digest(&single().timeline);
     let fleet_base = digest(&fleet_report.timeline);
     for threads in [1, 13] {
         let (s, f) = rayon::with_max_threads(threads, || {
-            let s = serve(&black(), &net, &scfg).unwrap().timeline;
+            let s = single().timeline;
             let f = serve_fleet(&[&black(), &black()], std::slice::from_ref(&net), &fcfg);
             (s, f.unwrap().timeline)
         });
         assert_eq!(
             serve_base,
             digest(&s),
-            "serve timeline diverged under a {threads}-thread budget"
+            "one-device timeline diverged under a {threads}-thread budget"
         );
         assert_eq!(
             fleet_base,

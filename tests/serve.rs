@@ -1,29 +1,58 @@
-//! Serving-subsystem integration tests: bit-identical determinism of the
-//! dynamic batcher, and the paper's batch-size-dependent layout decisions
-//! surfacing across serving buckets.
+//! Serving-subsystem integration tests on one-device fleets: bit-identical
+//! determinism of the dynamic batcher, and the paper's batch-size-dependent
+//! layout decisions surfacing across serving buckets.
 //!
 //! Like `sim_cache.rs`, these assertions read process-global state (the
 //! perf-counter registry), so everything lives in ONE `#[test]` — a
 //! second test in this binary would race the counters on the harness's
 //! concurrent threads.
 
-use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Mechanism, Network, NetworkBuilder};
+use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, FaultPlan};
 use memcnn::serve::{
-    serve, Arrival, BatchPolicy, FaultPolicy, Phase, ServeConfig, ServeReport, TenantSpec,
-    WorkloadConfig,
+    serve_fleet, Arrival, BatchPolicy, BatchRecord, BucketStats, FaultPolicy, FleetConfig,
+    FleetReport, Phase, Placement, TenantSpec, WorkloadConfig,
 };
 use memcnn::tensor::{Layout, Shape};
 use memcnn::trace::perf;
 
-/// Digest of everything the ISSUE requires to be reproducible: the full
-/// latency vector (bit-for-bit), every batch's bucket decision, and every
+/// A one-device, one-network, round-robin fleet config: the
+/// single-device server.
+fn single(workload: WorkloadConfig, policy: BatchPolicy) -> FleetConfig {
+    FleetConfig::new(workload, policy, Placement::RoundRobin)
+}
+
+fn serve_one(engine: &Engine, net: &Network, cfg: &FleetConfig) -> FleetReport {
+    serve_fleet(&[engine], std::slice::from_ref(net), cfg).unwrap()
+}
+
+/// The device's batch records, in launch order.
+fn batches(r: &FleetReport) -> Vec<BatchRecord> {
+    r.devices[0].batches.iter().map(|b| b.record).collect()
+}
+
+/// The network's per-bucket rollups, ascending by bucket.
+fn buckets(r: &FleetReport) -> &[BucketStats] {
+    r.devices[0].networks.first().map_or(&[], |n| &n.buckets)
+}
+
+/// Distinct convolution-layout signatures across buckets: `> 1` means
+/// the server observably flipped plans as load changed.
+fn distinct_conv_signatures(r: &FleetReport) -> usize {
+    let mut sigs: Vec<&str> = buckets(r).iter().map(|b| b.conv_layouts.as_str()).collect();
+    sigs.sort_unstable();
+    sigs.dedup();
+    sigs.len()
+}
+
+/// Digest of everything that must be reproducible: the full latency
+/// vector (bit-for-bit), every batch's bucket decision, and every
 /// bucket's compiled conv-layout signature.
-fn digest(report: &ServeReport) -> (Vec<u64>, Vec<(usize, usize)>, Vec<String>) {
+fn digest(report: &FleetReport) -> (Vec<u64>, Vec<(usize, usize)>, Vec<String>) {
     (
         report.latencies.iter().map(|l| l.to_bits()).collect(),
-        report.batches.iter().map(|b| (b.bucket, b.images)).collect(),
-        report.buckets.iter().map(|b| format!("{}:{}", b.bucket, b.conv_layouts)).collect(),
+        batches(report).iter().map(|b| (b.bucket, b.images)).collect(),
+        buckets(report).iter().map(|b| format!("{}:{}", b.bucket, b.conv_layouts)).collect(),
     )
 }
 
@@ -37,12 +66,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Per-component fingerprints of a report, everything except the metrics
 /// timeline: latencies (bits), batch records, bucket rollups, fault
 /// stats, shed count, makespan (bits), and the SLO section.
-fn pin(r: &ServeReport) -> [String; 7] {
+fn pin(r: &FleetReport) -> [String; 7] {
     let lat: Vec<u8> = r.latencies.iter().flat_map(|l| l.to_bits().to_le_bytes()).collect();
     [
         fnv1a(&lat),
-        fnv1a(serde_json::to_string(&r.batches).unwrap().as_bytes()),
-        fnv1a(serde_json::to_string(&r.buckets).unwrap().as_bytes()),
+        fnv1a(serde_json::to_string(&batches(r)).unwrap().as_bytes()),
+        fnv1a(serde_json::to_string(buckets(r)).unwrap().as_bytes()),
         fnv1a(serde_json::to_string(&r.faults).unwrap().as_bytes()),
         fnv1a(&r.shed_requests.to_le_bytes()),
         fnv1a(&r.makespan.to_bits().to_le_bytes()),
@@ -52,10 +81,9 @@ fn pin(r: &ServeReport) -> [String; 7] {
 }
 
 /// `pin` digests of the seven reference configs below, recorded from the
-/// dedicated single-device and tenant event loops `serve()` ran before it
-/// became a one-device view of the fleet loop. They must never change:
-/// they are the proof that the projection serves exactly what those
-/// loops served. Two entries differ on purpose: `tenants+faults+shed`
+/// dedicated single-device and tenant event loops that preceded the one
+/// fleet loop. They must never change: they are the proof that a
+/// one-device fleet serves exactly what those loops served. Two entries differ on purpose: `tenants+faults+shed`
 /// and `plan-oom+tenants+faults` were recorded from the old tenant loop
 /// with fairness credits settled only over lanes holding *arrived* work.
 /// The old loop also credited lanes whose requests had not arrived yet,
@@ -166,8 +194,8 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
 
     // A two-phase workload — a quiet spell, then a burst — so one run
     // naturally produces both part-full and full batches.
-    let cfg = ServeConfig {
-        workload: WorkloadConfig {
+    let cfg = single(
+        WorkloadConfig {
             phases: vec![
                 Phase { arrival: Arrival::Poisson { rate: 50.0 }, duration: 0.3 },
                 Phase { arrival: Arrival::Poisson { rate: 4000.0 }, duration: 0.3 },
@@ -176,20 +204,15 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
             images_max: 8,
             seed: 1234,
         },
-        policy: BatchPolicy::new(256, 0.004),
-        mechanism: Mechanism::Opt,
-        faults: None,
-        fault_policy: FaultPolicy::default(),
-        tenants: Vec::new(),
-    };
+        BatchPolicy::new(256, 0.004),
+    );
 
     // (1) Determinism across runs and thread budgets {1, 4, 13}: the
     // report — latency histogram, bucket decisions, compiled plans — must
     // be bit-identical however the planner's probe fan-out is
     // parallelized.
-    let served = |threads| {
-        rayon::with_max_threads(threads, || digest(&serve(&engine(), &net, &cfg).unwrap()))
-    };
+    let served =
+        |threads| rayon::with_max_threads(threads, || digest(&serve_one(&engine(), &net, &cfg)));
     let base = served(1);
     for threads in [4, 13] {
         assert_eq!(base, served(threads), "serving diverged under a {threads}-thread budget");
@@ -198,16 +221,16 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
     // above is not vacuous).
     let mut other = cfg.clone();
     other.workload.seed = 4321;
-    assert_ne!(base.0, digest(&serve(&engine(), &net, &other).unwrap()).0);
+    assert_ne!(base.0, digest(&serve_one(&engine(), &net, &other)).0);
 
     // (2) The layout flip: the quiet phase forms small batches (N < 128
     // buckets planning NCHW), the burst fills 128/256-image buckets
     // (planning CHWN), per the heuristic. Both kinds must appear in ONE
     // run's plan cache, with the flip at exactly Nt.
-    let report = serve(&engine(), &net, &cfg).unwrap();
+    let report = serve_one(&engine(), &net, &cfg);
     let mut small = 0;
     let mut large = 0;
-    for b in &report.buckets {
+    for b in buckets(&report) {
         let expect = if b.bucket >= 128 { Layout::CHWN } else { Layout::NCHW };
         assert_eq!(
             b.conv_layouts,
@@ -223,19 +246,19 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
     }
     assert!(small > 0, "workload never exercised a small (NCHW) bucket");
     assert!(large > 0, "workload never exercised a large (CHWN) bucket");
-    assert!(report.distinct_conv_signatures() >= 2);
+    assert!(distinct_conv_signatures(&report) >= 2);
 
     // (3) Plan-cache discipline: the layout DP ran once per distinct
     // bucket, and every repeated bucket was served from the cache.
     let compiles0 = perf::get("engine.plan.compile");
     let (hits0, misses0) = (perf::get("serve.plan.hit"), perf::get("serve.plan.miss"));
-    let report = serve(&engine(), &net, &cfg).unwrap();
+    let report = serve_one(&engine(), &net, &cfg);
     let compiled = perf::get("engine.plan.compile") - compiles0;
     let hits = perf::get("serve.plan.hit") - hits0;
     let misses = perf::get("serve.plan.miss") - misses0;
-    assert_eq!(compiled, report.buckets.len() as u64, "one layout-DP compile per bucket");
+    assert_eq!(compiled, buckets(&report).len() as u64, "one layout-DP compile per bucket");
     assert_eq!(misses, compiled, "every miss compiles exactly once");
-    assert_eq!(hits + misses, report.batches.len() as u64, "every batch consults the plan cache");
+    assert_eq!(hits + misses, batches(&report).len() as u64, "every batch consults the plan cache");
     assert!(hits > 0, "repeat buckets must hit the plan cache");
 
     // (4) Pinned reports: clean, kernel faults under a loose and a tight
@@ -259,7 +282,7 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
         .conv("CV1", 256, 3, 1, 1)
         .build()
         .unwrap();
-    let oom = ServeConfig::new(
+    let oom = single(
         WorkloadConfig {
             phases: vec![Phase { arrival: Arrival::Poisson { rate: 20_000.0 }, duration: 0.05 }],
             images_min: 4,
@@ -268,7 +291,7 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
         },
         BatchPolicy::new(1024, 0.004),
     );
-    let cases: [(&str, &Network, ServeConfig); 7] = [
+    let cases: [(&str, &Network, FleetConfig); 7] = [
         ("clean", &net, cfg.clone()),
         ("faults+shed250ms", &net, cfg.clone().with_faults(faults, shedding(0.25))),
         ("faults+shed2ms", &net, cfg.clone().with_faults(faults, shedding(0.002))),
@@ -287,7 +310,7 @@ fn serving_is_deterministic_and_plans_flip_layouts_across_buckets() {
     ];
     for ((name, net, cfg), (pinned_name, want)) in cases.iter().zip(&PINNED) {
         assert_eq!(name, pinned_name);
-        let got = pin(&serve(&engine(), net, cfg).unwrap());
-        assert_eq!(got.each_ref().map(String::as_str), *want, "{name}: serve() report drifted");
+        let got = pin(&serve_one(&engine(), net, cfg));
+        assert_eq!(got.each_ref().map(String::as_str), *want, "{name}: one-device report drifted");
     }
 }
