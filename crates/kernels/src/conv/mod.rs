@@ -14,14 +14,19 @@
 //! Every family has a functional CPU implementation (tested against the
 //! naive reference here) and a GPU kernel spec for the simulator. The
 //! execution engine runs [`conv_forward`], an implicit GEMM on the packed
-//! host GEMM core that never builds the `im2col` matrix.
+//! host GEMM core that never builds the `im2col` matrix and computes in
+//! the layout it is asked for. For CHWN output the GEMM's columns run
+//! `(oy, ox, n)`, batch innermost as in the paper's §IV: each panel row
+//! copies runs of up to 16 consecutive images straight from the CHWN input,
+//! and row-major `C` is the CHWN output, stored block by block as the GEMM
+//! streams it. Every other layout computes in NCHW, columns `(n, oy, ox)`.
 
 pub mod direct_chwn;
 pub mod fft_nchw;
 pub mod mm_nchw;
 pub mod winograd;
 
-use crate::matmul::{gemm_packed, NR};
+use crate::matmul::{gemm_packed, gemm_row_major, NR};
 use crate::shapes::ConvShape;
 use memcnn_tensor::{Layout, Tensor};
 use rayon::prelude::*;
@@ -104,11 +109,18 @@ pub fn conv_reference(
 /// Fast functional convolution, used by the execution engine: an implicit
 /// GEMM `filter[Co][Ci*Fh*Fw] x col[Ci*Fh*Fw][N*OH*OW]` on the packed core
 /// ([`gemm_packed`]) whose `B` panels are gathered straight from the input,
-/// so the `im2col` matrix is never built. Layout-agnostic on the outside;
-/// internally reads an NCHW input, writes NCHW output planes and relays
-/// them once into `out_layout`. Bit-identical to [`conv_reference`] for
-/// finite inputs: every output sums its in-bounds taps in the same
-/// ascending `(ci, fy, fx)` order, and a padded tap adds an exact `±0`.
+/// so the `im2col` matrix is never built.
+///
+/// A CHWN `out_layout` is computed natively: the input is read as CHWN and
+/// `col`'s columns run `(oy, ox, n)`, so row-major `C` is the CHWN output
+/// `out[co][oy][ox][n]` and is stored as it streams out of the GEMM. Every
+/// other layout reads an NCHW input, orders the columns `(n, oy, ox)`,
+/// stores `C` as NCHW planes and relays them once into `out_layout`.
+/// Bit-identical to [`conv_reference`] for finite inputs: every output sums
+/// its in-bounds taps in the same ascending `(ci, fy, fx)` order, and a
+/// padded tap adds an exact `±0`. The column order changes where an output
+/// is stored, never how it is summed, so both orders give the same bits for
+/// any input.
 pub fn conv_forward(
     input: &Tensor,
     filter: &Tensor,
@@ -116,84 +128,126 @@ pub fn conv_forward(
     out_layout: Layout,
 ) -> Result<Tensor, ConvError> {
     check_shapes(input, filter, shape)?;
-    let x = input.as_layout(Layout::NCHW);
+    let layout = if out_layout == Layout::CHWN { Layout::CHWN } else { Layout::NCHW };
+    let x = input.as_layout(layout);
     let filter = filter.as_layout(Layout::NCHW);
     let k = shape.ci * shape.fh * shape.fw;
     let plane = shape.out_h() * shape.out_w();
     let cols = shape.n * plane;
-    let mut out = vec![0f32; shape.co * cols];
-    let pack =
-        |j0, width, panel: &mut [f32]| pack_conv_panel(x.as_slice(), shape, j0, width, panel);
-    gemm_packed(shape.co, k, cols, filter.as_slice(), pack, |co, j0, mut row| {
-        // C[co][img * plane + p] is NCHW's out[img][co][p].
-        let mut j = j0;
-        while !row.is_empty() {
-            let (img, p) = (j / plane, j % plane);
-            let len = (plane - p).min(row.len());
-            out[(img * shape.co + co) * plane + p..][..len].copy_from_slice(&row[..len]);
-            (row, j) = (&row[len..], j + len);
-        }
-    });
-    let out = Tensor::from_vec(shape.output_shape(), Layout::NCHW, out)
+    let unrolled = Unrolled { x: &x, s: shape, images_inner: layout == Layout::CHWN };
+    let pack = |j0, width, panel: &mut [f32]| unrolled.pack(j0, width, panel);
+    let out = if unrolled.images_inner {
+        gemm_row_major(shape.co, k, cols, filter.as_slice(), pack)
+    } else {
+        let mut out = vec![0f32; shape.co * cols];
+        gemm_packed(shape.co, k, cols, filter.as_slice(), pack, |co, j0, mut row| {
+            // C[co][img * plane + p] is NCHW's out[img][co][p].
+            let mut j = j0;
+            while !row.is_empty() {
+                let (img, p) = (j / plane, j % plane);
+                let len = (plane - p).min(row.len());
+                out[(img * shape.co + co) * plane + p..][..len].copy_from_slice(&row[..len]);
+                (row, j) = (&row[len..], j + len);
+            }
+        });
+        out
+    };
+    let out = Tensor::from_vec(shape.output_shape(), layout, out)
         .expect("length matches shape by construction");
     Ok(out.into_layout(out_layout))
 }
 
-/// Fill columns `j0..j0 + width` of the unrolled input matrix (`im2col`'s
-/// `col`, row `(ci, fy, fx)`, column `(n, oy, ox)`) into a `k x NR` panel,
-/// reading the NCHW input directly. Out-of-bounds (padding) taps are zero,
-/// exactly as `im2col` writes them.
-fn pack_conv_panel(x: &[f32], s: &ConvShape, j0: usize, width: usize, panel: &mut [f32]) {
-    let (ow, plane) = (s.out_w(), s.out_h() * s.out_w());
-    let (pad, stride) = (s.pad as isize, s.stride as isize);
-    // Runs of panel columns on one output row: (first column, length,
-    // image offset, top input row, leftmost input column).
-    let mut runs = [(0usize, 0usize, 0usize, 0isize, 0isize); NR];
-    let mut count = 0;
-    let mut jj = 0;
-    while jj < width {
-        let (img, p) = ((j0 + jj) / plane, (j0 + jj) % plane);
-        let (oy, ox) = (p / ow, p % ow);
-        let len = (ow - ox).min(width - jj);
-        let y0 = (oy * s.stride) as isize - pad;
-        let x0 = (ox * s.stride) as isize - pad;
-        runs[count] = (jj, len, img * s.ci * s.h * s.w, y0, x0);
-        count += 1;
-        jj += len;
-    }
-    let (h, w) = (s.h as isize, s.w as isize);
-    let mut rows = panel.chunks_exact_mut(NR);
-    for ci in 0..s.ci {
-        for fy in 0..s.fh {
-            for fx in 0..s.fw {
-                let row = rows.next().expect("panel holds k rows");
-                for &(jj, len, base, y0, x0) in &runs[..count] {
-                    let dst = &mut row[jj..jj + len];
-                    let iy = y0 + fy as isize;
-                    if iy < 0 || iy >= h {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src = &x[base + (ci * s.h + iy as usize) * s.w..][..s.w];
-                    // Taps t with 0 <= ix0 + t * stride < w.
-                    let ix0 = x0 + fx as isize;
-                    let lo = if ix0 < 0 { (-ix0 + stride - 1) / stride } else { 0 };
-                    let hi = if ix0 < w { (w - ix0 + stride - 1) / stride } else { 0 };
-                    let lo = (lo as usize).min(len);
-                    let hi = (hi as usize).clamp(lo, len);
-                    dst[..lo].fill(0.0);
-                    dst[hi..].fill(0.0);
-                    if lo < hi {
-                        let first = (ix0 + lo as isize * stride) as usize;
-                        let taps = src[first..].iter().step_by(s.stride);
-                        for (d, &v) in dst[lo..hi].iter_mut().zip(taps) {
-                            *d = v;
+/// The unrolled input matrix (`im2col`'s `col`, row `(ci, fy, fx)`), read in
+/// place from `x` through its strides. Its columns run `(n, oy, ox)`, or
+/// `(oy, ox, n)` when `images_inner`. Out-of-bounds (padding) taps are
+/// zero, exactly as `im2col` writes them.
+struct Unrolled<'a> {
+    x: &'a Tensor,
+    s: &'a ConvShape,
+    images_inner: bool,
+}
+
+impl Unrolled<'_> {
+    /// Fill columns `j0..j0 + width` into a `k x NR` panel. The columns
+    /// split into runs along the innermost column coordinate: `ox` (up to
+    /// one output row) or `n` (up to `NR` images at one output pixel). In
+    /// each panel row a run reads input at a fixed step, so a unit-step run
+    /// (every CHWN run, and NCHW at stride 1) is one slice copy.
+    fn pack(&self, j0: usize, width: usize, panel: &mut [f32]) {
+        let s = self.s;
+        let (oh, ow) = (s.out_h(), s.out_w());
+        let [ns, cs, hs, ws] = self.x.strides();
+        let (pad, stride) = (s.pad as isize, s.stride);
+        // Per run element: input columns moved (`dx`) and input elements
+        // moved (`step`).
+        let (dx, step) = if self.images_inner { (0, ns) } else { (stride, stride * ws) };
+        // Runs of panel columns: (first column, length, image offset, top
+        // input row, leftmost input column).
+        let mut runs = [(0usize, 0usize, 0usize, 0isize, 0isize); NR];
+        let mut count = 0;
+        let mut jj = 0;
+        while jj < width {
+            let j = j0 + jj;
+            let (img, oy, ox, left) = if self.images_inner {
+                let (p, img) = (j / s.n, j % s.n);
+                (img, p / ow, p % ow, s.n - img)
+            } else {
+                let (row, ox) = (j / ow, j % ow);
+                (row / oh, row % oh, ox, ow - ox)
+            };
+            let len = left.min(width - jj);
+            let y0 = (oy * stride) as isize - pad;
+            let x0 = (ox * stride) as isize - pad;
+            runs[count] = (jj, len, img * ns, y0, x0);
+            count += 1;
+            jj += len;
+        }
+        let x = self.x.as_slice();
+        let (h, w) = (s.h as isize, s.w as isize);
+        let mut rows = panel.chunks_exact_mut(NR);
+        for ci in 0..s.ci {
+            for fy in 0..s.fh {
+                for fx in 0..s.fw {
+                    let row = rows.next().expect("panel holds k rows");
+                    for &(jj, len, base, y0, x0) in &runs[..count] {
+                        let dst = &mut row[jj..jj + len];
+                        let (iy, ix0) = (y0 + fy as isize, x0 + fx as isize);
+                        let (lo, hi) = if (0..h).contains(&iy) {
+                            in_bounds(ix0, dx as isize, w, len)
+                        } else {
+                            (0, 0)
+                        };
+                        dst[..lo].fill(0.0);
+                        dst[hi..].fill(0.0);
+                        if lo < hi {
+                            let ix = (ix0 + (lo * dx) as isize) as usize;
+                            let src = &x[base + ci * cs + iy as usize * hs + ix * ws..];
+                            let dst = &mut dst[lo..hi];
+                            if step == 1 {
+                                dst.copy_from_slice(&src[..dst.len()]);
+                            } else {
+                                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(step)) {
+                                    *d = v;
+                                }
+                            }
                         }
                     }
                 }
             }
         }
     }
+}
+
+/// The run positions `lo..hi` (within `0..len`) whose input column
+/// `ix0 + t * dx` lies in `0..w`.
+fn in_bounds(ix0: isize, dx: isize, w: isize, len: usize) -> (usize, usize) {
+    if dx == 0 {
+        return if (0..w).contains(&ix0) { (0, len) } else { (0, 0) };
+    }
+    let lo = if ix0 < 0 { (-ix0 + dx - 1) / dx } else { 0 };
+    let hi = if ix0 < w { (w - ix0 + dx - 1) / dx } else { 0 };
+    let lo = (lo as usize).min(len);
+    (lo, (hi as usize).clamp(lo, len))
 }
 
 /// Backward pass w.r.t. the input (full correlation with rotated filters),
@@ -365,6 +419,24 @@ mod tests {
                 assert_eq!(bits(&fast), bits(&slow), "stride {stride} pad {pad} {layout}");
             }
         }
+    }
+
+    #[test]
+    fn non_finite_filters_give_the_same_bits_in_both_layouts() {
+        // A padded tap multiplies its weight by zero, so an inf or NaN
+        // weight turns outputs into NaN where the reference skips the tap;
+        // both column orders still sum the same products in the same order.
+        let s = ConvShape { pad: 1, ..ConvShape::table1(20, 4, 6, 3, 3, 1) };
+        let input = Tensor::random(s.input_shape(), Layout::NCHW, 11);
+        let mut filter = Tensor::random(s.filter_shape(), Layout::NCHW, 12);
+        filter.set(0, 1, 0, 0, f32::INFINITY);
+        filter.set(2, 0, 2, 1, f32::NAN);
+        filter.set(3, 2, 1, 2, f32::NEG_INFINITY);
+        let nchw = conv_forward(&input, &filter, &s, Layout::NCHW).unwrap();
+        let chwn = conv_forward(&input.to_layout(Layout::CHWN), &filter, &s, Layout::CHWN).unwrap();
+        assert_eq!(bits(&chwn.to_layout(Layout::NCHW)), bits(&nchw));
+        assert!(nchw.as_slice().iter().any(|v| v.is_nan()));
+        assert!(nchw.as_slice().iter().any(|v| v.is_infinite()));
     }
 
     #[test]

@@ -10,9 +10,15 @@
 //! `MR`-row panels, a caller-supplied packer fills each `k x NR` panel of
 //! `B`, and a `MR x NR` register tile accumulates one block of `C`. Dense
 //! `B` ([`sgemm`]), the implicit-GEMM convolution (`conv::conv_forward`,
-//! which gathers `B` straight from the input and stores `C` as NCHW planes)
-//! and the fully-connected layer (`layers::fc_forward`, which reads `B`
+//! which gathers `B` straight from an NCHW or CHWN input and stores `C` as
+//! NCHW planes or, in CHWN's column order, as the CHWN output itself) and
+//! the fully-connected layer (`layers::fc_forward`, which reads `B`
 //! transposed) differ only in their packer and where they store `C`.
+//!
+//! `C` is never held whole: each task computes one `m x NC` block and
+//! streams it to the caller's `store` sink as soon as it is done, under a
+//! lock, so the GEMM's own memory is one block per worker on top of the
+//! packed `A`.
 //!
 //! The per-chunk body (pack a panel of `B`, sweep it with the register
 //! tile) is compiled twice: once for the baseline target and once, on
@@ -26,6 +32,7 @@
 
 use crate::gemm_model::GemmKernel;
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Rows of `A` per packed panel, and rows of the register tile.
 const MR: usize = 6;
@@ -45,11 +52,15 @@ const NC: usize = 1024;
 /// Tasks run over contiguous `NC`-column chunks of `C`; inside a chunk,
 /// each `k x NR` panel of `B` is packed once and swept by every `MR`-row
 /// panel of `A` through an `MR x NR` register tile, in the widest copy of
-/// that loop the CPU runs (see the module doc).
+/// that loop the CPU runs (see the module doc). A task hands its finished
+/// `m x NC` block to `store` at once, under a lock, so a worker holds at
+/// most one block; the blocks arrive in no fixed order, but each element
+/// of `C` is stored exactly once, so what `store` writes is the same at
+/// any thread count.
 pub fn gemm_packed<P, S>(m: usize, k: usize, n: usize, a: &[f32], pack_b: P, store: S)
 where
     P: Fn(usize, usize, &mut [f32]) + Sync,
-    S: FnMut(usize, usize, &[f32]),
+    S: FnMut(usize, usize, &[f32]) + Send,
 {
     gemm_on(Body::widest(), m, k, n, a, pack_b, store)
 }
@@ -58,7 +69,7 @@ where
 fn gemm_on<P, S>(body: Body, m: usize, k: usize, n: usize, a: &[f32], pack_b: P, mut store: S)
 where
     P: Fn(usize, usize, &mut [f32]) + Sync,
-    S: FnMut(usize, usize, &[f32]),
+    S: FnMut(usize, usize, &[f32]) + Send,
 {
     assert_eq!(a.len(), m * k, "A must be m x k");
     if m == 0 || n == 0 {
@@ -70,17 +81,15 @@ where
         return;
     }
     let ops = Operands::pack(m, k, a, pack_b);
-    let blocks: Vec<Vec<f32>> = (0..n.div_ceil(NC))
-        .into_par_iter()
-        .map(|chunk| body.run(&ops, chunk * NC, NC.min(n - chunk * NC)))
-        .collect();
-    // Each block is freed as soon as it is stored.
-    for (chunk, block) in blocks.into_iter().enumerate() {
-        let w = NC.min(n - chunk * NC);
+    let sink = Mutex::new(store);
+    (0..n.div_ceil(NC)).into_par_iter().for_each(|chunk| {
+        let (j0, w) = (chunk * NC, NC.min(n - chunk * NC));
+        let block = body.run(&ops, j0, w);
+        let mut store = sink.lock().expect("no other store call panicked");
         for (i, row) in block.chunks_exact(w).enumerate() {
-            store(i, chunk * NC, row);
+            store(i, j0, row);
         }
-    }
+    });
 }
 
 /// What every task of one call shares: `A (m x k)` packed into `MR`-row
@@ -309,6 +318,33 @@ mod tests {
                 let want = bits(&sgemm_naive(m, k, n, &a, &b));
                 assert_eq!(bits(&sgemm_on(body, m, k, n, &a, &b)), want, "{body:?} {m}x{k}x{n}");
             }
+        }
+    }
+
+    #[test]
+    fn store_sees_every_element_once_at_any_thread_budget() {
+        // Several NC-column chunks and a ragged tail, over two A panels.
+        let (m, k, n) = (MR + 1, 7, 3 * NC + 37);
+        let a = mat(m, k, |i, j| ((i * 31 + j * 7) % 13) as f32 * 0.37 - 2.1);
+        let b = mat(k, n, |i, j| ((i * 17 + j * 3) % 11) as f32 * 0.29 - 1.3);
+        let want = bits(&sgemm_naive(m, k, n, &a, &b));
+        let pack_b = |j0: usize, width: usize, panel: &mut [f32]| {
+            for (dst, src) in panel.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+                dst[..width].copy_from_slice(&src[j0..j0 + width]);
+            }
+        };
+        for threads in [1, 2, 4] {
+            let mut c = vec![f32::NAN; m * n];
+            let mut seen = vec![0u32; m * n];
+            rayon::with_max_threads(threads, || {
+                gemm_packed(m, k, n, &a, pack_b, |i, j0, row| {
+                    let at = i * n + j0;
+                    c[at..][..row.len()].copy_from_slice(row);
+                    seen[at..][..row.len()].iter_mut().for_each(|s| *s += 1);
+                })
+            });
+            assert!(seen.iter().all(|&s| s == 1), "{threads} threads: an element stored twice");
+            assert_eq!(bits(&c), want, "{threads} threads");
         }
     }
 

@@ -21,6 +21,17 @@ fn small_conv() -> impl Strategy<Value = ConvShape> {
     )
 }
 
+/// Shapes for the layout-native check: `N` below, at and off multiples of
+/// 16 (a CHWN panel copies runs of up to 16 images), strides 1-3 and
+/// padding 0-2, with non-square inputs.
+fn batch_conv() -> impl Strategy<Value = ConvShape> {
+    ((1usize..=40, 1usize..4, 3usize..9, 0usize..3), (1usize..4, 0usize..2, 1usize..=3, 0usize..=2))
+        .prop_map(|((n, ci, h, dw), (co, f, stride, pad))| {
+            let f = f * 2 + 1; // 1 or 3
+            ConvShape { n, ci, h, w: h + dw, co, fh: f, fw: f, stride, pad }
+        })
+}
+
 /// The bits of every element, in buffer order.
 fn f32_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
@@ -66,6 +77,24 @@ proptest! {
             let fast = conv_forward(&input, &filter, &shape, layout).unwrap();
             let slow = conv_reference(&input, &filter, &shape, layout).unwrap();
             prop_assert_eq!(bits(&fast), bits(&slow), "{}", layout);
+        }
+    }
+
+    /// The CHWN convolution, computed natively in `(oy, ox, n)` column
+    /// order, equals the NCHW one bit for bit once relaid, and both equal
+    /// the naive reference.
+    #[test]
+    fn chwn_conv_equals_nchw_conv(shape in batch_conv(), seed in 0u64..500) {
+        prop_assume!(shape.validate().is_ok());
+        let input = Tensor::random(shape.input_shape(), Layout::NCHW, seed);
+        let filter = Tensor::random(shape.filter_shape(), Layout::NCHW, seed + 1);
+        let nchw = conv_forward(&input, &filter, &shape, Layout::NCHW).unwrap();
+        let chwn =
+            conv_forward(&input.to_layout(Layout::CHWN), &filter, &shape, Layout::CHWN).unwrap();
+        prop_assert_eq!(bits(&chwn.to_layout(Layout::NCHW)), bits(&nchw));
+        for (got, layout) in [(&nchw, Layout::NCHW), (&chwn, Layout::CHWN)] {
+            let want = conv_reference(&input, &filter, &shape, layout).unwrap();
+            prop_assert_eq!(bits(got), bits(&want), "{}", layout);
         }
     }
 

@@ -1515,8 +1515,10 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                     break;
                 }
                 HealthState::Down => {
-                    if due.is_some() {
-                        // Events landing on a dead device are spent.
+                    if due.is_some_and(|e| e.t < h.devs[d].down_until) {
+                        // Events landing on a dead device are spent. One
+                        // dated at or after the repair waits for the heal
+                        // below, however late the routing point comes.
                         h.devs[d].events.pop_front();
                         self.devs[d].halt = h.devs[d].halt();
                         self.index.mark(d);
@@ -1550,7 +1552,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                     break;
                 }
                 HealthState::Warming => {
-                    if due.is_some() {
+                    if due.is_some_and(|e| e.t < h.devs[d].warm_until) {
                         h.devs[d].events.pop_front();
                         self.devs[d].halt = h.devs[d].halt();
                         self.index.mark(d);
@@ -2662,5 +2664,37 @@ mod tests {
         // Everything served, just slower.
         assert!(throttled.makespan > clean.makespan);
         assert!(throttled.latency().mean > clean.latency().mean);
+    }
+
+    #[test]
+    fn lifecycle_counts_do_not_depend_on_arrival_spacing() {
+        // Device 0 crashes at 10 ms, is down for 10 ms and warms for 10 ms,
+        // so the crash at 50 ms lands on a healthy device and must take it
+        // down again, however far apart the routing points are: at 10 req/s
+        // none falls between the heal and the second crash.
+        let e = tiny_engine();
+        let net = tiny_net("fleet-lifecycle");
+        let faults = DeviceFaultPlan::quiet(1)
+            .with_repair(0.01)
+            .with_warmup(0.01)
+            .crash_at(0.01, 0)
+            .crash_at(0.05, 0);
+        for rate in [10.0, 30.0, 100.0, 1000.0] {
+            let cfg = FleetConfig::new(
+                WorkloadConfig {
+                    phases: vec![Phase { arrival: Arrival::Uniform { rate }, duration: 1.0 }],
+                    images_min: 1,
+                    images_max: 4,
+                    seed: 5,
+                },
+                BatchPolicy::new(16, 0.002),
+                Placement::RoundRobin,
+            )
+            .with_device_faults(faults.clone());
+            let report = serve_fleet(&[&e, &e], std::slice::from_ref(&net), &cfg).unwrap();
+            let health = report.health.expect("a device-fault plan reports health");
+            assert_eq!(health.downs, 2, "at {rate} req/s");
+            assert_eq!(health.ups, 2, "at {rate} req/s");
+        }
     }
 }

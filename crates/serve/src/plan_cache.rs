@@ -1,10 +1,11 @@
 //! The per-bucket plan cache: first use of a batch-size bucket compiles
 //! the network at that `N` through [`Engine::plan`] (layout DP + mechanism
 //! selection, accelerated by the simulation cache's prewarms); every later
-//! batch in the bucket reuses the compiled plan. Hits and misses go to the
-//! global perf registry (`serve.plan.hit` / `serve.plan.miss`), and each
-//! compile bumps `engine.plan.compile` inside the engine — together they
-//! prove repeat buckets never re-run the layout DP.
+//! batch in the bucket reuses the compiled plan. The cache counts its own
+//! hits and misses ([`PlanCache::hits`] / [`PlanCache::misses`]), which
+//! prove repeat buckets never re-run the layout DP; the global perf
+//! registry mirrors them (`serve.plan.hit` / `serve.plan.miss`) for
+//! profiling, beside the engine's own `engine.plan.compile`.
 //!
 //! For the fleet's batched cold-start compilation there is a *staged*
 //! side-slot: [`PlanCache::compile_detached`] compiles a bucket without
@@ -28,6 +29,10 @@ pub struct PlanCache<'e> {
     /// Detached-compile results awaiting their first [`PlanCache::get`];
     /// never read by [`PlanCache::plans`] or the report rollups.
     staged: BTreeMap<usize, Result<Plan, EngineError>>,
+    /// [`PlanCache::get`] calls that found their bucket compiled.
+    hits: u64,
+    /// [`PlanCache::get`] calls that compiled (or consumed a staged plan).
+    misses: u64,
 }
 
 impl<'e> PlanCache<'e> {
@@ -40,6 +45,8 @@ impl<'e> PlanCache<'e> {
             template: net.clone(),
             plans: BTreeMap::new(),
             staged: BTreeMap::new(),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -48,8 +55,10 @@ impl<'e> PlanCache<'e> {
     /// degradable plan-time OOM from structural infeasibility.
     pub fn get(&mut self, bucket: usize) -> Result<&Plan, EngineError> {
         if self.plans.contains_key(&bucket) {
+            self.hits += 1;
             perf::incr("serve.plan.hit");
         } else {
+            self.misses += 1;
             perf::incr("serve.plan.miss");
             // A staged detached compile stands in for the inline compile
             // this miss would have run — same result, same error, same
@@ -97,11 +106,11 @@ impl<'e> PlanCache<'e> {
         self.staged.contains_key(&bucket)
     }
 
-    /// Drop every compiled and staged plan, leaving the cache as freshly
-    /// constructed. The fleet's healer calls this when a replacement
-    /// device warms up: its per-(device, network, bucket) cache starts
-    /// cold and every discarded plan (the return value) must be
-    /// recompiled on demand.
+    /// Drop every compiled and staged plan, leaving the plans as freshly
+    /// constructed (the hit and miss counts carry on). The fleet's healer
+    /// calls this when a replacement device warms up: its per-(device,
+    /// network, bucket) cache starts cold and every discarded plan (the
+    /// return value) must be recompiled on demand.
     pub fn reset(&mut self) -> usize {
         let dropped = self.plans.len();
         self.plans.clear();
@@ -123,6 +132,16 @@ impl<'e> PlanCache<'e> {
     pub fn is_empty(&self) -> bool {
         self.plans.is_empty()
     }
+
+    /// [`PlanCache::get`] calls so far that reused a compiled plan.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// [`PlanCache::get`] calls so far that compiled their bucket.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
 }
 
 #[cfg(test)]
@@ -142,16 +161,18 @@ mod tests {
             .unwrap();
         let mut cache = PlanCache::new(&engine, &net, Mechanism::Opt);
         assert!(cache.is_empty());
-        let compiles0 = perf::get("engine.plan.compile");
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // The cache's own counts, not the process-wide perf registry that
+        // other tests in this binary bump from their own threads.
         let t1 = cache.get(16).unwrap().total_time();
-        let after_first = perf::get("engine.plan.compile");
-        assert!(after_first > compiles0, "first use must compile");
+        assert_eq!((cache.hits(), cache.misses()), (0, 1), "first use must compile");
         let t2 = cache.get(16).unwrap().total_time();
-        assert_eq!(perf::get("engine.plan.compile"), after_first, "repeat must not compile");
+        assert_eq!((cache.hits(), cache.misses()), (1, 1), "repeat must not compile");
         assert_eq!(t1.to_bits(), t2.to_bits());
         assert_eq!(cache.len(), 1);
         // A different bucket compiles a different plan at its own N.
         assert_eq!(cache.get(64).unwrap().batch, 64);
         assert_eq!(cache.len(), 2);
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 }

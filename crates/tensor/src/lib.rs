@@ -42,6 +42,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod dim;
 mod error;

@@ -6,8 +6,9 @@
 //! reference drivers ([`Oracle::Sequential`], [`Oracle::Linear`]) serve
 //! byte-identical reports, and the fault and SLO books balance. Two
 //! physical bounds hold as well: no request is served faster than the
-//! shortest plan its network has, and no device launches a batch while
-//! a crash holds it down.
+//! shortest plan its network has, and no device launches a batch while a
+//! crash holds it down (every crash whose landing state the fault plan
+//! alone decides).
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultKind, DeviceFaultPlan, FaultPlan};
@@ -84,21 +85,36 @@ fn shortest_service(engines: &[&Engine], net: &Network, cfg: &FleetConfig) -> f6
     best
 }
 
-/// `(device, t)` of every crash in `cfg`'s device-fault plan that is its
-/// device's first lifecycle event: the device is surely healthy when it
-/// lands, so it is `Down` for the plan's whole repair time. (A later event
-/// may land on a device that is already down or warming, which spends
-/// it.)
-fn first_crashes(cfg: &FleetConfig, k: usize) -> Vec<(usize, f64)> {
+/// `(device, t)` of every crash in `cfg`'s device-fault plan that lands on
+/// a live device, which is then `Down` for the plan's whole repair time. A
+/// crash that lands while its device is still down or warming from an
+/// earlier event is spent. A crash's own episode follows from the plan
+/// (down for `repair`, then warming for `warmup`), so every crash on a
+/// device that only crashes is decided here. A hang or a drain ends when
+/// the device's last batch does, which the plan does not say, so crashes
+/// after one on the same device are left out.
+fn live_crashes(cfg: &FleetConfig, k: usize) -> Vec<(usize, f64)> {
     let Some(plan) = &cfg.device_faults else { return Vec::new() };
     let horizon = generate(&cfg.workload).last().map_or(0.0, |r| r.arrival);
-    let events = plan.events_for(k, horizon);
-    (0..k)
-        .filter_map(|d| {
-            let first = events.iter().find(|e| e.device as usize == d)?;
-            (first.kind == DeviceFaultKind::Crash).then_some((d, first.t))
-        })
-        .collect()
+    // When each device is next surely healthy; `None` once that depends on
+    // the run.
+    let mut live_from = vec![Some(0.0); k];
+    let mut crashes = Vec::new();
+    for e in plan.events_for(k, horizon) {
+        let d = e.device as usize;
+        match live_from[d] {
+            Some(from) if e.t >= from => {
+                live_from[d] = if e.kind == DeviceFaultKind::Crash {
+                    crashes.push((d, e.t));
+                    Some(e.t + plan.repair + plan.warmup)
+                } else {
+                    None
+                };
+            }
+            _ => {}
+        }
+    }
+    crashes
 }
 
 proptest! {
@@ -199,7 +215,7 @@ proptest! {
         }
         // A crashed device launches nothing until its repair is over.
         if let Some(plan) = &cfg.device_faults {
-            for (d, t) in first_crashes(&cfg, k) {
+            for (d, t) in live_crashes(&cfg, k) {
                 let down = t..t + plan.repair;
                 for b in &report.devices[d].batches {
                     prop_assert!(

@@ -4,7 +4,8 @@
 //! at batch 16 and on a small net that exercises strided, padded
 //! convolution, average pooling and LRN, each under all-NCHW, all-CHWN
 //! and the layouts Opt's plan assigns, and folds the bits of every output
-//! into an FNV-1a digest per run. The digests were recorded before the
+//! into an FNV-1a digest per run, under the default thread budget and
+//! under budgets of 1 and 4 workers. The digests were recorded before the
 //! host kernels moved to the packed, implicit-GEMM forward path: any
 //! change to a single output bit, in any layout, moves one.
 
@@ -54,19 +55,27 @@ fn digests(net: &Network, seed: u64) -> [String; 3] {
     })
 }
 
+/// Every run of [`digests`] pins `want`, under the default thread budget
+/// and under budgets of 1 and 4 workers.
+fn assert_digests(net: &Network, seed: u64, want: &str) {
+    assert_eq!(digests(net, seed), [want; 3], "default thread budget");
+    for threads in [1, 4] {
+        let got = rayon::with_max_threads(threads, || digests(net, seed));
+        assert_eq!(got, [want; 3], "{threads} threads");
+    }
+}
+
 #[test]
 fn lenet_forward_matches_the_golden_digests() {
-    let net = lenet().unwrap();
-    assert_eq!(digests(&net, 42), ["fec1c2b3e323f312"; 3]);
+    assert_digests(&lenet().unwrap(), 42, "fec1c2b3e323f312");
 }
 
 #[test]
 fn cifar_batch16_forward_matches_the_golden_digests() {
-    let net = cifar10().unwrap().with_batch(16).unwrap();
-    assert_eq!(digests(&net, 42), ["736ad3b2a2225425"; 3]);
+    assert_digests(&cifar10().unwrap().with_batch(16).unwrap(), 42, "736ad3b2a2225425");
 }
 
 #[test]
 fn mixed_net_forward_matches_the_golden_digests() {
-    assert_eq!(digests(&mixed_net(), 7), ["4b0241afc8a476bf"; 3]);
+    assert_digests(&mixed_net(), 7, "4b0241afc8a476bf");
 }
