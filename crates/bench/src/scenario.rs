@@ -361,7 +361,7 @@ fn is_slug(s: &str) -> bool {
 
 /// Parse a scenario file.
 pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
-    let doc = toml_lite::parse(text)?;
+    let doc = toml_lite::parse(text).map_err(|e| e.to_string())?;
     for section in doc.section_names() {
         let known = words(SECTIONS).any(|s| s == section) || section.starts_with("tenant.");
         if !known && !section.is_empty() {
@@ -980,7 +980,11 @@ pub fn parse_hist(v: &serde_json::Value) -> Result<Histogram, String> {
         .ok_or("hist missing `buckets` array")?;
     for pair in buckets {
         let p = pair.as_array().filter(|p| p.len() == 2).ok_or("hist bucket must be a pair")?;
-        let idx = p[0].as_u64().ok_or("bucket index must be an integer")? as u32;
+        let idx = p[0]
+            .as_u64()
+            .and_then(|i| u32::try_from(i).ok())
+            .filter(|&i| i <= memcnn_metrics::MAX_INDEX)
+            .ok_or("bucket index must be an integer bucket index")?;
         let n = p[1].as_u64().ok_or("bucket count must be an integer")?;
         hist.record_bucket(idx, n);
     }
@@ -1138,6 +1142,19 @@ crash_device = 0
 repair_ms = 40.0
 warmup_ms = 15.0
 "#;
+
+    #[test]
+    fn parse_hist_round_trips_and_rejects_indices_past_the_last_bucket() {
+        let parse = |text: &str| parse_hist(&serde_json::from_str(text).unwrap());
+        let h = parse(r#"{"count":3,"buckets":[[0,1],[16352,2]]}"#).unwrap();
+        assert_eq!(h.buckets().collect::<Vec<_>>(), vec![(0, 1), (16352, 2)]);
+        let top = memcnn_metrics::MAX_INDEX;
+        assert!(parse(&format!(r#"{{"count":1,"buckets":[[{top},1]]}}"#)).is_ok());
+        for bad in [u64::from(top) + 1, 1 << 32] {
+            let text = format!(r#"{{"count":1,"buckets":[[{bad},1]]}}"#);
+            assert!(parse(&text).is_err(), "index {bad} must be rejected, not wrapped");
+        }
+    }
 
     #[test]
     fn spec_parses_with_defaults() {

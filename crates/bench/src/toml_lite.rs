@@ -99,50 +99,123 @@ impl Doc {
     }
 }
 
-/// Parse a document. Errors carry the 1-based line number.
-pub fn parse(text: &str) -> Result<Doc, String> {
+/// Where a parse failed and why. Its `Display` reads
+/// `line N [section] key "k": what`, omitting the parts that do not
+/// apply.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParseError {
+    /// 1-based line of the failure (for a multi-line array, the line it
+    /// opened on).
+    pub line: usize,
+    /// The section being read: `""` before the first header; for a
+    /// header error, the header's name.
+    pub section: String,
+    /// The key of the failing `key = value` line, once it parsed.
+    pub key: Option<String>,
+    /// What went wrong.
+    pub kind: ErrorKind,
+}
+
+/// What a [`ParseError`] found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// A `[` header without its `]`.
+    UnterminatedHeader,
+    /// `[]`.
+    EmptySectionName,
+    /// A header naming a section that already has keys.
+    DuplicateSection,
+    /// A line that is neither a header nor `key = value` (its text).
+    ExpectedKeyValue(String),
+    /// A key that is neither bare nor quoted (its text).
+    BadKey(String),
+    /// An array still open at the end of the file.
+    UnterminatedArray,
+    /// A value outside the subset (the reason).
+    BadValue(String),
+    /// A key already set in its section.
+    DuplicateKey,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line {}", self.line)?;
+        if !self.section.is_empty() {
+            write!(f, " [{}]", self.section)?;
+        }
+        if let Some(key) = &self.key {
+            write!(f, " key {key:?}")?;
+        }
+        match &self.kind {
+            ErrorKind::UnterminatedHeader => write!(f, ": unterminated section header"),
+            ErrorKind::EmptySectionName => write!(f, ": empty section name"),
+            ErrorKind::DuplicateSection => write!(f, ": duplicate section"),
+            ErrorKind::ExpectedKeyValue(line) => {
+                write!(f, ": expected `key = value`, got {line:?}")
+            }
+            ErrorKind::BadKey(raw) => write!(f, ": bad key {raw:?}"),
+            ErrorKind::UnterminatedArray => write!(f, ": unterminated array"),
+            ErrorKind::BadValue(why) => write!(f, ": {why}"),
+            ErrorKind::DuplicateKey => write!(f, ": duplicate key"),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Parse a document.
+pub fn parse(text: &str) -> Result<Doc, ParseError> {
     let mut doc = Doc::default();
     let mut current = String::new();
     doc.sections.entry(current.clone()).or_default();
     let mut lines = text.lines().enumerate();
     while let Some((i, raw)) = lines.next() {
-        let lineno = i + 1;
         let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
+        let fail = |section: &str, key: Option<&str>, kind| ParseError {
+            line: i + 1,
+            section: section.to_string(),
+            key: key.map(str::to_string),
+            kind,
+        };
         if let Some(rest) = line.strip_prefix('[') {
             let name = rest
                 .strip_suffix(']')
-                .ok_or_else(|| format!("line {lineno}: unterminated section header"))?
+                .ok_or_else(|| fail(&current, None, ErrorKind::UnterminatedHeader))?
                 .trim();
             if name.is_empty() {
-                return Err(format!("line {lineno}: empty section name"));
+                return Err(fail(&current, None, ErrorKind::EmptySectionName));
+            }
+            if doc.sections.get(name).is_some_and(|s| !s.is_empty()) {
+                return Err(fail(name, None, ErrorKind::DuplicateSection));
             }
             current = name.to_string();
-            if doc.sections.contains_key(&current) && !doc.sections[&current].is_empty() {
-                return Err(format!("line {lineno}: duplicate section [{current}]"));
-            }
             doc.sections.entry(current.clone()).or_default();
             continue;
         }
         let eq = line
             .find('=')
-            .ok_or_else(|| format!("line {lineno}: expected `key = value`, got {line:?}"))?;
-        let key = parse_key(line[..eq].trim())
-            .ok_or_else(|| format!("line {lineno}: bad key {:?}", line[..eq].trim()))?;
+            .ok_or_else(|| fail(&current, None, ErrorKind::ExpectedKeyValue(line.to_string())))?;
+        let raw_key = line[..eq].trim();
+        let key = parse_key(raw_key)
+            .ok_or_else(|| fail(&current, None, ErrorKind::BadKey(raw_key.to_string())))?;
         let mut raw_value = line[eq + 1..].trim().to_string();
         while array_open(&raw_value) {
-            let (_, next) =
-                lines.next().ok_or_else(|| format!("line {lineno}: unterminated array"))?;
+            let (_, next) = lines
+                .next()
+                .ok_or_else(|| fail(&current, Some(&key), ErrorKind::UnterminatedArray))?;
             raw_value.push(' ');
             raw_value.push_str(strip_comment(next).trim());
         }
-        let value = parse_value(&raw_value).map_err(|e| format!("line {lineno}: {e}"))?;
+        let value = parse_value(&raw_value)
+            .map_err(|why| fail(&current, Some(&key), ErrorKind::BadValue(why)))?;
         let section = doc.sections.entry(current.clone()).or_default();
-        if section.insert(key.clone(), value).is_some() {
-            return Err(format!("line {lineno}: duplicate key {key:?}"));
+        if section.contains_key(&key) {
+            return Err(fail(&current, Some(&key), ErrorKind::DuplicateKey));
         }
+        section.insert(key, value);
     }
     Ok(doc)
 }
@@ -313,6 +386,21 @@ default = 0.02
         assert!(parse("key = 2024-01-01").is_err());
         assert!(parse("k = 1\nk = 2").is_err());
         assert!(parse("[a]\nx = 1\n[a]\ny = 2").is_err(), "duplicate sections must error");
+    }
+
+    #[test]
+    fn errors_name_the_line_section_and_key() {
+        let err = parse("[a]\nx = 1\n\n[b]\ny = [1,\n 2\n").unwrap_err();
+        assert_eq!((err.line, err.section.as_str()), (5, "b"));
+        assert_eq!((err.key.as_deref(), &err.kind), (Some("y"), &ErrorKind::UnterminatedArray));
+        assert_eq!(err.to_string(), "line 5 [b] key \"y\": unterminated array");
+        let err = parse("[a]\nx = 1\n[a]\n").unwrap_err();
+        assert_eq!((err.line, err.section.as_str(), err.key), (3, "a", None));
+        assert_eq!(err.kind, ErrorKind::DuplicateSection);
+        let err = parse("top = true\nbad key = 1").unwrap_err();
+        assert_eq!((err.line, err.section.as_str()), (2, ""));
+        assert_eq!(err.kind, ErrorKind::BadKey("bad key".to_string()));
+        assert_eq!(err.to_string(), "line 2: bad key \"bad key\"");
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! its filename stem, and declare tenants only where the suite expects
 //! them — catching scenario/baseline skew before the (slower) harness
 //! run in CI does. Damaged copies of the same files must parse to `Ok`
-//! or `Err`, never panic.
+//! or `Err`, never panic, and a parse error names its line, section and
+//! key.
 
 use memcnn_bench::scenario::parse_spec;
+use memcnn_bench::toml_lite::{self, ErrorKind};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -38,6 +40,44 @@ fn committed_scenarios_parse() {
         );
     }
     assert!(files.len() >= 16, "expected the committed scenario set");
+}
+
+/// Every committed file with one line inserted after its `[scenario]`
+/// header's first key: the inserted line's number, the key, and the
+/// damaged text.
+fn with_line_after_first_key(
+    insert: impl Fn(&str) -> String,
+) -> impl Iterator<Item = (usize, String, String)> {
+    committed().into_iter().map(move |(path, text)| {
+        let lines: Vec<&str> = text.lines().collect();
+        let header = lines.iter().position(|l| l.trim() == "[scenario]").expect("[scenario]");
+        let at = (header + 1..lines.len())
+            .find(|&i| lines[i].contains('='))
+            .unwrap_or_else(|| panic!("{}: [scenario] has no key", path.display()));
+        let key = lines[at].split('=').next().unwrap().trim().to_string();
+        let mut damaged: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        damaged.insert(at + 1, insert(lines[at]));
+        (at + 2, key, damaged.join("\n"))
+    })
+}
+
+#[test]
+fn parse_errors_name_line_section_and_key() {
+    // A value outside the subset, under a fresh key.
+    for (line, _, text) in with_line_after_first_key(|_| "bogus = 2024-01-01".to_string()) {
+        let err = toml_lite::parse(&text).unwrap_err();
+        assert_eq!((err.line, err.section.as_str()), (line, "scenario"));
+        assert_eq!(err.key.as_deref(), Some("bogus"));
+        assert!(matches!(err.kind, ErrorKind::BadValue(_)), "{err}");
+        let msg = parse_spec(&text).unwrap_err();
+        assert!(msg.starts_with(&format!("line {line} [scenario] key \"bogus\": ")), "{msg}");
+    }
+    // The section's first key, set twice.
+    for (line, key, text) in with_line_after_first_key(str::to_string) {
+        let err = toml_lite::parse(&text).unwrap_err();
+        assert_eq!((err.line, err.section.as_str()), (line, "scenario"));
+        assert_eq!((err.key, err.kind), (Some(key), ErrorKind::DuplicateKey));
+    }
 }
 
 proptest! {

@@ -31,6 +31,14 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::sync::Mutex;
 
+/// Per-plan perf counters, resolved once per process.
+static PLAN_COMPILES: trace::perf::CachedCounter =
+    trace::perf::CachedCounter::new("engine.plan.compile");
+static PROBE_FANOUT: trace::perf::CachedCounter =
+    trace::perf::CachedCounter::new("engine.probe.fanout");
+static AUTOTUNE_POOL: trace::perf::CachedCounter =
+    trace::perf::CachedCounter::new("engine.autotune.pool");
+
 /// Which transformation kernels the `Opt` mechanism inserts — Fig 10's
 /// `Opt+Naive Transform` vs `Opt+Optimized Transform` distinction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -349,7 +357,7 @@ impl Engine {
         if !self.parallel_probes_enabled() {
             return;
         }
-        trace::perf::add("engine.probe.fanout", jobs.len() as u64);
+        PROBE_FANOUT.add(jobs.len() as u64);
         let fork = trace::fork();
         jobs.par_iter().enumerate().for_each(|(i, job)| {
             let _w = fork.attach(i);
@@ -387,11 +395,11 @@ impl Engine {
         layout: Layout,
     ) -> Result<(f64, &'static str, bool), SimError> {
         if layout == Layout::CHWN {
-            let _c = trace::scope(trace::Scope::Candidate("direct-chwn".to_string()));
+            let _c = trace::scope_with(|| trace::Scope::Candidate("direct-chwn".to_string()));
             return Ok((self.sim(&DirectConvChwn::new(*shape))?, "direct-chwn", false));
         }
         let mm = || -> Result<f64, SimError> {
-            let _c = trace::scope(trace::Scope::Candidate("mm".to_string()));
+            let _c = trace::scope_with(|| trace::Scope::Candidate("mm".to_string()));
             Ok(MmConvNchw::new(*shape).simulate(&self.device, &self.opts)?.time())
         };
         let fft = |mode: FftConvMode| -> Option<f64> {
@@ -399,7 +407,7 @@ impl Engine {
                 FftConvMode::Full => "fft",
                 FftConvMode::Tiled => "fft-tiling",
             };
-            let _c = trace::scope(trace::Scope::Candidate(label.to_string()));
+            let _c = trace::scope_with(|| trace::Scope::Candidate(label.to_string()));
             FftConvNchw::new(*shape, mode)
                 .ok()
                 .and_then(|p| p.simulate(&self.device, &self.opts).ok())
@@ -440,7 +448,8 @@ impl Engine {
         mech: Mechanism,
         layout: Layout,
     ) -> Result<(f64, &'static str), SimError> {
-        let cand = |name: &'static str| trace::scope(trace::Scope::Candidate(name.to_string()));
+        let cand =
+            |name: &'static str| trace::scope_with(|| trace::Scope::Candidate(name.to_string()));
         match (mech, layout) {
             (Mechanism::Opt, Layout::CHWN) => {
                 let (ux, uy) = self.tuned_pool_factors(shape);
@@ -490,7 +499,7 @@ impl Engine {
         // to tune the same shape, but the tuner is deterministic (and its
         // simulations hit the cache), so duplicate inserts agree.
         let _a = trace::scope(trace::Scope::Autotune);
-        trace::perf::incr("engine.autotune.pool");
+        AUTOTUNE_POOL.incr();
         let r = tune_pooling(&self.device, shape, &self.opts);
         self.pool_tune_lock().insert(*shape, (r.ux, r.uy));
         (r.ux, r.uy)
@@ -546,7 +555,7 @@ impl Engine {
                     Mechanism::CudaConvnet | Mechanism::Caffe => "softmax-5k",
                     _ => "softmax-cudnn",
                 };
-                let _c = trace::scope(trace::Scope::Candidate(name.to_string()));
+                let _c = trace::scope_with(|| trace::Scope::Candidate(name.to_string()));
                 let t = match mech {
                     Mechanism::Opt => self.sim(&SoftmaxFused::new(shape))?,
                     Mechanism::CudaConvnet | Mechanism::Caffe => {
@@ -557,17 +566,17 @@ impl Engine {
                 Ok((t, name.to_string(), false))
             }
             LayerSpec::ReLU => {
-                let _c = trace::scope(trace::Scope::Candidate("relu".to_string()));
+                let _c = trace::scope_with(|| trace::Scope::Candidate("relu".to_string()));
                 let t = self.sim(&ElementwiseKernel::new("relu", layer.input.len() as u64, 1))?;
                 Ok((t, "relu".to_string(), false))
             }
             LayerSpec::Lrn { size } => {
-                let _c = trace::scope(trace::Scope::Candidate("lrn".to_string()));
+                let _c = trace::scope_with(|| trace::Scope::Candidate("lrn".to_string()));
                 let t = self.sim(&LrnKernel::new(layer.input.len() as u64, *size as u64))?;
                 Ok((t, "lrn".to_string(), false))
             }
             LayerSpec::Fc { outputs } => {
-                let _c = trace::scope(trace::Scope::Candidate("fc-gemm".to_string()));
+                let _c = trace::scope_with(|| trace::Scope::Candidate("fc-gemm".to_string()));
                 let inputs = layer.input.c * layer.input.h * layer.input.w;
                 let t = self.sim(&gemm_kernel(*outputs, inputs, layer.input.n))?;
                 Ok((t, "fc-gemm".to_string(), false))
@@ -813,11 +822,12 @@ impl Engine {
             let _ = self.layer_backward_time(layer, mech, layouts[i], i == 0).is_ok();
         });
         {
-            let _net_scope = trace::scope(trace::Scope::Network(net.name.clone()));
+            let _net_scope = trace::scope_with(|| trace::Scope::Network(net.name.clone()));
             let _bwd_scope = trace::scope(trace::Scope::Backward);
             for (i, (layer, &layout)) in net.layers().iter().zip(&layouts).enumerate() {
                 let bwd = {
-                    let _layer_scope = trace::scope(trace::Scope::Layer(layer.name.clone()));
+                    let _layer_scope =
+                        trace::scope_with(|| trace::Scope::Layer(layer.name.clone()));
                     self.layer_backward_time(layer, mech, layout, i == 0)?
                 };
                 let entry = &mut report.layers[i];
@@ -868,8 +878,8 @@ impl Engine {
     /// caches can prove they never re-run the DP for a cached entry.
     pub fn plan(&self, net: &Network, mech: Mechanism) -> Result<Plan, SimError> {
         let _buffers = memcnn_gpusim::reuse_trace_buffers();
-        let _net_scope = trace::scope(trace::Scope::Network(net.name.clone()));
-        trace::perf::incr("engine.plan.compile");
+        let _net_scope = trace::scope_with(|| trace::Scope::Network(net.name.clone()));
+        PLAN_COMPILES.incr();
         let layouts: Vec<Layout> = match mech.fixed_layout() {
             Some(l) => vec![l; net.layers().len()],
             None => self.opt_layouts(net)?,
@@ -882,7 +892,7 @@ impl Engine {
         let mut planned = Vec::with_capacity(net.layers().len());
         let mut prev_layout: Option<Layout> = None;
         for (layer, &layout) in net.layers().iter().zip(&layouts) {
-            let _layer_scope = trace::scope(trace::Scope::Layer(layer.name.clone()));
+            let _layer_scope = trace::scope_with(|| trace::Scope::Layer(layer.name.clone()));
             let transform_before = match prev_layout {
                 Some(p) if layer.layout_sensitive() && mech == Mechanism::Opt => {
                     self.transform_time(layer.input, p, layout)?

@@ -79,7 +79,7 @@ pub fn run_network(
             net.layers().len()
         )));
     }
-    let _run_scope = trace::scope(trace::Scope::Run(net.name.clone()));
+    let _run_scope = trace::scope_with(|| trace::Scope::Run(net.name.clone()));
     let run_start = Instant::now();
     // The input is borrowed until the first layer produces a tensor.
     let mut cur = Cow::Borrowed(input);

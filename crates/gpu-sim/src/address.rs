@@ -7,7 +7,7 @@
 //! e.g. the FFT convolution failures on CV5/CV6 in Fig 5).
 
 /// A buffer in simulated device memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct DeviceBuffer {
     /// Base byte address.
     pub base: u64,

@@ -178,10 +178,10 @@ impl DeviceConfig {
         }
     }
 
-    /// The same device under a different display name. Note the name is
-    /// part of the `Debug` rendering and therefore of the simulation
-    /// cache key, so renamed copies do not share cache entries — fleets
-    /// that want shared warmup should keep identical configs identical.
+    /// The same device under a different display name. The simulator
+    /// never reads the name, and the simulation cache keys a device by
+    /// its numeric fields only, so renamed copies share cache entries and
+    /// every simulated number.
     pub fn with_name(mut self, name: &str) -> DeviceConfig {
         self.name = name.to_string();
         self

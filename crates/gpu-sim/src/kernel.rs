@@ -10,6 +10,7 @@
 use crate::banks;
 use crate::coalesce;
 use crate::device::BankMode;
+use crate::simcache::CacheKey;
 
 /// Launch configuration of a kernel (grid and per-block resources).
 #[derive(Clone, Copy, Debug)]
@@ -90,12 +91,14 @@ pub trait KernelSpec: Sync {
     /// specs with equal keys must trace identically on every block.
     ///
     /// `None` (the default) opts the kernel out of the cache — the safe
-    /// choice for specs whose trace depends on state their key cannot see.
-    /// Specs that are pure functions of their fields (every spec in
-    /// `memcnn-kernels` is) should return
-    /// [`derived_cache_key`](crate::simcache::derived_cache_key)`(self)`,
-    /// which needs only `#[derive(Debug)]`.
-    fn cache_key(&self) -> Option<String> {
+    /// choice for specs whose trace depends on state their value cannot
+    /// show. Specs that are pure functions of their fields (every spec in
+    /// `memcnn-kernels` is) derive `Clone, PartialEq, Eq, Hash` and return
+    /// `Some(self)`: the spec value itself is the key
+    /// ([`CacheKey`](crate::simcache::CacheKey)), compared field by field,
+    /// so a cache hit renders no text. A float field needs a hand-written
+    /// `Eq`/`Hash` over its `to_bits`.
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
         None
     }
 }

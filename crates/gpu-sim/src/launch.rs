@@ -248,7 +248,7 @@ pub fn simulate(
     let (report, smem_passes, smem_bytes) = simulate_cold(device, kernel, opts)?;
     publish_to_trace(&report, smem_passes, smem_bytes);
     crate::simcache::insert(
-        sim_key,
+        &sim_key,
         crate::simcache::CachedSim { report: report.clone(), smem_passes, smem_bytes },
     );
     Ok(report)

@@ -81,7 +81,7 @@ pub use launch::{
 };
 pub use model::{Bound, KernelTime};
 pub use occupancy::{occupancy, Limiter, Occupancy};
-pub use simcache::derived_cache_key;
+pub use simcache::CacheKey;
 
 use std::fmt;
 

@@ -5,26 +5,46 @@
 //! the simulation options (the analytic-model property DeLTA exploits for
 //! the same reason). The engine above re-simulates identical triples
 //! hundreds of times — mechanism scoring, the layout DP's two-state probing,
-//! and autotune sweeps all revisit the same kernels — so this module keeps a
-//! sharded, read-mostly map from a canonical [`SimKey`] to the finished
-//! report.
+//! autotune sweeps, and every warm serving-plan recompile revisit the same
+//! kernels — so this module keeps a sharded, read-mostly map from a typed
+//! [`SimKey`] to the finished report. A hit renders no text and allocates
+//! nothing: it builds the key from the inputs' bit patterns, hashes it
+//! once, and compares it field by field against the resident entry.
 //!
-//! **Key derivation.** A key is the concatenation of (a) the `Debug`
-//! rendering of the `DeviceConfig` (every field participates; `f64` Debug is
-//! round-trip exact), (b) the kernel's [`cache_key`](crate::KernelSpec::cache_key)
-//! — for the workspace's kernels, `type name + Debug of all fields` via
-//! [`derived_cache_key`] — and (c) the launch-relevant `SimOptions` fields
-//! (`max_sampled_blocks`, `l2_enabled`; `use_cache` itself is excluded since
-//! it cannot change the report). Kernels whose key cannot capture their
-//! behaviour return `None` and bypass the cache entirely.
+//! **Key derivation.** A key has three typed parts:
+//!
+//! - the device's key: every numeric `DeviceConfig` field as its
+//!   bit pattern, taken by an exhaustive destructure, so a field added to
+//!   `DeviceConfig` fails to compile until it is keyed. The display `name`
+//!   is left out because the simulator never reads it: renamed copies of a
+//!   device share entries;
+//! - the kernel's [`cache_key`](crate::KernelSpec::cache_key): the spec
+//!   value itself as a [`CacheKey`], compared by its derived `Eq` and
+//!   hashed by its derived `Hash` (floats by `to_bits`). Every field takes
+//!   part, buffer base addresses included, and two spec types never
+//!   compare equal even when their fields agree;
+//! - the launch-relevant `SimOptions` fields (`max_sampled_blocks`,
+//!   `l2_enabled`; `use_cache` itself is excluded since it cannot change
+//!   the report).
+//!
+//! Kernels whose value cannot capture their behaviour return `None` from
+//! `cache_key` and bypass the cache entirely.
+//!
+//! **Hashing.** One [`KeyHasher`] pass per lookup (a multiply-add word
+//! hash with a final avalanche) yields the 64-bit hash that picks both the
+//! shard and the slot inside it: each shard maps the hash itself, through
+//! a pass-through hasher, to the entry holding the full key. A lookup is a
+//! hit only when that stored key equals the probe; two keys that share a
+//! hash displace each other, which costs a re-simulation, never a wrong
+//! report.
 //!
 //! **Invalidation by construction.** There is none, deliberately: keys embed
 //! every input the simulator reads, so a stale entry cannot exist — a
 //! changed device, kernel field, or option is a *different key*. Buffer
 //! addresses inside kernel specs are assigned by per-construction
 //! [`AddressSpace`](crate::AddressSpace) bump allocation starting at a fixed
-//! origin, so two constructions of the same logical kernel render identical
-//! Debug strings and share an entry.
+//! origin, so two constructions of the same logical kernel compare equal
+//! and share an entry.
 //!
 //! **Concurrency.** The map is sharded 16 ways by key hash; each shard is an
 //! `RwLock<HashMap>` taken for read on lookup and briefly for write on
@@ -46,29 +66,248 @@
 use crate::device::DeviceConfig;
 use crate::launch::{KernelReport, SimOptions};
 use memcnn_trace::perf;
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// Canonical identity of one `simulate` invocation.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct SimKey {
-    device: String,
-    kernel: String,
+/// A kernel spec's identity in the simulation cache: the spec value
+/// itself, compared by its derived `Eq` and hashed by its derived `Hash`.
+///
+/// Implemented for every `Clone + Eq + Hash + Send + Sync + 'static` type,
+/// so a spec that is a pure function of its fields opts in with those
+/// derives and `fn cache_key(&self) -> Option<&dyn CacheKey> { Some(self) }`.
+/// Values of two different types never compare equal.
+pub trait CacheKey: Any + Send + Sync {
+    /// Whether `other` is a value of the same type equal to `self`.
+    fn key_eq(&self, other: &dyn CacheKey) -> bool;
+    /// Feed the type and the value into `state`.
+    fn key_hash(&self, state: &mut KeyHasher);
+    /// An owned copy, for storing beside a freshly simulated report.
+    fn to_boxed(&self) -> Box<dyn CacheKey>;
+    /// The value as `Any`, for the same-type check in [`key_eq`](Self::key_eq).
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Any + Clone + Eq + Hash + Send + Sync> CacheKey for T {
+    fn key_eq(&self, other: &dyn CacheKey) -> bool {
+        other.as_any().downcast_ref::<T>() == Some(self)
+    }
+
+    fn key_hash(&self, state: &mut KeyHasher) {
+        TypeId::of::<T>().hash(state);
+        self.hash(state);
+    }
+
+    fn to_boxed(&self) -> Box<dyn CacheKey> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// The cache's word hasher: a multiply-add step per 64-bit word (bytes are
+/// packed eight to a word) and a murmur3 avalanche on `finish`, so every
+/// bit of the result depends on every input word. Not DoS-resistant, and
+/// it need not be: keys come from the workspace's own specs and devices.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KeyHasher {
+    state: u64,
+}
+
+impl KeyHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.state = self.state.wrapping_add(w).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(w) ^ (rest.len() as u64) << 59);
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.state;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// The identity of a [`DeviceConfig`] for the cache: every numeric field's
+/// bit pattern, in declaration order. `name` is left out — the simulator
+/// never reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct DeviceKey([u64; 24]);
+
+impl DeviceKey {
+    /// The key of `device`.
+    pub(crate) fn new(device: &DeviceConfig) -> DeviceKey {
+        // Exhaustive on purpose: a new field is a compile error here until
+        // it is keyed (or, like `name`, shown not to reach the simulator).
+        let DeviceConfig {
+            name: _,
+            sms,
+            cores_per_sm,
+            clock_hz,
+            peak_flops,
+            dram_bw,
+            l2_bw,
+            device_mem,
+            l2_size,
+            l2_assoc,
+            mem_latency,
+            mem_mlp,
+            warp_size,
+            max_threads_per_sm,
+            max_blocks_per_sm,
+            regs_per_sm,
+            max_regs_per_thread,
+            smem_per_sm,
+            smem_per_block_max,
+            max_threads_per_block,
+            smem_banks,
+            supports_8byte_banks,
+            launch_overhead,
+            warps_to_saturate_alu,
+            block_overhead_cycles,
+        } = device;
+        DeviceKey([
+            u64::from(*sms),
+            u64::from(*cores_per_sm),
+            clock_hz.to_bits(),
+            peak_flops.to_bits(),
+            dram_bw.to_bits(),
+            l2_bw.to_bits(),
+            *device_mem,
+            *l2_size,
+            u64::from(*l2_assoc),
+            mem_latency.to_bits(),
+            mem_mlp.to_bits(),
+            u64::from(*warp_size),
+            u64::from(*max_threads_per_sm),
+            u64::from(*max_blocks_per_sm),
+            u64::from(*regs_per_sm),
+            u64::from(*max_regs_per_thread),
+            u64::from(*smem_per_sm),
+            u64::from(*smem_per_block_max),
+            u64::from(*max_threads_per_block),
+            u64::from(*smem_banks),
+            u64::from(*supports_8byte_banks),
+            launch_overhead.to_bits(),
+            warps_to_saturate_alu.to_bits(),
+            block_overhead_cycles.to_bits(),
+        ])
+    }
+}
+
+/// Canonical identity of one `simulate` invocation, borrowing the kernel
+/// spec: building one allocates nothing, and [`insert`] copies the spec
+/// only when a miss stores its report.
+pub struct SimKey<'a> {
+    hash: u64,
+    device: DeviceKey,
+    kernel: &'a dyn CacheKey,
     max_sampled_blocks: u64,
     l2_enabled: bool,
 }
 
-impl SimKey {
-    /// Build the key for `(device, kernel_key, opts)`. `kernel_key` is the
-    /// spec's [`cache_key`](crate::KernelSpec::cache_key) payload.
-    pub fn new(device: &DeviceConfig, kernel_key: String, opts: &SimOptions) -> SimKey {
+impl<'a> SimKey<'a> {
+    /// Build the key for `(device, kernel, opts)`. `kernel` is the spec's
+    /// [`cache_key`](crate::KernelSpec::cache_key).
+    pub fn new(device: &DeviceConfig, kernel: &'a dyn CacheKey, opts: &SimOptions) -> SimKey<'a> {
+        let device = DeviceKey::new(device);
+        let mut h = KeyHasher::default();
+        device.hash(&mut h);
+        kernel.key_hash(&mut h);
+        h.write_u64(opts.max_sampled_blocks);
+        h.write_u8(u8::from(opts.l2_enabled));
         SimKey {
-            device: format!("{device:?}"),
-            kernel: kernel_key,
+            hash: h.finish(),
+            device,
+            kernel,
             max_sampled_blocks: opts.max_sampled_blocks,
             l2_enabled: opts.l2_enabled,
         }
+    }
+
+    fn shard(&self) -> usize {
+        // Bits the shard maps leave to their own slot choice (low bits)
+        // and tags (top bits) alone.
+        (self.hash >> 32) as usize % SHARDS
+    }
+}
+
+impl PartialEq for SimKey<'_> {
+    fn eq(&self, other: &SimKey<'_>) -> bool {
+        self.hash == other.hash
+            && self.device == other.device
+            && self.max_sampled_blocks == other.max_sampled_blocks
+            && self.l2_enabled == other.l2_enabled
+            && self.kernel.key_eq(other.kernel)
+    }
+}
+
+/// A resident entry's full key (the owned counterpart of a [`SimKey`]).
+struct StoredKey {
+    device: DeviceKey,
+    kernel: Box<dyn CacheKey>,
+    max_sampled_blocks: u64,
+    l2_enabled: bool,
+}
+
+impl StoredKey {
+    fn of(key: &SimKey<'_>) -> StoredKey {
+        StoredKey {
+            device: key.device,
+            kernel: key.kernel.to_boxed(),
+            max_sampled_blocks: key.max_sampled_blocks,
+            l2_enabled: key.l2_enabled,
+        }
+    }
+
+    fn matches(&self, key: &SimKey<'_>) -> bool {
+        self.device == key.device
+            && self.max_sampled_blocks == key.max_sampled_blocks
+            && self.l2_enabled == key.l2_enabled
+            && self.kernel.key_eq(key.kernel)
     }
 }
 
@@ -94,14 +333,36 @@ const SHARDS: usize = 16;
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 struct Entry {
+    key: StoredKey,
     value: Arc<CachedSim>,
     /// Logical-clock stamp of the last touch (read under the shard's
     /// *read* lock, so hits never serialize on the write lock).
     last_used: AtomicU64,
 }
 
+/// The shard maps' hasher: their keys are already [`KeyHasher`] hashes,
+/// so it passes the `u64` through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("shard maps are keyed by u64 hashes only");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Shard = HashMap<u64, Entry, BuildHasherDefault<PassThrough>>;
+
 struct Store {
-    shards: Vec<RwLock<HashMap<SimKey, Entry>>>,
+    shards: Vec<RwLock<Shard>>,
     clock: AtomicU64,
     per_shard_cap: usize,
 }
@@ -109,7 +370,7 @@ struct Store {
 impl Store {
     fn with_capacity(capacity: usize) -> Store {
         Store {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             clock: AtomicU64::new(0),
             per_shard_cap: capacity.div_ceil(SHARDS).max(1),
         }
@@ -150,12 +411,6 @@ fn store() -> &'static Store {
     STORE.get_or_init(|| Store::with_capacity(capacity()))
 }
 
-fn shard_index(key: &SimKey) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
-}
-
 struct Counters {
     hit: perf::Counter,
     miss: perf::Counter,
@@ -175,41 +430,43 @@ fn counters() -> &'static Counters {
     })
 }
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn lookup_in(store: &Store, key: &SimKey) -> Option<Arc<CachedSim>> {
-    let shard = store.shards[shard_index(key)].read().expect("sim cache poisoned");
-    shard.get(key).map(|e| {
+fn lookup_in(store: &Store, key: &SimKey<'_>) -> Option<Arc<CachedSim>> {
+    let shard = store.shards[key.shard()].read().expect("sim cache poisoned");
+    shard.get(&key.hash).filter(|e| e.key.matches(key)).map(|e| {
         e.last_used.store(store.clock.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
         Arc::clone(&e.value)
     })
 }
 
 /// Insert into `store`, evicting the shard's least-recently-used entry when
-/// the shard is at capacity. Returns the number of evictions (0 or 1).
-fn insert_in(store: &Store, key: SimKey, value: CachedSim) -> u64 {
-    let mut shard = store.shards[shard_index(&key)].write().expect("sim cache poisoned");
-    let mut evicted = 0;
-    if shard.len() >= store.per_shard_cap && !shard.contains_key(&key) {
-        // O(shard) scan: shards stay small (cap/16), and eviction is the
-        // rare path — a heap or linked order would cost more on every hit.
-        if let Some(victim) = shard
-            .iter()
-            .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-            .map(|(k, _)| k.clone())
-        {
-            shard.remove(&victim);
-            evicted = 1;
+/// the shard is at capacity (or the resident entry of a different key with
+/// the same hash). Returns the number of evictions (0 or 1).
+fn insert_in(store: &Store, key: &SimKey<'_>, value: CachedSim) -> u64 {
+    let mut shard = store.shards[key.shard()].write().expect("sim cache poisoned");
+    let evicted = match shard.get(&key.hash) {
+        Some(resident) => u64::from(!resident.key.matches(key)),
+        None if shard.len() >= store.per_shard_cap => {
+            // O(shard) scan: shards stay small (cap/16), and eviction is
+            // the rare path — a heap or linked order would cost more on
+            // every hit.
+            let victim = shard
+                .iter()
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(&h, _)| h);
+            victim.and_then(|h| shard.remove(&h)).map_or(0, |_| 1)
         }
-    }
+        None => 0,
+    };
     let stamp = store.clock.fetch_add(1, Ordering::Relaxed);
-    shard.insert(key, Entry { value: Arc::new(value), last_used: AtomicU64::new(stamp) });
+    let entry =
+        Entry { key: StoredKey::of(key), value: Arc::new(value), last_used: AtomicU64::new(stamp) };
+    shard.insert(key.hash, entry);
     evicted
 }
 
 /// Look `key` up, counting a hit or miss. A hit refreshes the entry's
 /// LRU stamp.
-pub fn lookup(key: &SimKey) -> Option<Arc<CachedSim>> {
+pub fn lookup(key: &SimKey<'_>) -> Option<Arc<CachedSim>> {
     let found = lookup_in(store(), key);
     let c = counters();
     match &found {
@@ -222,7 +479,7 @@ pub fn lookup(key: &SimKey) -> Option<Arc<CachedSim>> {
 /// Insert a finished simulation, evicting the least-recently-used entry of
 /// the target shard when it is full. Concurrent inserts of the same key are
 /// idempotent (the simulator is deterministic), so last-write-wins is fine.
-pub fn insert(key: SimKey, value: CachedSim) {
+pub fn insert(key: &SimKey<'_>, value: CachedSim) {
     let evicted = insert_in(store(), key, value);
     if evicted > 0 {
         counters().evict.fetch_add(evicted, Ordering::Relaxed);
@@ -295,15 +552,6 @@ pub fn stats() -> CacheStats {
     }
 }
 
-/// Derive a cache key from a spec's type and `Debug` rendering: sound
-/// whenever the spec's trace is a pure function of its (Debug-visible)
-/// fields. The type name disambiguates structurally identical specs of
-/// different types; the Debug body captures every field, including buffer
-/// base addresses.
-pub fn derived_cache_key<K: std::fmt::Debug + ?Sized>(kernel: &K) -> Option<String> {
-    Some(format!("{}::{:?}", std::any::type_name::<K>(), kernel))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,33 +598,126 @@ mod tests {
     fn distinct_options_and_kernels_get_distinct_keys() {
         let d = DeviceConfig::titan_black();
         let base = SimOptions::default();
-        let k1 = SimKey::new(&d, "A".to_string(), &base);
-        let k2 = SimKey::new(&d, "B".to_string(), &base);
-        assert_ne!(k1, k2);
+        let (a, b) = ("A".to_string(), "B".to_string());
+        let k1 = SimKey::new(&d, &a, &base);
+        assert!(k1 != SimKey::new(&d, &b, &base));
         let no_l2 = SimOptions { l2_enabled: false, ..base };
-        assert_ne!(k1, SimKey::new(&d, "A".to_string(), &no_l2));
+        assert!(k1 != SimKey::new(&d, &a, &no_l2));
         let more = SimOptions { max_sampled_blocks: 48, ..base };
-        assert_ne!(k1, SimKey::new(&d, "A".to_string(), &more));
+        assert!(k1 != SimKey::new(&d, &a, &more));
         let dx = DeviceConfig::titan_x();
-        assert_ne!(k1, SimKey::new(&dx, "A".to_string(), &base));
+        assert!(k1 != SimKey::new(&dx, &a, &base));
         // use_cache is *not* part of the key: it cannot change the report.
         let cold = SimOptions { use_cache: false, ..base };
-        assert_eq!(k1, SimKey::new(&d, "A".to_string(), &cold));
+        assert!(k1 == SimKey::new(&d, &a, &cold));
+    }
+
+    #[test]
+    fn derived_key_includes_type_and_fields() {
+        // A spec keyed by its derived `Eq`/`Hash`: every field counts,
+        // and so does the type.
+        #[derive(Clone, PartialEq, Eq, Hash)]
+        struct Probe {
+            n: u64,
+        }
+        #[derive(Clone, PartialEq, Eq, Hash)]
+        struct Twin {
+            n: u64,
+        }
+        let (seven, eight) = (Probe { n: 7 }, Probe { n: 8 });
+        assert!(seven.key_eq(&Probe { n: 7 }));
+        assert!(!seven.key_eq(&eight), "the field is part of the key");
+        assert!(!seven.key_eq(&Twin { n: 7 }), "the type is part of the key");
+        let d = DeviceConfig::titan_black();
+        let opts = SimOptions::default();
+        assert!(SimKey::new(&d, &seven, &opts) != SimKey::new(&d, &Twin { n: 7 }, &opts));
+        assert!(SimKey::new(&d, &7u32, &opts) != SimKey::new(&d, &7u64, &opts));
+    }
+
+    #[test]
+    fn every_numeric_device_field_is_keyed_and_the_name_is_not() {
+        let base = DeviceConfig::titan_black();
+        let key = DeviceKey::new(&base);
+        assert_eq!(key, DeviceKey::new(&base.clone().with_name("renamed")));
+        // One edit per numeric field; each must move the key.
+        let edits: [fn(&mut DeviceConfig); 24] = [
+            |d| d.sms += 1,
+            |d| d.cores_per_sm += 1,
+            |d| d.clock_hz *= 1.5,
+            |d| d.peak_flops *= 1.5,
+            |d| d.dram_bw *= 1.5,
+            |d| d.l2_bw *= 1.5,
+            |d| d.device_mem += 1,
+            |d| d.l2_size += 1,
+            |d| d.l2_assoc += 1,
+            |d| d.mem_latency *= 1.5,
+            |d| d.mem_mlp *= 1.5,
+            |d| d.warp_size += 1,
+            |d| d.max_threads_per_sm += 1,
+            |d| d.max_blocks_per_sm += 1,
+            |d| d.regs_per_sm += 1,
+            |d| d.max_regs_per_thread += 1,
+            |d| d.smem_per_sm += 1,
+            |d| d.smem_per_block_max += 1,
+            |d| d.max_threads_per_block += 1,
+            |d| d.smem_banks += 1,
+            |d| d.supports_8byte_banks = !d.supports_8byte_banks,
+            |d| d.launch_overhead *= 1.5,
+            |d| d.warps_to_saturate_alu *= 1.5,
+            |d| d.block_overhead_cycles *= 1.5,
+        ];
+        let mut keys = vec![key];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut d = base.clone();
+            edit(&mut d);
+            let k = DeviceKey::new(&d);
+            assert!(!keys.contains(&k), "edit {i} left the key unchanged or collided");
+            keys.push(k);
+        }
+        // Floats are keyed by bit pattern: -0.0 and 0.0 differ, as their
+        // Debug renderings do.
+        let mut neg = base.clone();
+        neg.launch_overhead = -0.0;
+        let mut pos = base;
+        pos.launch_overhead = 0.0;
+        assert_ne!(DeviceKey::new(&neg), DeviceKey::new(&pos));
     }
 
     #[test]
     fn insert_then_lookup_round_trips() {
         let d = DeviceConfig::titan_black();
-        let key = SimKey::new(&d, "simcache-test-roundtrip".to_string(), &SimOptions::default());
+        let spec = "simcache-test-roundtrip".to_string();
+        let key = SimKey::new(&d, &spec, &SimOptions::default());
         assert!(lookup(&key).is_none());
         insert(
-            key.clone(),
+            &key,
             CachedSim { report: dummy_report("rt", 1e-6), smem_passes: 3.0, smem_bytes: 96.0 },
         );
         let hit = lookup(&key).expect("inserted entry is retrievable");
         assert_eq!(hit.report.name, "rt");
         assert_eq!(hit.smem_passes, 3.0);
         assert!(len() >= 1);
+        // A copy of the spec built afresh finds the same entry.
+        let again = "simcache-test-roundtrip".to_string();
+        assert!(lookup(&SimKey::new(&d, &again, &SimOptions::default())).is_some());
+    }
+
+    #[test]
+    fn a_hash_collision_is_a_miss_and_displaces_the_resident() {
+        let store = Store::with_capacity(DEFAULT_CAPACITY);
+        let d = DeviceConfig::titan_black();
+        let opts = SimOptions::default();
+        let (a, b) = ("collide-a".to_string(), "collide-b".to_string());
+        let ka = SimKey::new(&d, &a, &opts);
+        // A forged key for another spec that carries `ka`'s hash.
+        let kb = SimKey { hash: ka.hash, ..SimKey::new(&d, &b, &opts) };
+        let sim =
+            || CachedSim { report: dummy_report("x", 1e-6), smem_passes: 0.0, smem_bytes: 0.0 };
+        assert_eq!(insert_in(&store, &ka, sim()), 0);
+        assert!(lookup_in(&store, &kb).is_none(), "same hash, different key: a miss");
+        assert_eq!(insert_in(&store, &kb, sim()), 1, "the resident is displaced");
+        assert!(lookup_in(&store, &ka).is_none());
+        assert!(lookup_in(&store, &kb).is_some());
     }
 
     #[test]
@@ -386,7 +727,8 @@ mod tests {
         let store = Store::with_capacity(SHARDS); // per-shard cap = 1
         let d = DeviceConfig::titan_black();
         let opts = SimOptions::default();
-        let key = |i: usize| SimKey::new(&d, format!("lru-{i}"), &opts);
+        let specs: Vec<String> = (0..64).map(|i| format!("lru-{i}")).collect();
+        let key = |i: usize| SimKey::new(&d, &specs[i], &opts);
         let sim = |i: usize| CachedSim {
             report: dummy_report(&format!("lru-{i}"), 1e-6),
             smem_passes: 0.0,
@@ -394,17 +736,16 @@ mod tests {
         };
         // Find two distinct keys in the same shard.
         let k0 = key(0);
-        let k1 = (1..64).map(key).find(|k| shard_index(k) == shard_index(&k0)).unwrap();
-        assert_eq!(insert_in(&store, k0.clone(), sim(0)), 0);
-        // Touch k0, then overflow the shard: k0 was just used, so it stays
-        // only if k1 is the newcomer... the newcomer always stays; the
-        // victim is the stale resident.
+        let k1 = (1..64).map(key).find(|k| k.shard() == k0.shard()).unwrap();
+        assert_eq!(insert_in(&store, &k0, sim(0)), 0);
+        // Touch k0, then overflow the shard: the newcomer always stays;
+        // the victim is the stale resident.
         assert!(lookup_in(&store, &k0).is_some());
-        assert_eq!(insert_in(&store, k1.clone(), sim(1)), 1);
+        assert_eq!(insert_in(&store, &k1, sim(1)), 1);
         assert!(lookup_in(&store, &k0).is_none(), "resident k0 was the LRU victim");
         assert!(lookup_in(&store, &k1).is_some(), "newcomer survives");
         // Re-inserting an existing key is an update, not an eviction.
-        assert_eq!(insert_in(&store, k1.clone(), sim(1)), 0);
+        assert_eq!(insert_in(&store, &k1, sim(1)), 0);
     }
 
     #[test]
@@ -412,18 +753,19 @@ mod tests {
         let store = Store::with_capacity(2 * SHARDS); // per-shard cap = 2
         let d = DeviceConfig::titan_black();
         let opts = SimOptions::default();
-        let key = |i: usize| SimKey::new(&d, format!("lru2-{i}"), &opts);
+        let specs: Vec<String> = (0..256).map(|i| format!("lru2-{i}")).collect();
+        let key = |i: usize| SimKey::new(&d, &specs[i], &opts);
         let k0 = key(0);
-        let mut same_shard = (1..256).map(key).filter(|k| shard_index(k) == shard_index(&k0));
+        let mut same_shard = (1..256).map(key).filter(|k| k.shard() == k0.shard());
         let k1 = same_shard.next().unwrap();
         let k2 = same_shard.next().unwrap();
         let sim =
             || CachedSim { report: dummy_report("x", 1e-6), smem_passes: 0.0, smem_bytes: 0.0 };
-        insert_in(&store, k0.clone(), sim());
-        insert_in(&store, k1.clone(), sim());
+        insert_in(&store, &k0, sim());
+        insert_in(&store, &k1, sim());
         // Refresh the *older* entry: the victim must now be k1.
         assert!(lookup_in(&store, &k0).is_some());
-        assert_eq!(insert_in(&store, k2.clone(), sim()), 1);
+        assert_eq!(insert_in(&store, &k2, sim()), 1);
         assert!(lookup_in(&store, &k0).is_some(), "refreshed entry survives");
         assert!(lookup_in(&store, &k1).is_none(), "stale entry evicted");
         assert!(lookup_in(&store, &k2).is_some());
@@ -451,17 +793,17 @@ mod tests {
     }
 
     #[test]
-    fn derived_key_includes_type_and_fields() {
-        // The field is only ever read through the derived Debug impl,
-        // which dead-code analysis deliberately ignores.
-        #[derive(Debug)]
-        struct Probe {
-            #[allow(dead_code)]
-            n: u64,
+    fn key_hasher_packs_bytes_and_separates_lengths() {
+        let hash = |v: &dyn CacheKey| {
+            let mut h = KeyHasher::default();
+            v.key_hash(&mut h);
+            h.finish()
+        };
+        let strings = ["", "a", "ab", "abcdefgh", "abcdefghi", "abcdefgh\0"];
+        let hashes: Vec<u64> = strings.iter().map(|s| hash(&s.to_string())).collect();
+        for (i, a) in hashes.iter().enumerate() {
+            assert!(!hashes[i + 1..].contains(a), "{:?} collides", strings[i]);
         }
-        let key = derived_cache_key(&Probe { n: 7 }).unwrap();
-        assert!(key.contains("Probe"), "type name missing: {key}");
-        assert!(key.contains("n: 7"), "field missing: {key}");
-        assert_ne!(key, derived_cache_key(&Probe { n: 8 }).unwrap());
+        assert_eq!(hash(&"ab".to_string()), hash(&"ab".to_string()));
     }
 }

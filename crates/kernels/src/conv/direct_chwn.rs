@@ -15,7 +15,8 @@
 
 use crate::shapes::ConvShape;
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 use memcnn_tensor::{Layout, Tensor};
 use rayon::prelude::*;
@@ -48,7 +49,7 @@ pub fn imgs_per_thread(n: usize) -> usize {
 }
 
 /// GPU kernel spec of cuda-convnet's `filterActs` direct convolution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DirectConvChwn {
     shape: ConvShape,
     input: DeviceBuffer,
@@ -98,8 +99,8 @@ impl DirectConvChwn {
 }
 
 impl KernelSpec for DirectConvChwn {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

@@ -23,8 +23,8 @@ use crate::conv::ConvError;
 use crate::shapes::ConvShape;
 use memcnn_fft::{fft_correlate2d, next_pow2};
 use memcnn_gpusim::{
-    simulate_sequence, AddressSpace, BankMode, BlockTrace, DeviceBuffer, DeviceConfig, KernelSpec,
-    LaunchConfig, SequenceReport, SimError, SimOptions, WorkSummary,
+    simulate_sequence, AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, DeviceConfig,
+    KernelSpec, LaunchConfig, SequenceReport, SimError, SimOptions, WorkSummary,
 };
 use memcnn_tensor::{Layout, Tensor};
 use rayon::prelude::*;
@@ -208,8 +208,8 @@ impl FftConvNchw {
 
 /// Batched 2D FFT kernel (forward or inverse): streams frames through
 /// shared memory with `log2` butterfly stages.
-#[derive(Debug)]
-struct FftTransformKernel {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct FftTransformKernel {
     name: String,
     batch: usize,
     frame: usize,
@@ -229,8 +229,8 @@ impl FftTransformKernel {
 }
 
 impl KernelSpec for FftTransformKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -298,8 +298,8 @@ impl KernelSpec for FftTransformKernel {
 
 /// Per-frequency complex products accumulated over `Ci`: `frame^2`
 /// independent CGEMMs of `[N x Ci] x [Ci x Co]` (tiled 32x32).
-#[derive(Debug)]
-struct FftPointwiseKernel {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct FftPointwiseKernel {
     shape: ConvShape,
     frame: usize,
     tiles: usize,
@@ -310,8 +310,8 @@ struct FftPointwiseKernel {
 }
 
 impl KernelSpec for FftPointwiseKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

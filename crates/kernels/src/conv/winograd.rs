@@ -16,8 +16,8 @@
 use crate::conv::ConvError;
 use crate::shapes::ConvShape;
 use memcnn_gpusim::{
-    simulate_sequence, AddressSpace, BankMode, BlockTrace, DeviceBuffer, DeviceConfig, KernelSpec,
-    LaunchConfig, SequenceReport, SimError, SimOptions, WorkSummary,
+    simulate_sequence, AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, DeviceConfig,
+    KernelSpec, LaunchConfig, SequenceReport, SimError, SimOptions, WorkSummary,
 };
 use memcnn_tensor::{Layout, Tensor};
 use rayon::prelude::*;
@@ -295,8 +295,8 @@ impl WinogradConvNchw {
 }
 
 /// Streaming tile-transform kernel: one item = one 4x4 tile (or filter).
-#[derive(Debug)]
-struct WinogradTransformKernel {
+#[derive(Clone, Debug)]
+pub(crate) struct WinogradTransformKernel {
     name: String,
     items: usize,
     read_bytes: f64,
@@ -306,9 +306,41 @@ struct WinogradTransformKernel {
     footprint: u64,
 }
 
+impl WinogradTransformKernel {
+    /// Every field, with `read_bytes` as its bit pattern: the value the
+    /// cache compares and hashes (exhaustive, so a new field must join).
+    #[allow(clippy::type_complexity)]
+    fn key_fields(&self) -> (&str, usize, u64, DeviceBuffer, DeviceBuffer, u64, u64) {
+        let WinogradTransformKernel {
+            name,
+            items,
+            read_bytes,
+            read,
+            write,
+            flops_per_item,
+            footprint,
+        } = self;
+        (name, *items, read_bytes.to_bits(), *read, *write, *flops_per_item, *footprint)
+    }
+}
+
+impl PartialEq for WinogradTransformKernel {
+    fn eq(&self, other: &WinogradTransformKernel) -> bool {
+        self.key_fields() == other.key_fields()
+    }
+}
+
+impl Eq for WinogradTransformKernel {}
+
+impl std::hash::Hash for WinogradTransformKernel {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.key_fields().hash(state);
+    }
+}
+
 impl KernelSpec for WinogradTransformKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -371,8 +403,8 @@ impl KernelSpec for WinogradTransformKernel {
 }
 
 /// The 16 batched GEMMs `M_p[N*tiles x Co] = V_p[N*tiles x Ci] x U_p[Ci x Co]`.
-#[derive(Debug)]
-struct WinogradPointwiseKernel {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct WinogradPointwiseKernel {
     shape: ConvShape,
     tiles: usize,
     v_buf: DeviceBuffer,
@@ -382,8 +414,8 @@ struct WinogradPointwiseKernel {
 }
 
 impl KernelSpec for WinogradPointwiseKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -472,6 +504,39 @@ mod tests {
     use super::*;
     use crate::conv::conv_reference;
     use crate::conv::mm_nchw::MmConvNchw;
+    use memcnn_gpusim::DeviceBuffer;
+
+    #[test]
+    fn transform_cache_key_sees_every_field() {
+        let buf = |base| DeviceBuffer { base, bytes: 64 };
+        let base = WinogradTransformKernel {
+            name: "t".into(),
+            items: 4,
+            read_bytes: 1.5,
+            read: buf(0),
+            write: buf(64),
+            flops_per_item: 32,
+            footprint: 128,
+        };
+        let edits: [fn(&mut WinogradTransformKernel); 7] = [
+            |k| k.name.push('x'),
+            |k| k.items += 1,
+            |k| k.read_bytes = -k.read_bytes,
+            |k| k.read.base += 4,
+            |k| k.write.bytes += 4,
+            |k| k.flops_per_item += 1,
+            |k| k.footprint += 1,
+        ];
+        assert!(base.key_eq(&base.clone()));
+        for (i, edit) in edits.iter().enumerate() {
+            let mut k = base.clone();
+            edit(&mut k);
+            assert!(!base.key_eq(&k), "edit {i} left the key unchanged");
+        }
+        // Floats compare by bit pattern, as their Debug renderings do.
+        let zero = WinogradTransformKernel { read_bytes: 0.0, ..base.clone() };
+        assert!(!zero.key_eq(&WinogradTransformKernel { read_bytes: -0.0, ..base }));
+    }
 
     #[test]
     fn winograd_matches_reference_unpadded() {

@@ -8,11 +8,12 @@
 //! `RT x RT` register tile.
 
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 
 /// Tiling parameters of the modelled GEMM kernel.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GemmConfig {
     /// C-tile rows per block.
     pub tm: usize,
@@ -39,7 +40,7 @@ impl GemmConfig {
 }
 
 /// Kernel spec of `C[m x n] = A[m x k] x B[k x n]` (row-major).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GemmKernel {
     m: usize,
     k: usize,
@@ -97,8 +98,8 @@ impl GemmKernel {
 }
 
 impl KernelSpec for GemmKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

@@ -8,7 +8,8 @@
 
 use crate::shapes::ConvShape;
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 use memcnn_tensor::{Layout, Tensor};
 
@@ -84,7 +85,7 @@ pub fn col2im(col: &[f32], shape: &ConvShape) -> Tensor {
 /// One thread per `col` element, 256-thread blocks; consecutive threads
 /// walk `ox`, so writes are coalesced and reads are stride-`S` gathers
 /// (perfect at S=1, 2x over-fetch at S=2).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Im2colKernel {
     shape: ConvShape,
     input: DeviceBuffer,
@@ -112,8 +113,8 @@ impl Im2colKernel {
 }
 
 impl KernelSpec for Im2colKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

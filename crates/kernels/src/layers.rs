@@ -4,7 +4,8 @@
 
 use crate::matmul::{gemm_row_major, NR};
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 use memcnn_tensor::{Layout, Tensor};
 use rayon::prelude::*;
@@ -107,7 +108,7 @@ pub fn relu_in_place(t: &mut Tensor) {
 
 /// GPU kernel spec of an element-wise streaming op (ReLU, bias add, scale):
 /// perfectly coalesced read-modify-write of `elems` values.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ElementwiseKernel {
     name: String,
     elems: u64,
@@ -127,8 +128,8 @@ impl ElementwiseKernel {
 }
 
 impl KernelSpec for ElementwiseKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -204,7 +205,7 @@ pub fn lrn_forward(input: &Tensor, size: usize, alpha: f32, beta: f32, k: f32) -
 /// GPU kernel spec of LRN: streaming with a `size`-wide channel window;
 /// reads are coalesced in both layouts (the window walks `C`, which is
 /// never the innermost dimension for NCHW or CHWN) and the re-reads hit L2.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct LrnKernel {
     elems: u64,
     size: u64,
@@ -223,8 +224,8 @@ impl LrnKernel {
 }
 
 impl KernelSpec for LrnKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

@@ -36,3 +36,6 @@ pub mod softmax;
 pub mod transform;
 
 pub use shapes::{ConvShape, PoolShape, SoftmaxShape};
+
+#[cfg(test)]
+mod cache_key_props;

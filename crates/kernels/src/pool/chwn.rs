@@ -9,14 +9,15 @@
 
 use crate::shapes::PoolShape;
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 
 /// Warps per block.
 const WARPS: usize = 4;
 
 /// CHWN pooling kernel spec.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PoolChwn {
     shape: PoolShape,
     /// Outputs per thread along `x` (1 = no coarsening).
@@ -68,8 +69,8 @@ impl PoolChwn {
 }
 
 impl KernelSpec for PoolChwn {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

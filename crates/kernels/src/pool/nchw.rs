@@ -9,12 +9,13 @@
 
 use crate::shapes::PoolShape;
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 
 /// Caffe's pooling kernel: one thread per output element over the flat
 /// `N*C*OH*OW` index space (output-major, `ox` fastest), 256-thread blocks.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PoolNchwCaffe {
     shape: PoolShape,
     input: DeviceBuffer,
@@ -32,8 +33,8 @@ impl PoolNchwCaffe {
 }
 
 impl KernelSpec for PoolNchwCaffe {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -115,7 +116,7 @@ impl KernelSpec for PoolNchwCaffe {
 /// `(ox, oy)` per `(n, c)` plane. For feature maps narrower than 32 the
 /// warp's trailing lanes are masked off — wasted issue slots that hurt the
 /// deep, small-map layers (PL7, PL10) hardest.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PoolNchwCudnn {
     shape: PoolShape,
     input: DeviceBuffer,
@@ -141,8 +142,8 @@ impl PoolNchwCudnn {
 }
 
 impl KernelSpec for PoolNchwCudnn {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

@@ -21,7 +21,8 @@
 
 use crate::shapes::SoftmaxShape;
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 
 /// The paper's shared-memory capacity bound on cached categories
@@ -61,7 +62,7 @@ pub fn softmax_xent_backward(input: &[f32], labels: &[usize], shape: SoftmaxShap
 }
 
 /// Device buffers shared by the multi-kernel pipelines.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct SoftmaxBuffers {
     input: DeviceBuffer,
     mid1: DeviceBuffer,
@@ -87,7 +88,7 @@ impl SoftmaxBuffers {
 }
 
 /// Which of the five §II.A steps a baseline kernel performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Step {
     /// Step 1: per-image max.
     Max,
@@ -103,8 +104,8 @@ enum Step {
 
 /// One step of the cuda-convnet/Caffe softmax: thread per image, serial
 /// inner loop over categories, lane addresses strided by `C`.
-#[derive(Debug)]
-struct StepKernel {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct StepKernel {
     shape: SoftmaxShape,
     step: Step,
     buf: SoftmaxBuffers,
@@ -128,8 +129,8 @@ impl StepKernel {
 }
 
 impl KernelSpec for StepKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -219,8 +220,8 @@ pub fn five_kernel_pipeline(shape: SoftmaxShape) -> Vec<Box<dyn KernelSpec + Sen
 /// A block-per-image kernel with parallel inner loop, used by the stronger
 /// `cudnn_pipeline` baseline: performs `passes_read` coalesced reads and
 /// `passes_write` coalesced writes of the matrix plus a block reduction.
-#[derive(Debug)]
-struct BlockPerImageKernel {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct BlockPerImageKernel {
     shape: SoftmaxShape,
     name: &'static str,
     reads: Vec<DeviceBuffer>,
@@ -235,8 +236,8 @@ fn block_threads(categories: usize) -> u32 {
 }
 
 impl KernelSpec for BlockPerImageKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -357,7 +358,7 @@ pub fn cudnn_pipeline(shape: SoftmaxShape) -> Vec<Box<dyn KernelSpec + Send>> {
 /// stay serial (thread per image). Intermediates live in registers where
 /// they fit; the input is re-read from global memory on each of the three
 /// category sweeps (max, exp+sum, normalize).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SoftmaxFusedSerial {
     shape: SoftmaxShape,
     input: DeviceBuffer,
@@ -376,8 +377,8 @@ impl SoftmaxFusedSerial {
 }
 
 impl KernelSpec for SoftmaxFusedSerial {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {
@@ -435,7 +436,7 @@ impl KernelSpec for SoftmaxFusedSerial {
 /// The paper's optimized kernel (Fig 9): all five steps fused, input cached
 /// in shared memory when `C < 11K`, inner loops parallelized across the
 /// block with shared-memory tree reductions.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SoftmaxFused {
     shape: SoftmaxShape,
     input: DeviceBuffer,
@@ -459,8 +460,8 @@ impl SoftmaxFused {
 }
 
 impl KernelSpec for SoftmaxFused {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

@@ -19,12 +19,13 @@
 //! scored by the simulator to reproduce Fig 10/11.
 
 use memcnn_gpusim::{
-    AddressSpace, BankMode, BlockTrace, DeviceBuffer, KernelSpec, LaunchConfig, WorkSummary,
+    AddressSpace, BankMode, BlockTrace, CacheKey, DeviceBuffer, KernelSpec, LaunchConfig,
+    WorkSummary,
 };
 use memcnn_tensor::{Layout, Shape};
 
 /// Which transformation kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TransformImpl {
     /// Fig 7a: naive 4D-hierarchy transpose.
     Naive,
@@ -36,7 +37,7 @@ pub enum TransformImpl {
 
 /// A layout-transformation kernel between `CHWN` and `NCHW` (either
 /// direction — the pair flattens to a 2D transpose).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TransformKernel {
     imp: TransformImpl,
     /// Flattened source rows.
@@ -220,8 +221,8 @@ impl TransformKernel {
 }
 
 impl KernelSpec for TransformKernel {
-    fn cache_key(&self) -> Option<String> {
-        memcnn_gpusim::derived_cache_key(self)
+    fn cache_key(&self) -> Option<&dyn CacheKey> {
+        Some(self)
     }
 
     fn name(&self) -> String {

@@ -28,7 +28,7 @@ pub mod histogram;
 pub mod timeline;
 
 pub use histogram::{bucket_index, bucket_lower, bucket_upper, bucket_value, Histogram};
-pub use histogram::{SUB_BITS, SUB_BUCKETS};
+pub use histogram::{MAX_INDEX, SUB_BITS, SUB_BUCKETS};
 pub use timeline::{
     GaugeId, KeyId, MetricsTimeline, Recorder, Sample, Series, SlidingWindow, DEFAULT_WINDOW,
 };

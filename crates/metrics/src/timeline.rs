@@ -16,7 +16,7 @@
 //! [`MetricsTimeline::emit_trace_counters`] to push every series into the
 //! active `memcnn-trace` collection window as Perfetto counter tracks.
 
-use crate::histogram::Histogram;
+use crate::histogram::{bucket_value, Histogram};
 use memcnn_trace as trace;
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
@@ -82,6 +82,12 @@ impl SlidingWindow {
     /// Bucket-resolution nearest-rank percentile over the window.
     pub fn percentile(&self, p: f64) -> f64 {
         self.hist.percentile(p)
+    }
+
+    /// [`percentile`](Self::percentile) for several ascending `ps`, in one
+    /// pass over the window's buckets.
+    pub fn percentiles<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
+        self.hist.percentile_indices(ps).map(|i| i.map_or(0.0, bucket_value))
     }
 }
 
@@ -296,8 +302,7 @@ impl Recorder {
                 ids
             }
         };
-        for (id, p) in ids.into_iter().zip([50.0, 95.0, 99.0]) {
-            let v = self.window.percentile(p);
+        for (id, v) in ids.into_iter().zip(self.window.percentiles([50.0, 95.0, 99.0])) {
             self.gauge_at(id, t, v);
         }
     }
@@ -419,6 +424,19 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         assert!(b.series("never.sampled").is_none(), "empty registrations are dropped");
         assert!(b.keyed_hist("batch").is_none());
+    }
+
+    #[test]
+    fn window_percentiles_in_one_pass_equal_one_at_a_time() {
+        // Latencies over six octaves, ties included, through a window
+        // small enough to expire most of them.
+        let mut w = SlidingWindow::new(37);
+        for i in 0..500u64 {
+            w.push(1e-3 * (1.0 + ((i * 7919) % 997) as f64 / 16.0));
+            let ps = [0.0, 0.1, 50.0, 95.0, 99.0, 100.0];
+            assert_eq!(w.percentiles(ps), ps.map(|p| w.percentile(p)), "after {i} pushes");
+        }
+        assert_eq!(SlidingWindow::new(4).percentiles([50.0, 99.0]), [0.0, 0.0]);
     }
 
     #[test]

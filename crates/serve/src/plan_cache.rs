@@ -19,6 +19,11 @@ use memcnn_core::{Engine, EngineError, Mechanism, Network, Plan};
 use memcnn_trace::perf;
 use std::collections::BTreeMap;
 
+/// Process-wide mirrors of every cache's hit and miss counts, resolved
+/// once per process (a bump is one atomic add, no name lookup).
+static PLAN_HITS: perf::CachedCounter = perf::CachedCounter::new("serve.plan.hit");
+static PLAN_MISSES: perf::CachedCounter = perf::CachedCounter::new("serve.plan.miss");
+
 /// Compiled plans keyed by batch-size bucket, for one network under one
 /// mechanism on one engine.
 pub struct PlanCache<'e> {
@@ -56,10 +61,10 @@ impl<'e> PlanCache<'e> {
     pub fn get(&mut self, bucket: usize) -> Result<&Plan, EngineError> {
         if self.plans.contains_key(&bucket) {
             self.hits += 1;
-            perf::incr("serve.plan.hit");
+            PLAN_HITS.incr();
         } else {
             self.misses += 1;
-            perf::incr("serve.plan.miss");
+            PLAN_MISSES.incr();
             // A staged detached compile stands in for the inline compile
             // this miss would have run — same result, same error, same
             // counter sequence.

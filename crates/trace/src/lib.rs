@@ -311,12 +311,21 @@ pub fn active() -> bool {
 }
 
 /// Push a scope frame; the returned guard pops it on drop. A no-op when
-/// collection is inactive.
+/// collection is inactive. Frames that carry a name (a `String`) should
+/// go through [`scope_with`], which builds them only when collecting.
 #[must_use = "the scope pops when this guard drops"]
 pub fn scope(s: Scope) -> ScopeGuard {
+    scope_with(|| s)
+}
+
+/// Push the scope frame `frame` builds; the returned guard pops it on
+/// drop. The closure only runs when collection is active, so a disabled
+/// call site allocates nothing.
+#[must_use = "the scope pops when this guard drops"]
+pub fn scope_with<F: FnOnce() -> Scope>(frame: F) -> ScopeGuard {
     let pushed = COLLECTOR.with(|c| {
         if let Some(col) = c.borrow_mut().as_mut() {
-            col.stack.push(s);
+            col.stack.push(frame());
             true
         } else {
             false
@@ -325,7 +334,7 @@ pub fn scope(s: Scope) -> ScopeGuard {
     ScopeGuard { pushed }
 }
 
-/// Guard returned by [`scope`].
+/// Guard returned by [`scope`] and [`scope_with`].
 pub struct ScopeGuard {
     pushed: bool,
 }
@@ -564,6 +573,28 @@ mod tests {
         assert!((t.timeline_total_ms() - 1.05).abs() < 1e-12);
         assert_eq!(t.aggregate_kernels(|k| k.layer() == Some("CV1")).kernels, 1);
         assert_eq!(t.aggregate_kernels(|k| k.in_scope(&Scope::Plan)).kernels, 0);
+    }
+
+    #[test]
+    fn scope_with_builds_its_frame_only_while_collecting() {
+        let built = std::cell::Cell::new(0);
+        let frame = || {
+            built.set(built.get() + 1);
+            Scope::Layer("CV1".to_string())
+        };
+        assert!(!active());
+        {
+            let _off = scope_with(frame);
+        }
+        assert_eq!(built.get(), 0, "no collector: the frame is never built");
+        start();
+        {
+            let _on = scope_with(frame);
+            record_kernel(|| KernelCounters { name: "k".into(), ..Default::default() });
+        }
+        let t = finish().unwrap();
+        assert_eq!(built.get(), 1);
+        assert_eq!(t.kernels[0].path, vec![Scope::Layer("CV1".to_string())]);
     }
 
     #[test]

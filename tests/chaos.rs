@@ -3,10 +3,8 @@
 //! counter-discipline invariant, and a fault-rate ladder on the AlexNet
 //! reference stream.
 //!
-//! Like `serve.rs` and `sim_cache.rs`, these assertions read
-//! process-global state (the perf-counter registry), so everything lives
-//! in ONE `#[test]` — a second test in this binary would race the
-//! counters on the harness's concurrent threads.
+//! Every assertion reads the runs' own reports; the perf-registry deltas
+//! that mirror the fault accounting are checked in `perf_mirror.rs`.
 
 use memcnn::core::{with_retries, Engine, EngineError, LayoutThresholds, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, Fault, FaultPlan};
@@ -15,7 +13,6 @@ use memcnn::serve::{
     WorkloadConfig,
 };
 use memcnn::tensor::Shape;
-use memcnn::trace::perf;
 use memcnn_bench::scenario;
 
 /// A one-device fleet: the single-device server.
@@ -95,26 +92,14 @@ fn fault_timelines_replay_bit_identically_and_every_fault_is_accounted() {
     reseeded.faults = Some(FaultPlan::new(43, 0.05, 0.01, 0.02));
     assert_ne!(base, digest(&serve_one(&engine(), &net, &reseeded)));
 
-    // (2) Counter discipline: the report balances, and the global perf
-    // mirror agrees with it exactly.
+    // (2) Counter discipline: the report balances. (That the global perf
+    // mirror agrees with it is checked in `perf_mirror.rs`, a binary of
+    // one test, so no other test can bump the counters mid-read.)
     assert!(
         faulted.faults.balanced(),
         "injected != retried + degraded + shed: {:?}",
         faulted.faults
     );
-    let before = (
-        perf::get("fault.injected"),
-        perf::get("fault.retried"),
-        perf::get("fault.degraded"),
-        perf::get("fault.shed"),
-        perf::get("serve.shed"),
-    );
-    let again = serve_one(&engine(), &net, &faulty_cfg);
-    assert_eq!(perf::get("fault.injected") - before.0, again.faults.injected);
-    assert_eq!(perf::get("fault.retried") - before.1, again.faults.retried);
-    assert_eq!(perf::get("fault.degraded") - before.2, again.faults.degraded);
-    assert_eq!(perf::get("fault.shed") - before.3, again.faults.shed);
-    assert_eq!(perf::get("serve.shed") - before.4, again.shed_requests as u64);
 
     // (3) A zero-rate FaultPlan is a byte-identical no-op against no plan
     // at all: the fault path must not even perturb float evaluation order.

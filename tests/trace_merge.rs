@@ -4,14 +4,13 @@
 //! is indistinguishable — span for span, bit for bit — from a
 //! sequential run's.
 //!
-//! This binary reads process-global state (the perf registry), so
-//! everything lives in ONE `#[test]`. It runs under a 4-thread budget
-//! (`rayon::with_max_threads`) to actually exercise the fan-out path
-//! whatever the host's core count.
+//! It runs under a 4-thread budget (`rayon::with_max_threads`) to
+//! actually exercise the fan-out path whatever the host's core count. The
+//! perf-registry check that the traced run fans out lives in
+//! `perf_mirror.rs`.
 
 use memcnn::core::Mechanism;
 use memcnn::gpusim::SimOptions;
-use memcnn::trace::perf;
 use memcnn::trace::{self, Scope};
 use memcnn_bench::util::Ctx;
 
@@ -39,13 +38,12 @@ fn fanout_checks() {
 
     // (1) Traced run with the fan-out enabled (default options: the
     // cache is on, so `parallel_probes_enabled` holds at 4 threads).
-    let fanout_before = perf::get("engine.probe.fanout");
+    // That it really fans out (a perf-registry delta) is checked in
+    // `perf_mirror.rs`; here the worker-tagged records of (4) show it.
     let ctx = Ctx::titan_black();
     trace::start();
     let fan_report = ctx.engine.simulate_network(&net, Mechanism::Opt).unwrap();
     let fan_trace = trace::finish().unwrap();
-    let fanned = perf::get("engine.probe.fanout") - fanout_before;
-    assert!(fanned > 0, "tracing must no longer disable the probe fan-out");
 
     // (2) Sequential traced baseline in the same process: disabling the
     // sim cache disables the fan-out (its prewarm exists to warm that
@@ -53,11 +51,9 @@ fn fanout_checks() {
     let seq_engine = Ctx::titan_black()
         .engine
         .with_sim_options(SimOptions { use_cache: false, ..SimOptions::default() });
-    let fanout_before = perf::get("engine.probe.fanout");
     trace::start();
     let seq_report = seq_engine.simulate_network(&net, Mechanism::Opt).unwrap();
     let seq_trace = trace::finish().unwrap();
-    assert_eq!(perf::get("engine.probe.fanout"), fanout_before, "baseline must not fan out");
 
     // Same simulation either way.
     assert_eq!(fan_report.total_time().to_bits(), seq_report.total_time().to_bits());
