@@ -138,7 +138,7 @@ fn main() {
     for file in &files {
         let spec = match std::fs::read_to_string(file)
             .map_err(|e| e.to_string())
-            .and_then(|t| scenario::parse_spec(&t))
+            .and_then(|t| scenario::parse_spec(&t).map_err(|e| e.to_string()))
         {
             Ok(s) => s,
             Err(e) => {

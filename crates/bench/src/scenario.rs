@@ -276,11 +276,100 @@ const FAULT_KEYS: &str = "seed launch_failed device_oom throttle max_retries she
 const DEVICE_FAULT_KEYS: &str =
     "seed crash_rate hang_rate drain_rate epoch_ms repair_ms warmup_ms crash_at_ms crash_device";
 
-fn check_keys(sec: &Section, section: &str, allowed: &'static str) -> Result<(), String> {
+/// Why a scenario spec was refused: the section and key it concerns and
+/// what was wrong with them, as [`toml_lite::ParseError`] reports a
+/// document that did not parse. Its `Display` names the section and key.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SpecError {
+    /// The section (`scenario`, `tenant.chat`, ...; `""` for keys before
+    /// the first header).
+    pub section: String,
+    /// The key, when the error concerns one.
+    pub key: Option<String>,
+    /// What went wrong.
+    pub kind: SpecErrorKind,
+}
+
+/// What a [`SpecError`] found.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SpecErrorKind {
+    /// The document is outside the TOML subset; section and key are the
+    /// parse error's.
+    Parse(Box<toml_lite::ParseError>),
+    /// A section the format does not define.
+    UnknownSection,
+    /// A key its section does not take (or a key before any section).
+    UnknownKey,
+    /// A required section is absent.
+    MissingSection,
+    /// A required key is absent.
+    MissingKey,
+    /// A value of the wrong type or range: what it must be.
+    BadValue(String),
+    /// A name the format does not know, and the names it does.
+    UnknownName {
+        /// The name as written.
+        name: String,
+        /// The accepted names.
+        known: &'static str,
+    },
+    /// A rule across keys or sections that the spec breaks.
+    Rule(String),
+}
+
+impl SpecError {
+    fn new(section: &str, key: Option<&str>, kind: SpecErrorKind) -> SpecError {
+        SpecError { section: section.to_string(), key: key.map(str::to_string), kind }
+    }
+}
+
+impl From<toml_lite::ParseError> for SpecError {
+    fn from(e: toml_lite::ParseError) -> SpecError {
+        let (section, key) = (e.section.clone(), e.key.clone());
+        SpecError { section, key, kind: SpecErrorKind::Parse(Box::new(e)) }
+    }
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let section = &self.section;
+        let key = self.key.as_deref().unwrap_or("");
+        match &self.kind {
+            SpecErrorKind::Parse(e) => write!(f, "{e}"),
+            SpecErrorKind::UnknownSection => write!(f, "unknown section [{section}]"),
+            SpecErrorKind::UnknownKey if section.is_empty() => {
+                write!(f, "key `{key}` comes before any [section]")
+            }
+            SpecErrorKind::UnknownKey => write!(f, "[{section}] unknown key `{key}`"),
+            SpecErrorKind::MissingSection => write!(f, "missing [{section}] section"),
+            SpecErrorKind::MissingKey => write!(f, "[{section}] is missing `{key}`"),
+            SpecErrorKind::BadValue(what) => write!(f, "[{section}] `{key}` must be {what}"),
+            SpecErrorKind::UnknownName { name, known } => {
+                write!(f, "[{section}] `{key}`: unknown {name:?} ({known})")
+            }
+            SpecErrorKind::Rule(rule) if self.key.is_some() => {
+                write!(f, "[{section}] `{key}` {rule}")
+            }
+            SpecErrorKind::Rule(rule) => write!(f, "[{section}] {rule}"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+fn check_keys(sec: &Section, section: &str, allowed: &'static str) -> Result<(), SpecError> {
     match sec.keys().find(|k| !words(allowed).any(|a| a == k.as_str())) {
-        Some(key) => Err(format!("[{section}] unknown key `{key}`")),
+        Some(key) => Err(SpecError::new(section, Some(key), SpecErrorKind::UnknownKey)),
         None => Ok(()),
     }
+}
+
+fn bad_value(section: &str, key: &str, what: &str) -> SpecError {
+    SpecError::new(section, Some(key), SpecErrorKind::BadValue(what.to_string()))
+}
+
+fn missing(section: &str, key: &str) -> SpecError {
+    SpecError::new(section, Some(key), SpecErrorKind::MissingKey)
 }
 
 /// An optional key, converted by `conv`; present but of the wrong type
@@ -291,10 +380,8 @@ fn opt<T>(
     key: &str,
     what: &str,
     conv: impl Fn(&Value) -> Option<T>,
-) -> Result<Option<T>, String> {
-    sec.get(key)
-        .map(|v| conv(v).ok_or_else(|| format!("[{section}] `{key}` must be {what}")))
-        .transpose()
+) -> Result<Option<T>, SpecError> {
+    sec.get(key).map(|v| conv(v).ok_or_else(|| bad_value(section, key, what))).transpose()
 }
 
 fn need<T>(
@@ -303,14 +390,19 @@ fn need<T>(
     key: &str,
     what: &str,
     conv: impl Fn(&Value) -> Option<T>,
-) -> Result<T, String> {
-    opt(sec, section, key, what, conv)?.ok_or_else(|| format!("[{section}] is missing `{key}`"))
+) -> Result<T, SpecError> {
+    opt(sec, section, key, what, conv)?.ok_or_else(|| missing(section, key))
+}
+
+/// A required section.
+fn need_section<'a>(doc: &'a toml_lite::Doc, section: &str) -> Result<&'a Section, SpecError> {
+    doc.section(section).ok_or_else(|| SpecError::new(section, None, SpecErrorKind::MissingSection))
 }
 
 const NUMBER: &str = "a number";
 const UINT: &str = "a non-negative integer";
 
-fn opt_f64(sec: &Section, section: &str, key: &str) -> Result<Option<f64>, String> {
+fn opt_f64(sec: &Section, section: &str, key: &str) -> Result<Option<f64>, SpecError> {
     opt(sec, section, key, NUMBER, Value::as_f64)
 }
 
@@ -320,39 +412,46 @@ fn positive(v: &Value) -> Option<f64> {
     v.as_f64().filter(|x| x.is_finite() && *x > 0.0)
 }
 
-fn opt_positive(sec: &Section, section: &str, key: &str) -> Result<Option<f64>, String> {
+fn opt_positive(sec: &Section, section: &str, key: &str) -> Result<Option<f64>, SpecError> {
     opt(sec, section, key, POSITIVE, positive)
 }
 
-fn need_positive(sec: &Section, section: &str, key: &str) -> Result<f64, String> {
+fn need_positive(sec: &Section, section: &str, key: &str) -> Result<f64, SpecError> {
     need(sec, section, key, POSITIVE, positive)
 }
 
-fn need_u64(sec: &Section, section: &str, key: &str) -> Result<u64, String> {
+fn need_u64(sec: &Section, section: &str, key: &str) -> Result<u64, SpecError> {
     need(sec, section, key, UINT, Value::as_u64)
 }
 
-fn opt_u32(sec: &Section, section: &str, key: &str) -> Result<Option<u32>, String> {
+fn opt_u32(sec: &Section, section: &str, key: &str) -> Result<Option<u32>, SpecError> {
     opt(sec, section, key, "an integer in 0..=4294967295", |v| {
         v.as_u64().and_then(|n| u32::try_from(n).ok())
     })
 }
 
-fn need_str<'a>(sec: &'a Section, section: &str, key: &str) -> Result<&'a str, String> {
+fn need_str<'a>(sec: &'a Section, section: &str, key: &str) -> Result<&'a str, SpecError> {
     sec.get(key)
-        .ok_or_else(|| format!("[{section}] is missing `{key}`"))?
+        .ok_or_else(|| missing(section, key))?
         .as_str()
-        .ok_or_else(|| format!("[{section}] `{key}` must be a string"))
+        .ok_or_else(|| bad_value(section, key, "a string"))
 }
 
-fn need_strs(sec: &Section, section: &str, key: &str) -> Result<Vec<String>, String> {
-    let list: Vec<String> = need(sec, section, key, "an array of strings", |v| {
-        v.as_str_array().map(|a| a.into_iter().map(str::to_string).collect())
-    })?;
-    if list.is_empty() {
-        return Err(format!("[{section}] `{key}` must not be empty"));
-    }
-    Ok(list)
+fn need_strs(sec: &Section, section: &str, key: &str) -> Result<Vec<String>, SpecError> {
+    need(sec, section, key, "a non-empty array of strings", |v| {
+        let list = v.as_str_array().filter(|a| !a.is_empty())?;
+        Some(list.into_iter().map(str::to_string).collect())
+    })
+}
+
+/// `name`, the value of `[section] key`, is none of the `known` names.
+fn unknown(section: &str, key: &str, name: &str, known: &'static str) -> SpecError {
+    let kind = SpecErrorKind::UnknownName { name: name.to_string(), known };
+    SpecError::new(section, Some(key), kind)
+}
+
+fn rule(section: &str, key: Option<&str>, rule: &str) -> SpecError {
+    SpecError::new(section, key, SpecErrorKind::Rule(rule.to_string()))
 }
 
 fn is_slug(s: &str) -> bool {
@@ -360,36 +459,39 @@ fn is_slug(s: &str) -> bool {
 }
 
 /// Parse a scenario file.
-pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
-    let doc = toml_lite::parse(text).map_err(|e| e.to_string())?;
+pub fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecError> {
+    let doc = toml_lite::parse(text)?;
     for section in doc.section_names() {
         let known = words(SECTIONS).any(|s| s == section) || section.starts_with("tenant.");
         if !known && !section.is_empty() {
-            return Err(format!("unknown section [{section}]"));
+            return Err(SpecError::new(section, None, SpecErrorKind::UnknownSection));
         }
     }
 
     if let Some(key) = doc.section("").and_then(|s| s.keys().next()) {
-        return Err(format!("key `{key}` comes before any [section]"));
+        return Err(SpecError::new("", Some(key), SpecErrorKind::UnknownKey));
     }
-    let sc = doc.section("scenario").ok_or("missing [scenario] section")?;
+    let sc = need_section(&doc, "scenario")?;
     check_keys(sc, "scenario", SCENARIO_KEYS)?;
     let name = need_str(sc, "scenario", "name")?.to_string();
     if !is_slug(&name) {
-        return Err(format!("scenario name {name:?} must be a filename-safe slug"));
+        return Err(bad_value("scenario", "name", &format!("a filename-safe slug, not {name:?}")));
     }
     let suite = need_str(sc, "scenario", "suite")?.to_string();
     let devices = need_strs(sc, "scenario", "devices")?;
     if let Some(d) = devices.iter().find(|d| engine_for(d).is_none()) {
-        return Err(format!("[scenario] unknown device kind {d:?} (titan-black / titan-x)"));
+        return Err(unknown("scenario", "devices", d, "titan-black / titan-x"));
     }
     let networks = need_strs(sc, "scenario", "networks")?;
     if let Some(n) = networks.iter().find(|n| network_for(n).is_none()) {
-        return Err(format!("[scenario] unknown network {n:?}"));
+        let nets = "lenet / cifar10 / alexnet / zfnet / vgg16 / stream-tiny";
+        return Err(unknown("scenario", "networks", n, nets));
     }
     let placement_name = need_str(sc, "scenario", "placement")?;
-    let placement = Placement::from_name(placement_name)
-        .ok_or_else(|| format!("[scenario] unknown placement {placement_name:?}"))?;
+    let placement = Placement::from_name(placement_name).ok_or_else(|| {
+        let known = "round-robin / least-loaded / queue-weighted / memory-aware";
+        unknown("scenario", "placement", placement_name, known)
+    })?;
     let requests_per_device = need_u64(sc, "scenario", "requests_per_device")? as usize;
     let seed = need_u64(sc, "scenario", "seed")?;
     let batch_sizes = opt(sc, "scenario", "batch_sizes", "a non-empty array of sizes > 0", |v| {
@@ -407,7 +509,7 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
     })?
     .unwrap_or_default();
 
-    let wl = doc.section("workload").ok_or("missing [workload] section")?;
+    let wl = need_section(&doc, "workload")?;
     let workload = match need_str(wl, "workload", "kind")? {
         "poisson" => {
             check_keys(wl, "workload", "kind load_frac")?;
@@ -420,14 +522,14 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
                 burst_frac: need_positive(wl, "workload", "burst_frac")?,
             }
         }
-        other => return Err(format!("[workload] unknown kind {other:?} (poisson / bursty)")),
+        other => return Err(unknown("workload", "kind", other, "poisson / bursty")),
     };
 
     let mut tenants = Vec::new();
     for section in doc.section_names() {
         let Some(tname) = section.strip_prefix("tenant.") else { continue };
         if !is_slug(tname) {
-            return Err(format!("tenant name {tname:?} must be a metrics-key-safe slug"));
+            return Err(rule(section, None, "names a tenant that is not a metrics-key-safe slug"));
         }
         let sec = doc.section(section).expect("section_names yields live sections");
         check_keys(sec, section, TENANT_KEYS)?;
@@ -439,10 +541,17 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
             ("standard", None) => TenantSpec::standard(tname, weight),
             ("best-effort", None) => TenantSpec::best_effort(tname, weight),
             ("interactive" | "standard" | "best-effort", _) => {
-                let rule = "`p99_budget_ms` is required for, and only for, interactive tenants";
-                return Err(format!("[{section}] {rule}"));
+                let why = "is required for, and only for, interactive tenants";
+                return Err(rule(section, Some("p99_budget_ms"), why));
             }
-            _ => return Err(format!("[{section}] unknown class {class:?}")),
+            _ => {
+                return Err(unknown(
+                    section,
+                    "class",
+                    class,
+                    "interactive / standard / best-effort",
+                ))
+            }
         };
         if let Some(rate) = opt_positive(sec, section, "rate")? {
             spec = spec.with_rate_limit(rate);
@@ -457,7 +566,9 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
             check_keys(f, "faults", FAULT_KEYS)?;
             let unit = |v: &Value| v.as_f64().filter(|x| (0.0..=1.0).contains(x));
             let rate = |key: &str| {
-                Ok::<f64, String>(opt(f, "faults", key, "a number in [0, 1]", unit)?.unwrap_or(0.0))
+                Ok::<f64, SpecError>(
+                    opt(f, "faults", key, "a number in [0, 1]", unit)?.unwrap_or(0.0),
+                )
             };
             if let Some(n) = opt_u32(f, "faults", "max_retries")? {
                 fault_policy.max_retries = n;
@@ -471,10 +582,9 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
             // they share one unit interval (up to rounding in the sum).
             let total = failed + oom + throttle;
             if total > 1.0 + 1e-12 {
-                return Err(format!(
-                    "[faults] `launch_failed` + `device_oom` + `throttle` must be at most 1, \
-                     not {total}"
-                ));
+                let why =
+                    format!("`launch_failed` + `device_oom` + `throttle` is {total}, above 1");
+                return Err(rule("faults", None, &why));
             }
             Some(FaultPlan::new(seed, failed, oom, throttle))
         }
@@ -485,7 +595,7 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
         Some(f) => {
             let s = "device_faults";
             check_keys(f, s, DEVICE_FAULT_KEYS)?;
-            let rate = |key: &str| Ok::<f64, String>(opt_f64(f, s, key)?.unwrap_or(0.0));
+            let rate = |key: &str| Ok::<f64, SpecError>(opt_f64(f, s, key)?.unwrap_or(0.0));
             let seed = need_u64(f, s, "seed")?;
             let mut plan = DeviceFaultPlan::new(
                 seed,
@@ -511,7 +621,7 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
             match (opt_f64(f, s, "crash_at_ms")?, device) {
                 (None, None) => {}
                 (Some(ms), Some(d)) => plan = plan.crash_at(ms / 1e3, d),
-                _ => return Err(format!("[{s}] set `crash_at_ms` and `crash_device` together")),
+                _ => return Err(rule(s, None, "sets `crash_at_ms` and `crash_device` together")),
             }
             Some(plan)
         }
@@ -525,7 +635,7 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
             let t = v
                 .as_f64()
                 .filter(|t| t.is_finite() && *t >= 0.0)
-                .ok_or_else(|| format!("[tolerances] `{key}` must be a finite number >= 0"))?;
+                .ok_or_else(|| bad_value("tolerances", key, "a finite number >= 0"))?;
             if key == "default" {
                 tolerances.default = t;
             } else {
@@ -560,16 +670,17 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
         for (key, v) in doc.section(section).into_iter().flatten() {
             let run = key.strip_prefix(WALL_RATIO);
             if !metrics.contains(key) && !run.is_some_and(|r| runs.iter().any(|n| n == r)) {
-                return Err(format!(
-                    "[{section}] `{key}` names neither a metric of this scenario nor \
-                     `{WALL_RATIO}<run>` of a declared run ({})",
+                let why = format!(
+                    "names neither a metric of this scenario nor `{WALL_RATIO}<run>` of a \
+                     declared run ({})",
                     runs.join(", ")
-                ));
+                );
+                return Err(rule(section, Some(key), &why));
             }
             let bound = v
                 .as_f64()
                 .filter(|b| !b.is_nan())
-                .ok_or_else(|| format!("[{section}] `{key}` must be a number other than NaN"))?;
+                .ok_or_else(|| bad_value(section, key, "a number other than NaN"))?;
             bounds.insert(key.clone(), bound);
         }
     }
@@ -1275,7 +1386,7 @@ warmup_ms = 15.0
             let text =
                 if from.is_empty() { format!("{SPEC}{to}\n") } else { SPEC.replacen(from, to, 1) };
             assert_ne!(text, SPEC, "the edit {from:?} must apply");
-            let e = parse_spec(&text).expect_err(to);
+            let e = parse_spec(&text).expect_err(to).to_string();
             assert!(parts.iter().all(|p| e.contains(p)), "{e:?} should name {parts:?}");
         }
         // Declared runs and this scenario's own metrics are valid gate keys.

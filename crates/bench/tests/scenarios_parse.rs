@@ -2,10 +2,10 @@
 //! its filename stem, and declare tenants only where the suite expects
 //! them — catching scenario/baseline skew before the (slower) harness
 //! run in CI does. Damaged copies of the same files must parse to `Ok`
-//! or `Err`, never panic, and a parse error names its line, section and
-//! key.
+//! or `Err`, never panic; a parse error names its line, section and key,
+//! and a spec error its section, key and kind.
 
-use memcnn_bench::scenario::parse_spec;
+use memcnn_bench::scenario::{parse_spec, SpecError, SpecErrorKind};
 use memcnn_bench::toml_lite::{self, ErrorKind};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -69,7 +69,9 @@ fn parse_errors_name_line_section_and_key() {
         assert_eq!((err.line, err.section.as_str()), (line, "scenario"));
         assert_eq!(err.key.as_deref(), Some("bogus"));
         assert!(matches!(err.kind, ErrorKind::BadValue(_)), "{err}");
-        let msg = parse_spec(&text).unwrap_err();
+        let spec_err = parse_spec(&text).unwrap_err();
+        assert_eq!(spec_err.kind, SpecErrorKind::Parse(Box::new(err)));
+        let msg = spec_err.to_string();
         assert!(msg.starts_with(&format!("line {line} [scenario] key \"bogus\": ")), "{msg}");
     }
     // The section's first key, set twice.
@@ -77,6 +79,53 @@ fn parse_errors_name_line_section_and_key() {
         let err = toml_lite::parse(&text).unwrap_err();
         assert_eq!((err.line, err.section.as_str()), (line, "scenario"));
         assert_eq!((err.key, err.kind), (Some(key), ErrorKind::DuplicateKey));
+    }
+}
+
+/// `parse_spec` of every committed file with `edit` applied to its text.
+fn spec_errors(edit: impl Fn(&str) -> String) -> Vec<SpecError> {
+    committed().iter().map(|(_, text)| parse_spec(&edit(text)).unwrap_err()).collect()
+}
+
+#[test]
+fn spec_errors_name_section_key_and_kind() {
+    let fields = |e: &SpecError| (e.section.clone(), e.key.clone(), e.kind.clone());
+    let scenario = |key: &str, kind| ("scenario".to_string(), Some(key.to_string()), kind);
+    // An unknown section.
+    for e in spec_errors(|t| format!("{t}\n[expect]\nrequests = 1\n")) {
+        assert_eq!(fields(&e), ("expect".to_string(), None, SpecErrorKind::UnknownSection));
+    }
+    // An unknown key.
+    for e in spec_errors(|t| t.replacen("[scenario]", "[scenario]\nlaod_frac = 0.5", 1)) {
+        assert_eq!(fields(&e), scenario("laod_frac", SpecErrorKind::UnknownKey));
+    }
+    // A value of the wrong type: `[scenario]` comes first, so the first
+    // `seed` line is its own.
+    let bad_seed = |t: &str| {
+        let seed = t.lines().find(|l| l.starts_with("seed")).expect("a seed line");
+        t.replacen(seed, "seed = -1", 1)
+    };
+    for e in spec_errors(bad_seed) {
+        let what = "a non-negative integer".to_string();
+        assert_eq!(fields(&e), scenario("seed", SpecErrorKind::BadValue(what)));
+        assert_eq!(e.to_string(), "[scenario] `seed` must be a non-negative integer");
+    }
+    // A name the format does not know.
+    let bad_placement = |t: &str| {
+        let placement = t.lines().find(|l| l.starts_with("placement")).expect("a placement");
+        t.replacen(placement, "placement = \"random\"", 1)
+    };
+    for e in spec_errors(bad_placement) {
+        let SpecErrorKind::UnknownName { name, .. } = &e.kind else { panic!("{e:?}") };
+        assert_eq!((e.section.as_str(), e.key.as_deref()), ("scenario", Some("placement")));
+        assert_eq!(name, "random");
+    }
+    // A missing required key.
+    for e in
+        spec_errors(|t| t.lines().filter(|l| !l.starts_with("seed")).collect::<Vec<_>>().join("\n"))
+    {
+        assert_eq!(fields(&e), scenario("seed", SpecErrorKind::MissingKey));
+        assert_eq!(e.to_string(), "[scenario] is missing `seed`");
     }
 }
 

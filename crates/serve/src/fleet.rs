@@ -55,8 +55,8 @@ use crate::server::{
     fault_span, form, launch_ladder, BatchRecord, BucketStats, LadderEnd, Outcome,
 };
 use crate::slo::Lane;
-use crate::tenant::{lane_beats, settle_credits, tenant_tags, Admission, SloReport, TenantSpec};
-use crate::workload::{self, Request, WorkloadConfig};
+use crate::tenant::{lane_beats, settle_credits, tenant_of, Admission, SloReport, TenantSpec};
+use crate::workload::{self, Request, Stream, WorkloadConfig, BLOCK};
 use memcnn_core::{Engine, EngineError, Mechanism, Network, Plan};
 use memcnn_gpusim::{DeviceFaultKind, DeviceFaultPlan, FaultPlan};
 use memcnn_metrics::{GaugeId, KeyId, MetricsTimeline, Recorder};
@@ -478,9 +478,9 @@ fn shed_overdue(
     deadline: Option<f64>,
 ) -> usize {
     let Some(deadline) = deadline else { return 0 };
-    let mut shed = 0usize;
-    while lane.has_pending() && dev.gpu_free - lane.queue[lane.next].arrival > deadline {
-        let r = &lane.queue[lane.next];
+    let mut end = lane.next;
+    while end < lane.queue.len() && dev.gpu_free - lane.queue[end].arrival > deadline {
+        let r = &lane.queue[end];
         fault_span(dev.gpu_free, 0.0, || {
             (
                 format!("shed request {}", r.id),
@@ -491,10 +491,13 @@ fn shed_overdue(
             )
         });
         dev.drop_queued(1, r.images);
-        dev.shed += 1;
-        dev.shed_by_tenant[t] += 1;
-        lane.next += 1;
-        shed += 1;
+        end += 1;
+    }
+    let shed = end - lane.next;
+    if shed > 0 {
+        dev.shed += shed;
+        dev.shed_by_tenant[t] += shed as u64;
+        lane.advance(end);
     }
     shed
 }
@@ -510,9 +513,10 @@ enum Op {
     /// A plan-cache lookup on pair `(d, n)` for `bucket` (the
     /// `seen_plans` hit/lookup bookkeeping behind the hit-rate gauge).
     Lookup { d: usize, n: usize, bucket: usize },
-    /// Request `id` finished with `latency` (latency vector write plus
-    /// the recorder's histogram observation).
-    Served { id: u64, latency: f64 },
+    /// Request `id` of lane (tenant) `tenant`, carrying `images`,
+    /// finished with `latency` (latency vector write plus the recorder's
+    /// histogram observation; the per-tenant tallies on SLO runs).
+    Served { id: u64, latency: f64, images: usize, tenant: u32 },
     /// The gauge block at the end of a successful commit.
     DoneGauges { d: usize, launch: f64, depth: usize, util: f64, degraded: bool },
     /// The gauge block after a batch was shed mid-ladder; `batch_shed`
@@ -524,16 +528,10 @@ enum Op {
     OverdueShed { count: usize },
 }
 
-/// Per-tenant global accounting for SLO runs: the attribution table
-/// plus the tallies only the globally ordered `Op::Served` replay can
-/// settle deterministically (completions, served images, violations,
-/// keyed latency histograms).
+/// Per-tenant global accounting for SLO runs: the tallies only the
+/// globally ordered `Op::Served` replay can settle deterministically
+/// (completions, served images, violations, keyed latency histograms).
 struct GlobalsSlo {
-    /// `tenant_of[id]` — the request's tenant (from [`tenant_tags`]).
-    tenant_of: Vec<u32>,
-    /// `images_of[id]` — the request's image count (for per-tenant
-    /// served-images tallies without re-walking the request list).
-    images_of: Vec<u64>,
     /// Pre-registered per-tenant latency-histogram handles (config
     /// order) — the replay's keyed observation is an index, not a
     /// string lookup.
@@ -614,13 +612,13 @@ impl Globals {
                     self.cache_hits += 1;
                 }
             }
-            Op::Served { id, latency } => {
+            Op::Served { id, latency, images, tenant } => {
                 self.latencies[id as usize] = latency;
                 self.rec.observe_latency(latency);
                 if let Some(s) = self.slo.as_mut() {
-                    let t = s.tenant_of[id as usize] as usize;
+                    let t = tenant as usize;
                     s.completed[t] += 1;
-                    s.images[t] += s.images_of[id as usize];
+                    s.images[t] += images as u64;
                     if s.p99[t].is_some_and(|b| latency > b) {
                         s.violations[t] += 1;
                     }
@@ -853,11 +851,16 @@ fn commit_pair<S: EffectSink>(
                 let lane = &mut pairs_d[n].lanes[t];
                 let mut taken_images = 0usize;
                 for r in &lane.queue[lane.next..j_end] {
-                    sink.emit(Op::Served { id: r.id, latency: done - r.arrival });
+                    sink.emit(Op::Served {
+                        id: r.id,
+                        latency: done - r.arrival,
+                        images: r.images,
+                        tenant: t as u32,
+                    });
                     taken_images += r.images;
                 }
                 let reqs = j_end - lane.next;
-                lane.next = j_end;
+                lane.advance(j_end);
                 dev.drop_queued(reqs, taken_images);
                 reqs
             };
@@ -953,7 +956,7 @@ fn commit_pair<S: EffectSink>(
             let shed_images: usize = lane.queue[lane.next..j_end].iter().map(|r| r.images).sum();
             dev.shed += batch_shed;
             dev.shed_by_tenant[t] += batch_shed as u64;
-            lane.next = j_end;
+            lane.advance(j_end);
             dev.drop_queued(batch_shed, shed_images);
             dev.busy += at - launch;
             dev.gpu_free = at;
@@ -1140,11 +1143,10 @@ struct DelayState {
     next_bound: usize,
 }
 
-/// Per-run SLO state owned by the router: the request→tenant table,
-/// the admission controller (token buckets advance on the arrival
-/// clock, which the router walks in order), and the admission tallies.
+/// Per-run SLO state owned by the router: the admission controller
+/// (token buckets advance on the arrival clock, which the router walks
+/// in order) and the admission tallies.
 struct SloRun {
-    tags: Vec<u32>,
     admission: Admission,
     admitted: Vec<u64>,
     rejected: Vec<u64>,
@@ -1156,14 +1158,22 @@ struct FleetRun<'e, 'a> {
     engines: &'a [&'e Engine],
     nets: &'a [Network],
     cfg: &'a FleetConfig,
-    requests: Vec<Request>,
+    /// The arrival generator. The run holds one block of future
+    /// arrivals (`arrivals[next_arrival..]` are unrouted), refilled once
+    /// every arrival in it has routed; an empty block means the stream
+    /// has ended.
+    stream: Stream<'a>,
+    arrivals: Vec<Request>,
+    next_arrival: usize,
+    /// The last routed arrival (0.0 before the first): the clock of the
+    /// routing-exhausted flush.
+    last_arrival: f64,
     caps: Vec<Vec<usize>>,
     pairs: Vec<Vec<PairState<'e>>>,
     devs: Vec<DeviceState>,
     placer: Box<dyn PlacementPolicy>,
     g: Globals,
     delay: DelayState,
-    next_arrival: usize,
     pol: FaultPolicy,
     fplan: Option<FaultPlan>,
     max: usize,
@@ -1268,8 +1278,25 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// (`arrival <= launch` — hence the inclusive comparison against
     /// the tentative best).
     fn should_route(&self, best: Option<(f64, usize, usize, usize)>) -> bool {
-        self.next_arrival < self.requests.len()
-            && best.is_none_or(|(bl, _, _, _)| self.requests[self.next_arrival].arrival <= bl)
+        self.arrivals
+            .get(self.next_arrival)
+            .is_some_and(|r| best.is_none_or(|(bl, _, _, _)| r.arrival <= bl))
+    }
+
+    /// Whether every arrival of the stream has routed.
+    fn routed_all(&self) -> bool {
+        self.next_arrival >= self.arrivals.len()
+    }
+
+    /// Replace the routed block with the stream's next one, growing the
+    /// per-request report columns to cover it.
+    fn refill(&mut self) {
+        self.arrivals.clear();
+        self.next_arrival = 0;
+        let n = self.stream.extend(&mut self.arrivals, BLOCK);
+        let total = self.g.latencies.len() + n;
+        self.g.latencies.resize(total, 0.0);
+        self.g.placements.resize(total, 0);
     }
 
     /// Route the next arrival: health transitions, phase-boundary delay
@@ -1277,7 +1304,12 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// gauges.
     fn route_one(&mut self) {
         ROUTES.incr();
-        let r = self.requests[self.next_arrival];
+        let r = self.arrivals[self.next_arrival];
+        self.next_arrival += 1;
+        if self.routed_all() {
+            self.refill();
+        }
+        self.last_arrival = r.arrival;
         // Device lifecycle first: every fault event at or before this
         // arrival fires now, in both loops at the identical state point
         // (the route-first rule has applied exactly the commits
@@ -1309,7 +1341,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         // it keeps the `u32::MAX` placement sentinel and 0.0 latency.
         let mut lt = 0usize;
         if let Some(slo) = self.slo_run.as_mut() {
-            let t = slo.tags[r.id as usize] as usize;
+            let t = tenant_of(self.cfg.workload.seed, r.id, &self.cfg.tenants) as usize;
             slo.admitted[t] += 1;
             if !slo.admission.admit(t, r.arrival) {
                 slo.rejected[t] += 1;
@@ -1327,7 +1359,6 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                         ],
                     )
                 });
-                self.next_arrival += 1;
                 return;
             }
             lt = t;
@@ -1390,7 +1421,6 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         let total_images = dev_images + others_images;
         self.g.rec.gauge_at(self.g.ids.dev_queue_images[d], r.arrival, dev_images as f64);
         self.g.rec.gauge_at(self.g.ids.queue_images, r.arrival, total_images as f64);
-        self.next_arrival += 1;
     }
 
     /// Load snapshot of device `d` for network `n`'s placement call (see
@@ -1401,7 +1431,10 @@ impl<'e, 'a> FleetRun<'e, 'a> {
 
     /// The tenant lane a request routes to (lane 0 on class-blind runs).
     fn lane_of(&self, id: u64) -> usize {
-        self.slo_run.as_ref().map_or(0, |s| s.tags[id as usize] as usize)
+        match self.slo_run {
+            Some(_) => tenant_of(self.cfg.workload.seed, id, &self.cfg.tenants) as usize,
+            None => 0,
+        }
     }
 
     /// Fire every device-fault event due by `now` and drain the transit
@@ -1585,12 +1618,13 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         for pair in &mut self.pairs[d] {
             for (t, lane) in pair.lanes.iter_mut().enumerate() {
                 if lane.has_pending() {
-                    let moved = lane.queue.split_off(lane.next);
+                    let from = h.transit.len();
+                    h.transit.extend(lane.take_pending());
+                    let moved = &h.transit[from..];
                     h.failed_over[t] += moved.len() as u64;
                     h.dev_failed_over[d] += moved.len() as u64;
                     moved_reqs += moved.len();
                     moved_images += moved.iter().map(|r| r.images).sum::<usize>();
-                    h.transit.extend(moved);
                 }
             }
         }
@@ -1659,7 +1693,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             return false;
         }
         h.flushed = true;
-        let now = self.requests.last().map_or(0.0, |r| r.arrival);
+        let now = self.last_arrival;
         for d in 0..self.k {
             // Zero-request runs never reach a routing point; fire any
             // events due by `now` here (with arrivals, the last routing
@@ -1730,7 +1764,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             // remaining commits drain the fleet. State point:
             // immediately after the last route, before the next commit
             // — the same point the parallel loop flushes at.
-            if self.next_arrival >= self.requests.len() && self.drain_flush() {
+            if self.routed_all() && self.drain_flush() {
                 continue;
             }
             let Some((_, d, n, t)) = best else { break };
@@ -1758,7 +1792,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                 }
                 self.route_one();
             }
-            let t_next = self.requests.get(self.next_arrival).map(|r| r.arrival);
+            let t_next = self.arrivals.get(self.next_arrival).map(|r| r.arrival);
             if t_next.is_none() {
                 // Same state point as the sequential flush: the last
                 // arrival just routed and nothing has committed since.
@@ -1991,8 +2025,6 @@ fn run_fleet(
     }
     let k = engines.len();
     let nn = nets.len();
-    let requests = workload::generate(&cfg.workload);
-    perf::add("serve.requests", requests.len() as u64);
     let max = cfg.policy.max_batch_images.max(1);
     let fplan = cfg.faults.filter(|p| !p.is_noop());
     let pol = cfg.fault_policy;
@@ -2023,18 +2055,14 @@ fn run_fleet(
     // to the pre-tenant arithmetic (the byte-identity tests pin this).
     let slo_active = !cfg.tenants.is_empty();
     let nlanes = if slo_active { cfg.tenants.len() } else { 1 };
-    let tags: Vec<u32> = if slo_active {
-        tenant_tags(cfg.workload.seed, requests.len(), &cfg.tenants)
-    } else {
-        Vec::new()
-    };
 
     // Expand the device-fault plan once, purely, over the stream's
-    // horizon (the last arrival): events after it are unreachable — no
-    // routing point ever fires them — so bounding the expansion keeps
-    // the run finite without changing behaviour.
+    // horizon (the last arrival, from a counting pass of the generator):
+    // events after it are unreachable — no routing point ever fires
+    // them — so bounding the expansion keeps the run finite without
+    // changing behaviour.
     let health = dplan.as_ref().map(|p| {
-        let horizon = requests.last().map_or(0.0, |r| r.arrival);
+        let horizon = workload::last_arrival(&cfg.workload).unwrap_or(0.0);
         let events = p.events_for(k, horizon);
         let mut queues: Vec<VecDeque<memcnn_gpusim::DeviceFault>> =
             (0..k).map(|_| VecDeque::new()).collect();
@@ -2108,8 +2136,6 @@ fn run_fleet(
     let mut rec = Recorder::default();
     let ids = FleetGaugeIds::new(&mut rec, k);
     let slo_globals = slo_active.then(|| GlobalsSlo {
-        tenant_of: tags.clone(),
-        images_of: requests.iter().map(|r| r.images as u64).collect(),
         latency_keys: cfg.tenants.iter().map(|t| rec.latency_key(&t.name)).collect(),
         p99: cfg.tenants.iter().map(|t| t.class.p99_budget()).collect(),
         violation_ids: cfg
@@ -2123,9 +2149,10 @@ fn run_fleet(
         images: vec![0; nlanes],
         violations: vec![0; nlanes],
     });
+    // The per-request columns grow one arrival block at a time.
     let g = Globals {
-        latencies: vec![0.0f64; requests.len()],
-        placements: vec![0u32; requests.len()],
+        latencies: Vec::new(),
+        placements: Vec::new(),
         rec,
         ids,
         seen_plans: BTreeSet::new(),
@@ -2144,12 +2171,14 @@ fn run_fleet(
         bounds.pop(); // the end of the last phase is not a boundary
         bounds
     };
-    let n_requests = requests.len();
     let mut run = FleetRun {
         engines,
         nets,
         cfg,
-        requests,
+        stream: Stream::new(&cfg.workload),
+        arrivals: Vec::with_capacity(BLOCK),
+        next_arrival: 0,
+        last_arrival: 0.0,
         caps,
         pairs,
         devs,
@@ -2162,14 +2191,12 @@ fn run_fleet(
             phase_bounds,
             next_bound: 0,
         },
-        next_arrival: 0,
         pol,
         fplan,
         max,
         k,
         nn,
         slo_run: slo_active.then(|| SloRun {
-            tags: tags.clone(),
             admission: Admission::new(&cfg.tenants),
             admitted: vec![0; nlanes],
             rejected: vec![0; nlanes],
@@ -2180,13 +2207,16 @@ fn run_fleet(
         loads_buf: Vec::new(),
         eligible_buf: Vec::new(),
     };
+    run.refill();
     if oracle == Some(Oracle::Sequential) {
         run.run_sequential()?;
     } else {
         run.run_parallel()?;
     }
-    let FleetRun { pairs, devs, g, slo_run, health, .. } = run;
+    let FleetRun { pairs, mut devs, g, slo_run, health, .. } = run;
     let Globals { latencies, placements, rec, slo: g_slo, .. } = g;
+    let n_requests = latencies.len();
+    perf::add("serve.requests", n_requests as u64);
 
     // Aggregate accounting under the `serve.*` / `fault.*` counter names.
     let mut agg = FaultStats::default();
@@ -2229,34 +2259,32 @@ fn run_fleet(
     agg.check_balanced("fleet")?;
 
     let devices: Vec<DeviceReport> = devs
-        .iter()
+        .iter_mut()
         .enumerate()
         .map(|(d, dev)| {
             let networks: Vec<NetworkBuckets> = (0..nn)
                 .filter(|&n| !pairs[d][n].cache.is_empty())
                 .map(|n| {
-                    let hits: Vec<&BatchRecord> = dev
-                        .batches
-                        .iter()
-                        .filter(|b| b.network as usize == n)
-                        .map(|b| &b.record)
-                        .collect();
                     let buckets = pairs[d][n]
                         .cache
                         .plans()
                         .iter()
                         .map(|(&bucket, plan)| {
-                            let in_bucket: Vec<&&BatchRecord> =
-                                hits.iter().filter(|b| b.bucket == bucket).collect();
-                            let images: usize = in_bucket.iter().map(|b| b.images).sum();
+                            let (mut batches, mut images) = (0usize, 0usize);
+                            for b in &dev.batches {
+                                if b.network as usize == n && b.record.bucket == bucket {
+                                    batches += 1;
+                                    images += b.record.images;
+                                }
+                            }
                             BucketStats {
                                 bucket,
-                                batches: in_bucket.len(),
+                                batches,
                                 images,
-                                fill: if in_bucket.is_empty() {
+                                fill: if batches == 0 {
                                     0.0
                                 } else {
-                                    images as f64 / (in_bucket.len() * bucket) as f64
+                                    images as f64 / (batches * bucket) as f64
                                 },
                                 conv_layouts: plan.conv_layout_signature(),
                                 transforms: plan.transform_count(),
@@ -2269,13 +2297,10 @@ fn run_fleet(
                 .collect();
             DeviceReport {
                 device: engines[d].device().name.clone(),
-                requests: pairs[d]
-                    .iter()
-                    .map(|p| p.lanes.iter().map(|l| l.queue.len()).sum::<usize>())
-                    .sum(),
+                requests: pairs[d].iter().flat_map(|p| &p.lanes).map(Lane::routed).sum(),
                 images: dev.batches.iter().map(|b| b.record.images).sum(),
                 makespan: dev.gpu_free,
-                batches: dev.batches.clone(),
+                batches: std::mem::take(&mut dev.batches),
                 networks,
                 shed_requests: dev.shed,
                 faults: dev.stats,
@@ -2285,12 +2310,37 @@ fn run_fleet(
 
     let makespan = devs.iter().map(|d| d.gpu_free).fold(0.0f64, f64::max);
 
+    // Request conservation, from independent tallies: the lanes' routed
+    // counts, the latency column, the shed and admission tallies and
+    // the transit buffer.
+    let queued: Vec<u64> = {
+        let mut queued = vec![0u64; nlanes];
+        for pair in pairs.iter().flatten() {
+            for (t, lane) in pair.lanes.iter().enumerate() {
+                queued[t] += lane.pending().len() as u64;
+            }
+        }
+        queued
+    };
+    Conservation {
+        requests: n_requests,
+        routed: devices.iter().map(|d| d.requests).sum(),
+        served: latencies.iter().filter(|&&l| l > 0.0).count(),
+        shed: shed_requests,
+        rejected: slo_run.as_ref().map_or(0, |s| s.rejected.iter().sum::<u64>() as usize),
+        queued: queued.iter().sum::<u64>() as usize,
+        in_transit: health.as_ref().map_or(0, |h| h.transit.len()),
+        transit_shed: health.as_ref().map_or(0, |h| h.transit_shed.iter().sum::<u64>() as usize),
+    }
+    .check()?;
+
     // Per-tenant SLO rollup: admission tallies from the router, served
     // tallies from the globally ordered replay, sheds and scheduler
     // counters from the devices, residual lane depths as in-flight.
     let slo = match (slo_run, g_slo) {
         (Some(sr), Some(gs)) => {
             let nt = cfg.tenants.len();
+            let tenant = |id: u64| tenant_of(cfg.workload.seed, id, &cfg.tenants) as usize;
             let mut shed_by = vec![0u64; nt];
             let mut early = 0u64;
             let mut preempt = 0u64;
@@ -2300,14 +2350,6 @@ fn run_fleet(
                 }
                 early += dev.early;
                 preempt += dev.preempt;
-            }
-            let mut in_flight = vec![0u64; nt];
-            for pairs_d in &pairs {
-                for pair in pairs_d {
-                    for (t, lane) in pair.lanes.iter().enumerate() {
-                        in_flight[t] += lane.pending().len() as u64;
-                    }
-                }
             }
             // Failover accounting: transit sheds join the tenant's shed
             // tally (they are terminal), the transit-buffer residual is
@@ -2321,19 +2363,19 @@ fn run_fleet(
                 }
                 failed_over.copy_from_slice(&h.failed_over[..nt]);
                 for r in &h.transit {
-                    in_transit[sr.tags[r.id as usize] as usize] += 1;
+                    in_transit[tenant(r.id)] += 1;
                 }
             }
             let device_seconds: f64 = devs.iter().map(|d| d.busy).sum();
             Some(crate::slo::slo_report(
                 &cfg.tenants,
                 &latencies,
-                &sr.tags,
+                tenant,
                 &sr.admitted,
                 &sr.rejected,
                 &gs.completed,
                 &shed_by,
-                &in_flight,
+                &queued,
                 &gs.images,
                 &gs.violations,
                 early,
@@ -2379,6 +2421,61 @@ fn run_fleet(
         slo,
         health: health_report,
     })
+}
+
+/// Where every generated request of a finished run went, from tallies
+/// kept apart: the lanes' routed counts, the latency column, and the
+/// shed, admission and transit tallies.
+#[derive(Clone, Copy)]
+struct Conservation {
+    requests: usize,
+    /// Requests the device lanes hold or retired (`DeviceReport.requests`).
+    routed: usize,
+    /// Requests with a positive latency.
+    served: usize,
+    /// Requests shed on devices and in transit.
+    shed: usize,
+    /// Requests admission control turned away.
+    rejected: usize,
+    /// Requests still pending in a lane (0 for drained runs).
+    queued: usize,
+    /// Failed-over requests still in the transit buffer.
+    in_transit: usize,
+    /// Failed-over requests shed with no live device to take them.
+    transit_shed: usize,
+}
+
+impl Conservation {
+    /// Both identities as a typed error, in release builds too: every
+    /// request reached a lane or left the fleet before one (`routed +
+    /// in_transit + transit_shed + rejected == requests`), and every
+    /// request ended served, shed, rejected or still waiting (`served +
+    /// shed + rejected + queued + in_transit == requests`).
+    fn check(&self) -> Result<(), EngineError> {
+        let &Conservation {
+            requests,
+            routed,
+            served,
+            shed,
+            rejected,
+            queued,
+            in_transit,
+            transit_shed,
+        } = self;
+        if routed + in_transit + transit_shed + rejected != requests {
+            return Err(EngineError::Fatal(format!(
+                "request accounting out of balance: routed {routed} + in transit {in_transit} \
+                 + transit shed {transit_shed} + rejected {rejected} != requests {requests}"
+            )));
+        }
+        if served + shed + rejected + queued + in_transit != requests {
+            return Err(EngineError::Fatal(format!(
+                "request accounting out of balance: served {served} + shed {shed} + rejected \
+                 {rejected} + queued {queued} + in transit {in_transit} != requests {requests}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -2508,6 +2605,35 @@ mod tests {
         assert!(report.latencies.iter().all(|&l| l > 0.0));
         assert_eq!(report.devices.len(), 2);
         assert_ne!(report.devices[0].device, report.devices[1].device);
+    }
+
+    #[test]
+    fn conservation_checks_both_identities() {
+        let c = Conservation {
+            requests: 10,
+            routed: 7,
+            served: 5,
+            shed: 2,
+            rejected: 2,
+            queued: 0,
+            in_transit: 1,
+            transit_shed: 0,
+        };
+        assert_eq!(c.check(), Ok(()));
+        let err = |c: Conservation| match c.check() {
+            Err(EngineError::Fatal(msg)) => msg,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            err(Conservation { routed: 6, ..c }),
+            "request accounting out of balance: routed 6 + in transit 1 + transit shed 0 \
+             + rejected 2 != requests 10"
+        );
+        assert_eq!(
+            err(Conservation { served: 6, ..c }),
+            "request accounting out of balance: served 6 + shed 2 + rejected 2 + queued 0 \
+             + in transit 1 != requests 10"
+        );
     }
 
     #[test]

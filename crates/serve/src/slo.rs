@@ -41,15 +41,33 @@ use crate::workload::Request;
 use memcnn_core::EngineError;
 use memcnn_trace::perf;
 
-/// One tenant's FIFO lane: the routed queue and the served prefix.
+/// One tenant's FIFO lane on one (device, network) pair: the routed
+/// requests not yet retired, and the `next` cursor past the served (or
+/// shed) ones.
+///
+/// A lane keeps only what it may still need. Once its served prefix is
+/// at least half the queue, [`Lane::advance`] drops that prefix and
+/// counts it in `retired`, so the queue is at most twice the pending
+/// requests and each request is moved O(1) times amortized. Every
+/// reader indexes from `next` (`form`, `window_launch`, the overdue and
+/// batch sheds, failover's [`Lane::take_pending`]) and so sees the same
+/// requests either way. The one reader of the served prefix is
+/// [`lane_preempts`], which searches the lane's whole routed history;
+/// it reads the retired part as the `retired` requests it was (see
+/// [`history_partition_point`]).
 pub(crate) struct Lane {
     pub(crate) queue: Vec<Request>,
     pub(crate) next: usize,
+    /// Served or shed requests dropped from the front of `queue`.
+    retired: usize,
+    /// The latest arrival among the retired requests (debug check of
+    /// the invariant [`lane_preempts`] relies on).
+    retired_max: f64,
 }
 
 impl Lane {
     pub(crate) fn new() -> Lane {
-        Lane { queue: Vec::new(), next: 0 }
+        Lane { queue: Vec::new(), next: 0, retired: 0, retired_max: f64::NEG_INFINITY }
     }
 
     /// Requests routed but not yet served or shed.
@@ -60,6 +78,60 @@ impl Lane {
     pub(crate) fn has_pending(&self) -> bool {
         self.next < self.queue.len()
     }
+
+    /// Requests routed to the lane and still held by it: retired, served
+    /// or pending (failover's [`Lane::take_pending`] hands some away).
+    pub(crate) fn routed(&self) -> usize {
+        self.retired + self.queue.len()
+    }
+
+    /// Mark `queue[next..end]` served or shed, and retire the served
+    /// prefix once it is at least half the queue.
+    pub(crate) fn advance(&mut self, end: usize) {
+        debug_assert!(self.next <= end && end <= self.queue.len());
+        self.next = end;
+        if end > 0 && 2 * end >= self.queue.len() {
+            let max = self.queue.drain(..end).fold(self.retired_max, |m, r| m.max(r.arrival));
+            self.retired_max = max;
+            self.retired += end;
+            self.next = 0;
+        }
+    }
+
+    /// Remove and return the pending requests (a failover): the lane
+    /// keeps only its served history.
+    pub(crate) fn take_pending(&mut self) -> std::vec::Drain<'_, Request> {
+        self.queue.drain(self.next..)
+    }
+}
+
+/// `partition_point(pred)` over the lane's whole routed history — the
+/// `retired` requests followed by `queue` — when `pred` holds for every
+/// retired request: the std binary search's probes, replayed over the
+/// virtual slice. A failover requeue appends requests that arrived
+/// before the ones already queued, so a lane need not be sorted by
+/// arrival; on such a lane the result depends on which positions the
+/// search probes, and replaying them over the full history keeps it
+/// equal to a search of a lane that never retired anything.
+fn history_partition_point(
+    retired: usize,
+    queue: &[Request],
+    pred: impl Fn(&Request) -> bool,
+) -> usize {
+    let holds = |i: usize| i < retired || pred(&queue[i - retired]);
+    let mut size = retired + queue.len();
+    if size == 0 {
+        return 0;
+    }
+    let mut base = 0usize;
+    while size > 1 {
+        let half = size / 2;
+        if holds(base + half) {
+            base += half;
+        }
+        size -= half;
+    }
+    base + holds(base) as usize
 }
 
 /// Whether committing `(launch, images)` displaced a tentative larger
@@ -69,6 +141,12 @@ impl Lane {
 /// `arrival <= launch` prefix before any commit (the route-first rule),
 /// so the cutoff keeps the count independent of how far routing ran
 /// ahead.
+///
+/// The cutoff searches the lane's whole history, retired requests
+/// included. Those all satisfy `arrival <= launch`: each was served in a
+/// batch launched at or after its arrival, or shed once its device's
+/// clock passed its arrival plus a non-negative shed deadline, and
+/// `launch` is at or after that device clock.
 pub(crate) fn lane_preempts(
     lane: &Lane,
     budget: f64,
@@ -77,25 +155,26 @@ pub(crate) fn lane_preempts(
     launch: f64,
     images: usize,
 ) -> bool {
-    let end = lane.queue.partition_point(|r| r.arrival <= launch);
-    if end <= lane.next {
+    debug_assert!(lane.retired_max <= launch, "a retired request arrived after {launch}");
+    let end = history_partition_point(lane.retired, &lane.queue, |r| r.arrival <= launch);
+    if end <= lane.retired + lane.next {
         return false;
     }
-    let view = &lane.queue[..end];
+    let view = &lane.queue[..end - lane.retired];
     let l2 = window_launch(view, lane.next, gpu_free, emax, budget);
     let (_, imgs2, _) = form(view, lane.next, l2, emax);
     l2 > launch && imgs2 > images
 }
 
 /// Assemble the per-tenant accounting section from independently
-/// tallied components. `in_flight` comes from residual lane depths — 0
-/// for drained runs. An unbalanced result is a typed
+/// tallied components (`tenant_of` maps a request id to its tenant).
+/// `in_flight` comes from residual lane depths — 0 for drained runs. An unbalanced result is a typed
 /// `EngineError::Fatal`, in release builds too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn slo_report(
     tenants: &[crate::tenant::TenantSpec],
     latencies: &[f64],
-    tags: &[u32],
+    tenant_of: impl Fn(u64) -> usize,
     admitted: &[u64],
     rejected: &[u64],
     completed: &[u64],
@@ -111,9 +190,9 @@ pub(crate) fn slo_report(
 ) -> Result<SloReport, EngineError> {
     let nt = tenants.len();
     let mut lat_by: Vec<Vec<f64>> = vec![Vec::new(); nt];
-    for (i, &l) in latencies.iter().enumerate() {
+    for (id, &l) in latencies.iter().enumerate() {
         if l > 0.0 {
-            lat_by[tags[i] as usize].push(l);
+            lat_by[tenant_of(id as u64)].push(l);
         }
     }
     let reports: Vec<TenantReport> = (0..nt)
@@ -155,6 +234,104 @@ pub(crate) fn slo_report(
     perf::add("slo.violation", slo.violations);
     slo.check_balanced()?;
     Ok(slo)
+}
+
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A lane that never retires: an append-only queue and a cursor.
+    struct Model {
+        queue: Vec<Request>,
+        next: usize,
+    }
+
+    /// [`lane_preempts`] over the model: the std search of the whole
+    /// queue.
+    fn model_preempts(
+        m: &Model,
+        budget: f64,
+        gpu_free: f64,
+        emax: usize,
+        launch: f64,
+        images: usize,
+    ) -> bool {
+        let end = m.queue.partition_point(|r| r.arrival <= launch);
+        if end <= m.next {
+            return false;
+        }
+        let view = &m.queue[..end];
+        let l2 = window_launch(view, m.next, gpu_free, emax, budget);
+        let (_, imgs2, _) = form(view, m.next, l2, emax);
+        l2 > launch && imgs2 > images
+    }
+
+    fn bits(reqs: &[Request]) -> Vec<(u64, u64, usize)> {
+        reqs.iter().map(|r| (r.id, r.arrival.to_bits(), r.images)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A retiring lane against one that never retires, under routes,
+        /// served prefixes, failovers and requeues of older arrivals
+        /// (which leave the lane unsorted): the pending requests, the
+        /// routed count and every preemption answer agree. Queries
+        /// launch no earlier than any served arrival, as the fleet's do.
+        #[test]
+        fn a_retiring_lane_answers_like_one_that_never_retires(
+            ops in prop::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..120),
+        ) {
+            let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+            let mut lane = Lane::new();
+            let mut model = Model { queue: Vec::new(), next: 0 };
+            let (mut clock, mut served_max, mut id) = (0.0f64, 0.0f64, 0u64);
+            let mut transit: Vec<Request> = Vec::new();
+            for (op, x, y) in ops {
+                match op {
+                    0 | 1 => {
+                        clock += 0.004 * unit(x);
+                        let r = Request { id, arrival: clock, images: 1 + (y % 4) as usize };
+                        id += 1;
+                        lane.queue.push(r);
+                        model.queue.push(r);
+                    }
+                    2 => {
+                        let k = (x as usize) % (model.queue.len() - model.next + 1);
+                        for r in &model.queue[model.next..model.next + k] {
+                            served_max = served_max.max(r.arrival);
+                        }
+                        model.next += k;
+                        lane.advance(lane.next + k);
+                    }
+                    3 => {
+                        let moved: Vec<Request> = lane.take_pending().collect();
+                        prop_assert_eq!(bits(&moved), bits(&model.queue.split_off(model.next)));
+                        transit.extend(moved);
+                    }
+                    _ => {
+                        let r = transit.pop().unwrap_or_else(|| {
+                            id += 1;
+                            Request { id: id - 1, arrival: clock * unit(x), images: 1 }
+                        });
+                        lane.queue.push(r);
+                        model.queue.push(r);
+                    }
+                }
+                prop_assert_eq!(bits(lane.pending()), bits(&model.queue[model.next..]));
+                prop_assert_eq!(lane.routed(), model.queue.len());
+                let launch = served_max.max(clock * unit(y));
+                let gpu_free = launch * unit(x ^ y);
+                let (emax, images) = (1 + (x % 12) as usize, (y % 9) as usize);
+                let budget = 0.01 * unit(y.rotate_left(17));
+                prop_assert_eq!(
+                    lane_preempts(&lane, budget, gpu_free, emax, launch, images),
+                    model_preempts(&model, budget, gpu_free, emax, launch, images),
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]

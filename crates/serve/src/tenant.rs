@@ -3,9 +3,10 @@
 //!
 //! A tenant is a named traffic source with a service class, an arrival
 //! weight, and an optional admission rate limit. Tenants never perturb
-//! the request stream itself: [`tenant_tags`] attributes each generated
-//! request to a tenant with a splitmix64 hash of `(seed, request id)` and
-//! a cumulative-weight pick — a pure function that touches no RNG state —
+//! the request stream itself: each generated request's tenant is a
+//! splitmix64 hash of `(seed, request id)` and a cumulative-weight pick
+//! ([`tenant_tags`] over ids `0..n`) — a pure function that touches no
+//! RNG state, computed per request rather than tabled over the stream —
 //! so the *arrivals* of a tenant-enabled run are bit-identical to the
 //! tenant-free stream, and a class-blind run of the same config (tenants
 //! cleared) serves exactly the same requests.
@@ -159,33 +160,33 @@ fn mix(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Attribute `n` requests to tenants by weight: `tags[id]` is the tenant
-/// index of request `id`. A pure function of `(seed, id, weights)` that
-/// consumes no RNG state — the workload's own stream is untouched, so
-/// arrivals are bit-identical with or without tenants configured.
-pub fn tenant_tags(seed: u64, n: usize, tenants: &[TenantSpec]) -> Vec<u32> {
-    if tenants.is_empty() {
-        return vec![0; n];
-    }
+/// The tenant of request `id`, by weight: a pure function of `(seed, id,
+/// weights)` that consumes no RNG state — the workload's own stream is
+/// untouched, so arrivals are bit-identical with or without tenants
+/// configured. The fleet loop calls it per request instead of keeping a
+/// table over the stream.
+pub(crate) fn tenant_of(seed: u64, id: u64, tenants: &[TenantSpec]) -> u32 {
     let total: f64 = tenants.iter().map(|t| t.weight.max(0.0)).sum();
     if total <= 0.0 {
-        return vec![0; n];
+        return 0; // no tenants, or no positive weight
     }
-    (0..n as u64)
-        .map(|id| {
-            // 53 uniform bits, exactly representable in f64.
-            let u = (mix(seed, id) >> 11) as f64 / (1u64 << 53) as f64;
-            let x = u * total;
-            let mut acc = 0.0f64;
-            for (t, spec) in tenants.iter().enumerate() {
-                acc += spec.weight.max(0.0);
-                if x < acc {
-                    return t as u32;
-                }
-            }
-            (tenants.len() - 1) as u32
-        })
-        .collect()
+    // 53 uniform bits, exactly representable in f64.
+    let u = (mix(seed, id) >> 11) as f64 / (1u64 << 53) as f64;
+    let x = u * total;
+    let mut acc = 0.0f64;
+    for (t, spec) in tenants.iter().enumerate() {
+        acc += spec.weight.max(0.0);
+        if x < acc {
+            return t as u32;
+        }
+    }
+    (tenants.len() - 1) as u32
+}
+
+/// Attribute `n` requests to tenants by weight: `tags[id]` is
+/// [`tenant_of`] request `id`.
+pub fn tenant_tags(seed: u64, n: usize, tenants: &[TenantSpec]) -> Vec<u32> {
+    (0..n as u64).map(|id| tenant_of(seed, id, tenants)).collect()
 }
 
 /// One tenant's share of a finished run. Every count is in requests
