@@ -20,7 +20,7 @@
 //! scenario whose identity check or gates failed.
 //!
 //! `run <file>` is the agent mode: execute one scenario in-process, under
-//! the reference driver named by `--oracle sequential|linear` if given, and
+//! the oracle named by `--oracle linear` if given, and
 //! print `{"result": ..., "digest": ..., "host": {"wall_ms": ...}}` as the
 //! last stdout line. With `--metrics-dir DIR` it also writes the metrics
 //! timeline, thinned to at most [`TIMELINE_SAMPLES`] samples, to
@@ -72,7 +72,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: scenario [--scenarios DIR] [--baselines DIR] [--metrics-dir DIR] \
          [--out PATH] [--agent PATH] [--update-baselines] [--record-perfetto]\n       \
-         scenario run FILE [--oracle sequential|linear] [--metrics-dir DIR] \
+         scenario run FILE [--oracle linear] [--metrics-dir DIR] \
          [--record-perfetto]"
     );
     std::process::exit(2);

@@ -18,7 +18,7 @@
 //! seed = 42
 //! batch_sizes = [256, 128, 64, 32]  # optional: top-bucket candidates, largest first
 //! queue_delay_factor = 0.25         # optional: queue-delay cap / top-bucket service time
-//! oracles = ["linear"]              # optional: extra runs, "sequential" / "linear"
+//! oracles = ["linear"]              # optional: extra runs, "linear"
 //!
 //! [workload]
 //! kind = "bursty"        # or "poisson" with load_frac
@@ -117,10 +117,9 @@ pub enum WorkloadKind {
 }
 
 /// The oracles a scenario can also be replayed under (`[scenario]
-/// oracles`, and the agent's `--oracle`), by name: the
-/// one-event-at-a-time loop and the pre-index linear router scan.
-pub const ORACLES: [(&str, Oracle); 2] =
-    [("sequential", Oracle::Sequential), ("linear", Oracle::Linear)];
+/// oracles`, and the agent's `--oracle`), by name: the pre-index linear
+/// router scan.
+pub const ORACLES: [(&str, Oracle); 1] = [("linear", Oracle::Linear)];
 
 /// The oracle called `name` in [`ORACLES`].
 pub fn oracle_named(name: &str) -> Option<Oracle> {
@@ -501,7 +500,7 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecError> {
     .unwrap_or_else(|| DEFAULT_BATCH_SIZES.to_vec());
     let queue_delay_factor =
         opt_positive(sc, "scenario", "queue_delay_factor")?.unwrap_or(DEFAULT_QUEUE_DELAY_FACTOR);
-    let oracles = opt(sc, "scenario", "oracles", "distinct \"sequential\" / \"linear\"", |v| {
+    let oracles = opt(sc, "scenario", "oracles", "distinct \"linear\"", |v| {
         let names: Vec<String> = v.as_str_array()?.into_iter().map(str::to_string).collect();
         let known = names.iter().all(|n| oracle_named(n).is_some());
         let distinct = names.iter().enumerate().all(|(i, n)| !names[..i].contains(n));
@@ -714,8 +713,8 @@ pub fn network_for(name: &str) -> Option<Network> {
 }
 
 /// A scenario expanded into what [`serve_fleet`] consumes. Devices of
-/// one kind share one engine, as in a homogeneous fleet, so the fleet's
-/// barrier batch-compile dedups their plan misses.
+/// one kind share one engine, as in a homogeneous fleet, so their cold
+/// plan compiles share its pool-autotune memo.
 pub struct Fleet {
     /// One context per distinct device kind.
     ctxs: Vec<Ctx>,
@@ -1286,15 +1285,14 @@ warmup_ms = 15.0
         assert_eq!(bare.gates.min["requests"], 1.0);
 
         let extra = "seed = 42\nbatch_sizes = [64, 32]\nqueue_delay_factor = 3.0\n\
-                     oracles = [\"linear\", \"sequential\"]";
+                     oracles = [\"linear\"]";
         let spec = parse_spec(&SPEC.replacen("seed = 42", extra, 1)).unwrap();
         assert_eq!((&spec.batch_sizes[..], spec.queue_delay_factor), (&[64, 32][..], 3.0));
         let runs: Vec<(String, usize, Option<Oracle>)> =
             spec.runs().into_iter().map(|r| (r.name, r.threads, r.oracle)).collect();
-        let (seq, lin) = (Some(Oracle::Sequential), Some(Oracle::Linear));
-        let want = [("threads1", 1, None), ("threads4", 4, None), ("sequential", 1, seq)];
-        let want = want.into_iter().chain([("linear", 1, lin)]);
-        assert_eq!(runs, want.map(|(n, t, o)| (n.to_string(), t, o)).collect::<Vec<_>>());
+        let want =
+            [("threads1", 1, None), ("threads4", 4, None), ("linear", 1, Some(Oracle::Linear))];
+        assert_eq!(runs, want.map(|(n, t, o)| (n.to_string(), t, o)).to_vec());
         assert_eq!(runs[0].0, BASE_RUN);
     }
 
@@ -1303,7 +1301,7 @@ warmup_ms = 15.0
     /// appends `to`) and lists what the error must mention.
     #[test]
     fn malformed_specs_are_errors_naming_the_section_and_key() {
-        let oracle = "seed = 42\noracles = [\"sequential\"]";
+        let oracle = "seed = 42\noracles = [\"linear\"]";
         let rows: &[(&str, &str, &[&str])] = &[
             ("alexnet", "resnet", &["[scenario]", "resnet"]),
             ("titan-black", "h100", &["[scenario]", "h100"]),
@@ -1392,7 +1390,7 @@ warmup_ms = 15.0
         // Declared runs and this scenario's own metrics are valid gate keys.
         let text = SPEC.replacen("seed = 42", oracle, 1).replace(
             "requests = 4",
-            "\"host.wall_ratio.sequential\" = 2.0\n\"host.wall_ratio.threads4\" = 0.1",
+            "\"host.wall_ratio.linear\" = 2.0\n\"host.wall_ratio.threads4\" = 0.1",
         );
         assert_eq!(parse_spec(&text).unwrap().gates.min.len(), 3);
         // A zero tolerance (exact match) and an infinite gate bound parse.

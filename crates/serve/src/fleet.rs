@@ -16,25 +16,16 @@
 //!   boundaries the fleet re-derives `max_queue_delay` from the
 //!   observed inter-arrival EMA (bounded, seeded — still bit-exact).
 //!
-//! The event loop is *logically* sequential — one global interleaving
-//! of routes and commits — but executes in parallel between routing
-//! barriers. Routing is a strict barrier: arrivals are placed one by
-//! one until the next unrouted arrival is strictly later than every
-//! tentative launch. Between barriers each device's commits touch only
-//! that device's queues, clock, and fault stream, so active devices
-//! step concurrently on the vendored rayon stand-in, each worker
-//! recording under a `trace::fork()` shard that merges in device-index
-//! order. Order-sensitive global effects (latency writes, recorder
-//! gauges, shed totals, plan-cache hit bookkeeping) are deferred as
-//! per-event [`Op`] lists and replayed at the barrier in the exact
-//! order the sequential loop would have produced them (a greedy k-way
-//! merge of per-device event queues — see `DESIGN.md` §14). Cold
-//! buckets predicted at a barrier compile in one batched fan-out
-//! ([`PlanCache::stage`]) instead of serially on first launch. The
-//! result is a pure function of `(engine configs, networks,
-//! FleetConfig)`: bit-identical at every thread budget and to the
-//! reference drivers of [`serve_fleet_oracle`] (the retained sequential
-//! loop and the linear router scan).
+//! The event loop handles one event at a time on the simulated clock:
+//! it routes the next arrival when that arrival is at or before the
+//! global-best tentative launch, and otherwise commits that batch (the
+//! route-first rule — see `DESIGN.md` §14). Global effects of a commit
+//! (latency writes, recorder gauges, shed totals, plan-cache hit
+//! bookkeeping) go through one effect log, [`Op`], applied as they
+//! happen. The result is a pure function of `(engine configs, networks,
+//! FleetConfig)`: bit-identical at every thread budget (only the
+//! planner's probe fan-out inside a cold compile runs in parallel) and
+//! to the linear-scan oracle of [`serve_fleet_oracle`].
 //!
 //! **One loop**: this is the crate's only serving event loop and
 //! [`serve_fleet`] its only entry point. A single-device server is a
@@ -57,7 +48,7 @@ use crate::server::{
 use crate::slo::Lane;
 use crate::tenant::{lane_beats, settle_credits, tenant_of, Admission, SloReport, TenantSpec};
 use crate::workload::{self, Request, Stream, WorkloadConfig, BLOCK};
-use memcnn_core::{Engine, EngineError, Mechanism, Network, Plan};
+use memcnn_core::{Engine, EngineError, Mechanism, Network};
 use memcnn_gpusim::{DeviceFaultKind, DeviceFaultPlan, FaultPlan};
 use memcnn_metrics::{GaugeId, KeyId, MetricsTimeline, Recorder};
 use memcnn_trace as trace;
@@ -65,15 +56,11 @@ use memcnn_trace::perf;
 use serde::Serialize;
 use std::collections::{BTreeSet, VecDeque};
 
-/// Hot-path counters, resolved through the perf registry's lock exactly
-/// once per process (every later bump is one relaxed atomic add).
-static BARRIERS: perf::CachedCounter = perf::CachedCounter::new("fleet.barrier.count");
-static PARALLEL_STEPS: perf::CachedCounter = perf::CachedCounter::new("fleet.step.parallel");
-static BATCH_COMPILES: perf::CachedCounter = perf::CachedCounter::new("fleet.plan.batch_compile");
 /// Orchestrator event tallies behind the benchmark's events/sec
 /// figure: one `fleet.route.count` per routed arrival, one
 /// `fleet.commit.count` per committed batch (plan-OOM cap halvings are
-/// re-selections, not commits).
+/// re-selections, not commits). Each resolves through the perf
+/// registry's lock once per process; a bump is one relaxed atomic add.
 static ROUTES: perf::CachedCounter = perf::CachedCounter::new("fleet.route.count");
 static COMMITS: perf::CachedCounter = perf::CachedCounter::new("fleet.commit.count");
 
@@ -384,9 +371,8 @@ struct DeviceState {
     /// Simulated seconds the device spent occupied (attempts, backoffs,
     /// and completed service) — the numerator of its utilization gauge.
     busy: f64,
-    /// Fairness deficit credit per tenant (device-local, so the
-    /// sequential and parallel paths settle identical values in commit
-    /// order). One entry per lane; a single 0.0 on class-blind runs.
+    /// Fairness deficit credit per tenant, settled in commit order. One
+    /// entry per lane; a single 0.0 on class-blind runs.
     credits: Vec<f64>,
     /// Requests shed per tenant on this device (batch sheds plus
     /// overdue-deadline sheds). One entry per lane.
@@ -398,9 +384,8 @@ struct DeviceState {
     preempt: u64,
     /// Commit horizon from the health layer: the device's next pending
     /// crash/hang time. Batches launching at or past it must wait for
-    /// the event to be processed at a routing point — in *both* loops,
-    /// which is what keeps device deaths replay-identical. `INFINITY`
-    /// without a fault plan.
+    /// the event to be processed at a routing point, which is what keeps
+    /// device deaths replay-identical. `INFINITY` without a fault plan.
     halt: f64,
     /// `true` while the device is `Down`: it commits nothing, and
     /// placement only reaches it through the all-down fallback.
@@ -414,10 +399,6 @@ struct DeviceState {
     /// Pending images across the device (companion to
     /// `queued_requests`; raw request sizes, not bucket-clamped).
     queued_images: usize,
-    /// Recycled `Op` buffers: the parallel barrier replay returns each
-    /// drained event's buffer here so steady-state stepping allocates no
-    /// fresh `Vec<Op>` per commit.
-    spare_ops: Vec<Vec<Op>>,
 }
 
 impl DeviceState {
@@ -502,13 +483,12 @@ fn shed_overdue(
     shed
 }
 
-/// One order-sensitive global side effect of a commit. Device steps are
-/// otherwise independent between routing barriers; everything that
+/// One order-sensitive global side effect of a commit: the fleet's
+/// effect log. A commit otherwise touches only its own device; what
 /// touches shared state — the latency vector, the recorder (whose
 /// sliding window and running-counter gauges are order-sensitive), the
 /// fleet-wide shed total, and the plan-cache hit bookkeeping — funnels
-/// through this enum so the parallel path can defer it and replay it in
-/// the sequential merge order.
+/// through this enum into [`Globals::apply`].
 enum Op {
     /// A plan-cache lookup on pair `(d, n)` for `bucket` (the
     /// `seen_plans` hit/lookup bookkeeping behind the hit-rate gauge).
@@ -528,12 +508,12 @@ enum Op {
     OverdueShed { count: usize },
 }
 
-/// Per-tenant global accounting for SLO runs: the tallies only the
-/// globally ordered `Op::Served` replay can settle deterministically
-/// (completions, served images, violations, keyed latency histograms).
+/// Per-tenant global accounting for SLO runs: the tallies the globally
+/// ordered `Op::Served` log settles (completions, served images,
+/// violations, keyed latency histograms).
 struct GlobalsSlo {
     /// Pre-registered per-tenant latency-histogram handles (config
-    /// order) — the replay's keyed observation is an index, not a
+    /// order) — the log's keyed observation is an index, not a
     /// string lookup.
     latency_keys: Vec<KeyId>,
     /// Per-tenant p99 budget (`None` for classes without one).
@@ -586,9 +566,7 @@ impl FleetGaugeIds {
     }
 }
 
-/// The shared mutable state every [`Op`] replays into. The sequential
-/// path applies ops as they happen; the parallel path applies the same
-/// ops in the same order at the barrier.
+/// The shared mutable state every [`Op`] applies to, in event order.
 struct Globals {
     latencies: Vec<f64>,
     placements: Vec<u32>,
@@ -599,7 +577,7 @@ struct Globals {
     cache_hits: u64,
     fleet_shed: usize,
     /// `Some` only on SLO runs; `None` keeps every apply branch below
-    /// byte-identical to the pre-tenant replay.
+    /// to its pre-tenant effects, byte for byte.
     slo: Option<GlobalsSlo>,
 }
 
@@ -663,38 +641,19 @@ impl Globals {
     }
 }
 
-/// Where a commit sends its global effects: straight into [`Globals`]
-/// (sequential path) or into a per-event buffer for barrier replay
-/// (parallel path).
-trait EffectSink {
-    fn emit(&mut self, op: Op);
-}
-
-impl EffectSink for Globals {
-    fn emit(&mut self, op: Op) {
-        self.apply(&op);
-    }
-}
-
-impl EffectSink for Vec<Op> {
-    fn emit(&mut self, op: Op) {
-        self.push(op);
-    }
-}
-
 /// The SLO slice of a [`StepCtx`]: per-tenant commit budgets derived
-/// from the step's frozen delay, class ranks, and the tenant specs (for
-/// names and fairness weights).
+/// from the frozen delay, class ranks, and the tenant specs (for names
+/// and fairness weights).
 struct SloStepCtx<'a> {
     budgets: Vec<f64>,
     ranks: Vec<u8>,
     tenants: &'a [TenantSpec],
 }
 
-/// Read-only inputs shared by every commit between two routing barriers
-/// (the effective delay is frozen during a step phase — it only changes
-/// when an arrival crosses a workload phase boundary, which is routing;
-/// the per-class budgets in `slo` are re-derived from it then too).
+/// Read-only inputs of a selection and its commit (the effective delay
+/// only changes when an arrival crosses a workload phase boundary, which
+/// is routing; the per-class budgets in `slo` are re-derived from it
+/// then too).
 struct StepCtx<'a, 'e> {
     engines: &'a [&'e Engine],
     nets: &'a [Network],
@@ -755,15 +714,15 @@ fn device_best(
 /// Commit the earliest launchable batch on lane `(d, n, t)` against this
 /// device's clock. Returns `Ok(true)` when a batch committed and
 /// `Ok(false)` when a plan-time OOM halved the pair's cap instead (the
-/// caller re-selects; the sequential loop's `continue`).
-fn commit_pair<S: EffectSink>(
+/// caller re-selects).
+fn commit_pair(
     ctx: &StepCtx,
     pairs_d: &mut [PairState],
     dev: &mut DeviceState,
     d: usize,
     n: usize,
     t: usize,
-    sink: &mut S,
+    g: &mut Globals,
 ) -> Result<bool, EngineError> {
     let emax = pairs_d[n].emax();
     let lane = &pairs_d[n].lanes[t];
@@ -803,7 +762,7 @@ fn commit_pair<S: EffectSink>(
             }
         }
     }
-    sink.emit(Op::Lookup { d, n, bucket });
+    g.apply(&Op::Lookup { d, n, bucket });
     let plan = match pairs_d[n].cache.get(bucket) {
         Ok(plan) => plan,
         Err(err @ EngineError::PlanOom { .. }) => {
@@ -851,7 +810,7 @@ fn commit_pair<S: EffectSink>(
                 let lane = &mut pairs_d[n].lanes[t];
                 let mut taken_images = 0usize;
                 for r in &lane.queue[lane.next..j_end] {
-                    sink.emit(Op::Served {
+                    g.apply(&Op::Served {
                         id: r.id,
                         latency: done - r.arrival,
                         images: r.images,
@@ -939,7 +898,7 @@ fn commit_pair<S: EffectSink>(
             dev.gpu_free = done;
             let degraded = pairs_d.iter().any(|p| p.pin.is_some());
             let util = if done > 0.0 { dev.busy / done } else { 0.0 };
-            sink.emit(Op::DoneGauges { d, launch, depth, util, degraded });
+            g.apply(&Op::DoneGauges { d, launch, depth, util, degraded });
             if let Some(s) = &ctx.slo {
                 settle_credits(
                     &mut dev.credits,
@@ -961,7 +920,7 @@ fn commit_pair<S: EffectSink>(
             dev.busy += at - launch;
             dev.gpu_free = at;
             let util = if at > 0.0 { dev.busy / at } else { 0.0 };
-            sink.emit(Op::ShedGauges { d, launch, batch_shed, util });
+            g.apply(&Op::ShedGauges { d, launch, batch_shed, util });
             if let Some(s) = &ctx.slo {
                 settle_credits(
                     &mut dev.credits,
@@ -981,7 +940,7 @@ fn commit_pair<S: EffectSink>(
             pair.clean_streak = 0;
             dev.busy += at - launch;
             dev.gpu_free = at;
-            sink.emit(Op::DownshiftGauge { d, launch });
+            g.apply(&Op::DownshiftGauge { d, launch });
         }
     }
     // `gpu_free` moved: every network's queue on this device gets the
@@ -993,65 +952,10 @@ fn commit_pair<S: EffectSink>(
         }
     }
     if overdue > 0 {
-        sink.emit(Op::OverdueShed { count: overdue });
+        g.apply(&Op::OverdueShed { count: overdue });
     }
     COMMITS.incr();
     Ok(true)
-}
-
-/// One device's committed batch (possibly a plan-OOM compound: the cap
-/// halvings plus the commit that followed them), keyed for the barrier
-/// merge by the launch of its *first* pair selection.
-struct DeviceEvent {
-    key: f64,
-    ops: Vec<Op>,
-}
-
-/// Step one device through every batch it commits before `t_next` (all
-/// of them when `t_next` is `None`): the sequential loop restricted to
-/// one device, emitting one [`DeviceEvent`] per commit. A plan-OOM
-/// re-selection stays inside the event that opened it — the sequential
-/// loop provably re-selects the same pair immediately, so the compound
-/// occupies a single slot in the global order, keyed by its first
-/// selection (whose launch may *exceed* the post-halving commit's).
-fn step_device(
-    ctx: &StepCtx,
-    pairs_d: &mut [PairState],
-    dev: &mut DeviceState,
-    d: usize,
-    t_next: Option<f64>,
-) -> Result<Vec<DeviceEvent>, EngineError> {
-    let mut events = Vec::new();
-    let mut open: Option<DeviceEvent> = None;
-    loop {
-        // Local best: the shared per-device scan (same strict `<`
-        // tie-break over ascending network index as the sequential
-        // loop's device-major global scan; lane tie-breaks on SLO runs).
-        let Some((launch, n, t)) = device_best(ctx, pairs_d, dev) else {
-            debug_assert!(open.is_none(), "plan-OOM compound left open with no pending work");
-            break;
-        };
-        // The barrier condition: commit strictly before the next
-        // unrouted arrival (the route-first rule routes on ties). A
-        // compound never straddles it — post-halving launches only
-        // shrink — so an open compound always finishes its commit.
-        if open.is_none() && t_next.is_some_and(|tb| launch >= tb) {
-            break;
-        }
-        let mut ev = open.take().unwrap_or_else(|| DeviceEvent {
-            key: launch,
-            // Reuse a buffer the last barrier replay returned (the
-            // replay clears before recycling), so steady-state stepping
-            // allocates no per-commit `Vec<Op>`.
-            ops: dev.spare_ops.pop().unwrap_or_default(),
-        });
-        if commit_pair(ctx, pairs_d, dev, d, n, t, &mut ev.ops)? {
-            events.push(ev);
-        } else {
-            open = Some(ev);
-        }
-    }
-    Ok(events)
 }
 
 /// Load snapshot of device `d` for network `n`'s placement call — O(1)
@@ -1152,8 +1056,7 @@ struct SloRun {
     rejected: Vec<u64>,
 }
 
-/// The in-flight state of one fleet run, shared by the sequential and
-/// parallel drivers so both execute the identical per-event arithmetic.
+/// The in-flight state of one fleet run.
 struct FleetRun<'e, 'a> {
     engines: &'a [&'e Engine],
     nets: &'a [Network],
@@ -1203,16 +1106,16 @@ struct FleetRun<'e, 'a> {
 
 impl<'e, 'a> FleetRun<'e, 'a> {
     /// Whether this run is the [`Oracle::Linear`] reference: the O(K)
-    /// `global_best` scan, a placement snapshot that walks every lane
-    /// queue, and a `device_best` scan of every device for a barrier's
-    /// committing devices, in place of the index.
+    /// `global_best` scan and a placement snapshot that walks every lane
+    /// queue, in place of the index.
     fn linear(&self) -> bool {
         self.oracle == Some(Oracle::Linear)
     }
 
-    /// Freeze the step inputs for the current effective delay. Rebuilt
-    /// whenever routing may have changed the delay; borrows only the
-    /// run's `'a` inputs so the caller can keep mutating the run state.
+    /// Freeze the selection inputs for the current effective delay.
+    /// Rebuilt per event, since routing may change the delay; borrows
+    /// only the run's `'a` inputs so the caller can keep mutating the
+    /// run state.
     fn step_ctx(&self) -> StepCtx<'a, 'e> {
         let cfg = self.cfg;
         StepCtx {
@@ -1311,9 +1214,8 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         }
         self.last_arrival = r.arrival;
         // Device lifecycle first: every fault event at or before this
-        // arrival fires now, in both loops at the identical state point
-        // (the route-first rule has applied exactly the commits
-        // launching before `r.arrival` in each).
+        // arrival fires now (the route-first rule has applied exactly
+        // the commits launching before `r.arrival`).
         self.advance_health(r.arrival);
         // Phase boundaries crossed by this arrival re-derive the
         // delay from the EMA observed so far. A delay change shifts
@@ -1438,8 +1340,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     }
 
     /// Fire every device-fault event due by `now` and drain the transit
-    /// buffer. Called at every routing point — where both loops hold
-    /// bit-identical state — and nowhere else.
+    /// buffer. Called at every routing point and nowhere else.
     fn advance_health(&mut self, now: f64) {
         let Some(mut h) = self.health.take() else { return };
         for d in 0..self.k {
@@ -1682,10 +1583,9 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// no further routing point will fire health events — so fail over
     /// whatever is still queued on `Down` devices and settle the transit
     /// buffer (re-place onto any non-`Down` device, shed if the whole
-    /// fleet is dead). Runs at the identical state point in both loops:
-    /// immediately after the final route, before the next commit.
-    /// Returns whether it ran (the sequential loop re-evaluates its
-    /// global best afterwards).
+    /// fleet is dead). Runs immediately after the final route, before
+    /// the next commit. Returns whether it ran (the loop re-evaluates
+    /// its global best afterwards).
     fn drain_flush(&mut self) -> bool {
         let Some(mut h) = self.health.take() else { return false };
         if h.flushed {
@@ -1748,10 +1648,10 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         true
     }
 
-    /// The legacy single-threaded loop: alternate between routing the
-    /// next arrival and committing the global-best batch, whichever
-    /// comes first on the simulated clock.
-    fn run_sequential(&mut self) -> Result<(), EngineError> {
+    /// The fleet loop: route the next arrival when it is at or before
+    /// the global-best launch, else commit that batch — one event at a
+    /// time, in simulated-time order.
+    fn run(&mut self) -> Result<(), EngineError> {
         loop {
             let ctx = self.step_ctx();
             let best = self.global_best(&ctx);
@@ -1761,9 +1661,8 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             }
             // Routing exhausted: settle the health layer (fail over
             // dead devices' queues, clear halt horizons) before the
-            // remaining commits drain the fleet. State point:
-            // immediately after the last route, before the next commit
-            // — the same point the parallel loop flushes at.
+            // remaining commits drain the fleet, immediately after the
+            // last route and before the next commit.
             if self.routed_all() && self.drain_flush() {
                 continue;
             }
@@ -1773,209 +1672,20 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         }
         Ok(())
     }
-
-    /// The barrier-stepped parallel loop: route every arrival up to the
-    /// barrier, batch-compile predicted cold buckets, step active
-    /// devices concurrently, then replay their deferred effects in the
-    /// sequential merge order.
-    fn run_parallel(&mut self) -> Result<(), EngineError> {
-        loop {
-            // Routing barrier: place arrivals until the next one is
-            // strictly later than every tentative launch. This is the
-            // exact run of consecutive routes the sequential loop
-            // performs between two commits.
-            loop {
-                let ctx = self.step_ctx();
-                let best = self.global_best(&ctx);
-                if !self.should_route(best) {
-                    break;
-                }
-                self.route_one();
-            }
-            let t_next = self.arrivals.get(self.next_arrival).map(|r| r.arrival);
-            if t_next.is_none() {
-                // Same state point as the sequential flush: the last
-                // arrival just routed and nothing has committed since.
-                self.drain_flush();
-            }
-            let ctx = self.step_ctx();
-            let active = self.committing(&ctx, t_next);
-            if active.is_empty() {
-                // Nothing launchable and nothing routable: the run is
-                // drained (the route loop would otherwise have routed).
-                debug_assert!(t_next.is_none(), "arrivals remain but none were routed");
-                break;
-            }
-            BARRIERS.incr();
-            self.batch_compile(&ctx, &active, t_next);
-            if active.len() >= 2 {
-                PARALLEL_STEPS.incr();
-            }
-
-            let mut tasks: Vec<(usize, &mut Vec<PairState>, &mut DeviceState)> =
-                Vec::with_capacity(active.len());
-            for (d, (pairs_d, dev)) in self.pairs.iter_mut().zip(self.devs.iter_mut()).enumerate() {
-                if active.binary_search(&d).is_ok() {
-                    tasks.push((d, pairs_d, dev));
-                }
-            }
-            let fork = trace::fork();
-            let results = rayon::scope_map(tasks, |(d, pairs_d, dev)| {
-                let _w = fork.attach(d);
-                step_device(&ctx, pairs_d, dev, d, t_next)
-            });
-            fork.merge();
-
-            // Greedy k-way head merge: at every point a queue's head key
-            // equals that device's then-current local best, so popping
-            // the `(key, device)` minimum replays the sequential loop's
-            // global selection exactly. A flat sort would NOT — plan-OOM
-            // compounds make per-device key sequences non-monotone.
-            let mut queues: Vec<(usize, VecDeque<DeviceEvent>)> = Vec::with_capacity(active.len());
-            for (&d, res) in active.iter().zip(results) {
-                let events = res?;
-                debug_assert!(!events.is_empty(), "device {d} was due but committed nothing");
-                queues.push((d, VecDeque::from(events)));
-                // The barrier stepped the device's queues and clock; its
-                // cached launch key and placement rows are stale.
-                self.index.mark(d);
-            }
-            loop {
-                let mut pick: Option<(f64, usize, usize)> = None;
-                for (i, (d, q)) in queues.iter().enumerate() {
-                    if let Some(head) = q.front() {
-                        if pick.is_none_or(|(bk, bd, _)| (head.key, *d) < (bk, bd)) {
-                            pick = Some((head.key, *d, i));
-                        }
-                    }
-                }
-                let Some((_, _, i)) = pick else { break };
-                let mut ev = queues[i].1.pop_front().expect("picked head exists");
-                for op in &ev.ops {
-                    self.g.apply(op);
-                }
-                // Recycle the replayed event's op buffer into the
-                // device's spare pool for the next barrier.
-                ev.ops.clear();
-                self.devs[queues[i].0].spare_ops.push(ev.ops);
-            }
-        }
-        Ok(())
-    }
-
-    /// The devices that commit at least one batch before `t_next` (all
-    /// of them when `t_next` is `None`): those whose earliest launchable
-    /// batch ([`device_best`], read from the refreshed index) launches
-    /// strictly earlier, in device order. Only they step at a barrier —
-    /// any other device's step would only read its state — so a barrier
-    /// costs O(committing devices), not O(devices with pending work).
-    fn committing(&mut self, ctx: &StepCtx, t_next: Option<f64>) -> Vec<usize> {
-        let due = |key: Option<(f64, usize, usize)>| {
-            key.is_some_and(|(launch, _, _)| t_next.is_none_or(|t| launch < t))
-        };
-        let (pairs, devs) = (&self.pairs, &self.devs);
-        if self.linear() {
-            return (0..self.k).filter(|&d| due(device_best(ctx, &pairs[d], &devs[d]))).collect();
-        }
-        self.index.refresh(|d| device_best(ctx, &pairs[d], &devs[d]));
-        (0..self.k).filter(|&d| due(self.index.key(d))).collect()
-    }
-
-    /// Speculatively compile the cold buckets this barrier's first
-    /// commits would hit: predict each pending pair's next bucket,
-    /// dedup identical (engine, network, bucket) compiles (homogeneous
-    /// fleets share engines, hence plans), and stage the results so the
-    /// in-step `get` consumes them as the misses they would have been.
-    /// A single distinct compile runs inline on the orchestrator to
-    /// keep the engine's internal probe fan-out (workers suppress
-    /// nested parallelism); two or more fan out across the pool.
-    /// Mispredictions waste a compile but are report- and
-    /// counter-invisible: staged results only surface through `get`.
-    /// Only the `active` (committing) devices are scanned: on any other
-    /// device every lane launches at or past `t_next` or its halt.
-    fn batch_compile(&mut self, ctx: &StepCtx, active: &[usize], t_next: Option<f64>) {
-        let mut compiles: Vec<(usize, usize, usize)> = Vec::new();
-        let mut waiters: Vec<Vec<(usize, usize)>> = Vec::new();
-        for &d in active {
-            for (n, pair) in self.pairs[d].iter().enumerate() {
-                let emax = pair.emax();
-                for (lt, lane) in pair.lanes.iter().enumerate() {
-                    if !lane.has_pending() {
-                        continue;
-                    }
-                    let launch = window_launch(
-                        &lane.queue,
-                        lane.next,
-                        self.devs[d].gpu_free,
-                        emax,
-                        ctx.lane_delay(lt),
-                    );
-                    if t_next.is_some_and(|t| launch >= t) || launch >= self.devs[d].halt {
-                        continue; // won't commit this step
-                    }
-                    let (_, images, _) = form(&lane.queue, lane.next, launch, emax);
-                    let bucket = bucket_for(images, emax);
-                    if pair.cache.contains(bucket) || pair.cache.has_staged(bucket) {
-                        continue;
-                    }
-                    let dup = compiles.iter().position(|&(cd, cn, cb)| {
-                        cn == n && cb == bucket && std::ptr::eq(self.engines[cd], self.engines[d])
-                    });
-                    match dup {
-                        Some(i) => {
-                            if !waiters[i].contains(&(d, n)) {
-                                waiters[i].push((d, n));
-                            }
-                        }
-                        None => {
-                            compiles.push((d, n, bucket));
-                            waiters.push(vec![(d, n)]);
-                        }
-                    }
-                }
-            }
-        }
-        if compiles.is_empty() {
-            return;
-        }
-        BATCH_COMPILES.add(compiles.len() as u64);
-        let results: Vec<Result<Plan, EngineError>> = if compiles.len() == 1 {
-            let (d, n, b) = compiles[0];
-            vec![self.pairs[d][n].cache.compile_detached(b)]
-        } else {
-            let pairs = &self.pairs;
-            let jobs: Vec<(usize, (usize, usize, usize))> =
-                compiles.iter().copied().enumerate().collect();
-            let fork = trace::fork();
-            let out = rayon::scope_map(jobs, |(i, (d, n, b))| {
-                let _w = fork.attach(i);
-                pairs[d][n].cache.compile_detached(b)
-            });
-            fork.merge();
-            out
-        };
-        for ((&(_, _, b), ws), result) in compiles.iter().zip(&waiters).zip(results) {
-            for &(d, n) in ws {
-                self.pairs[d][n].cache.stage(b, result.clone());
-            }
-        }
-    }
 }
 
 /// Run the fleet simulation to completion (every generated request is
 /// served or shed). Deterministic: same engine configs + networks +
 /// `cfg` give a bit-identical [`FleetReport`] — latencies, placements,
 /// batch records, fault statistics, and metrics timelines — at every
-/// thread budget (`rayon::with_max_threads`, else `MEMCNN_THREADS`), and
-/// identical to each reference driver of [`serve_fleet_oracle`].
+/// thread budget (`with_max_threads` scopes, else `MEMCNN_THREADS`), and
+/// identical to the linear-scan oracle of [`serve_fleet_oracle`].
 ///
 /// `engines[d]` is device `d`; pass the same `&Engine` K times for a
-/// homogeneous fleet (they share the engine's simulation warmup, and
-/// the parallel path's batched cold-start compilation compiles each
-/// shared (network, bucket) plan once). Request `id % nets.len()`
-/// selects the request's network, so several networks multiplex across
-/// one fleet — and, through per-(device, network) plan caches, across
-/// one device.
+/// homogeneous fleet (they share the engine's simulation warmup).
+/// Request `id % nets.len()` selects the request's network, so several
+/// networks multiplex across one fleet — and, through per-(device,
+/// network) plan caches, across one device.
 pub fn serve_fleet(
     engines: &[&Engine],
     nets: &[Network],
@@ -1989,10 +1699,7 @@ pub fn serve_fleet(
 /// harness run one beside the shipping path and compare the reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Oracle {
-    /// The retained single-threaded event loop: one event at a time, no
-    /// routing barriers, no parallel device steps, no batched compiles.
-    Sequential,
-    /// The parallel loop with the route index bypassed: a linear scan of
+    /// The one loop with the route index bypassed: a linear scan of
     /// every device per selection and placement rows rebuilt from the
     /// lane queues per route (the pre-index router, whose wall time the
     /// `stream-k16` scenario gates against).
@@ -2117,7 +1824,6 @@ fn run_fleet(
             blocked: false,
             queued_requests: 0,
             queued_images: 0,
-            spare_ops: Vec::new(),
         })
         .collect();
 
@@ -2208,11 +1914,7 @@ fn run_fleet(
         eligible_buf: Vec::new(),
     };
     run.refill();
-    if oracle == Some(Oracle::Sequential) {
-        run.run_sequential()?;
-    } else {
-        run.run_parallel()?;
-    }
+    run.run()?;
     let FleetRun { pairs, mut devs, g, slo_run, health, .. } = run;
     let Globals { latencies, placements, rec, slo: g_slo, .. } = g;
     let n_requests = latencies.len();
@@ -2335,7 +2037,7 @@ fn run_fleet(
     .check()?;
 
     // Per-tenant SLO rollup: admission tallies from the router, served
-    // tallies from the globally ordered replay, sheds and scheduler
+    // tallies from the globally ordered effect log, sheds and scheduler
     // counters from the devices, residual lane depths as in-flight.
     let slo = match (slo_run, g_slo) {
         (Some(sr), Some(gs)) => {

@@ -31,15 +31,14 @@
 //!
 //! **Determinism.** Health transitions are evaluated only at routing
 //! points (every arrival, in arrival order) plus one flush when routing
-//! exhausts — call sites the sequential and parallel fleet loops reach
-//! with bit-identical state (the route-first rule guarantees both loops
-//! have applied exactly the commits launching before each arrival).
-//! Between routing points, commits are bounded by the device's next
-//! crash/hang time (`DeviceState::halt`), so no batch is ever committed
-//! past a pending failure in either loop. The result: fleet reports
-//! replay byte-identically across thread budgets and vs the
-//! [`Oracle::Sequential`](crate::fleet::Oracle) loop with device faults
-//! on (pinned by `tests/failover.rs`).
+//! exhausts. The route-first rule guarantees the fleet loop has applied
+//! exactly the commits launching before each arrival when it gets
+//! there. Between routing points, commits are bounded by the device's
+//! next crash/hang time (`DeviceState::halt`), so no batch is ever
+//! committed past a pending failure. The result: fleet reports replay
+//! byte-identically across thread budgets and under the
+//! [`Oracle::Linear`](crate::fleet::Oracle) reference with device
+//! faults on (pinned by `tests/failover.rs` and `tests/fleet.rs`).
 //!
 //! The extended balance invariant this layer maintains, per tenant and
 //! in aggregate:

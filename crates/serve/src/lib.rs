@@ -43,8 +43,8 @@
 //! (round-robin, least-loaded, memory-aware), and an optional
 //! [`adaptive`] estimator that re-derives `max_queue_delay` from the
 //! observed inter-arrival EMA at workload phase boundaries. The fleet
-//! event loop is bit-deterministic whether devices step sequentially or
-//! in parallel.
+//! runs one event loop, one event at a time on the simulated clock, and
+//! is bit-deterministic at every thread budget.
 //!
 //! # Multi-tenant SLO scheduling
 //!
@@ -71,7 +71,7 @@
 //! to `admitted == completed + shed + rejected + in_flight +
 //! failed_over_in_transit`. A `None` or no-op plan leaves the layer off;
 //! everything stays bit-deterministic across thread budgets and vs the
-//! [`Oracle::Sequential`] loop.
+//! linear-scan [`Oracle::Linear`].
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]

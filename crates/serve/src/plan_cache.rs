@@ -6,14 +6,6 @@
 //! prove repeat buckets never re-run the layout DP; the global perf
 //! registry mirrors them (`serve.plan.hit` / `serve.plan.miss`) for
 //! profiling, beside the engine's own `engine.plan.compile`.
-//!
-//! For the fleet's batched cold-start compilation there is a *staged*
-//! side-slot: [`PlanCache::compile_detached`] compiles a bucket without
-//! touching the hit/miss discipline, [`PlanCache::stage`] parks the
-//! result, and the next [`PlanCache::get`] for that bucket consumes it —
-//! still counted as the miss it would have been. Staged results that are
-//! never asked for are dropped with the cache, so speculative prewarms
-//! cannot perturb counters or report contents.
 
 use memcnn_core::{Engine, EngineError, Mechanism, Network, Plan};
 use memcnn_trace::perf;
@@ -31,12 +23,9 @@ pub struct PlanCache<'e> {
     mech: Mechanism,
     template: Network,
     plans: BTreeMap<usize, Plan>,
-    /// Detached-compile results awaiting their first [`PlanCache::get`];
-    /// never read by [`PlanCache::plans`] or the report rollups.
-    staged: BTreeMap<usize, Result<Plan, EngineError>>,
     /// [`PlanCache::get`] calls that found their bucket compiled.
     hits: u64,
-    /// [`PlanCache::get`] calls that compiled (or consumed a staged plan).
+    /// [`PlanCache::get`] calls that compiled their bucket.
     misses: u64,
 }
 
@@ -49,7 +38,6 @@ impl<'e> PlanCache<'e> {
             mech,
             template: net.clone(),
             plans: BTreeMap::new(),
-            staged: BTreeMap::new(),
             hits: 0,
             misses: 0,
         }
@@ -65,16 +53,10 @@ impl<'e> PlanCache<'e> {
         } else {
             self.misses += 1;
             PLAN_MISSES.incr();
-            // A staged detached compile stands in for the inline compile
-            // this miss would have run — same result, same error, same
-            // counter sequence.
-            let plan = match self.staged.remove(&bucket) {
-                Some(staged) => staged?,
-                None => self
-                    .engine
-                    .plan_at(&self.template, self.mech, bucket)
-                    .map_err(|e| EngineError::plan(bucket, e))?,
-            };
+            let plan = self
+                .engine
+                .plan_at(&self.template, self.mech, bucket)
+                .map_err(|e| EngineError::plan(bucket, e))?;
             self.plans.insert(bucket, plan);
         }
         self.plans
@@ -82,36 +64,7 @@ impl<'e> PlanCache<'e> {
             .ok_or_else(|| EngineError::Fatal(format!("plan cache lost bucket {bucket}")))
     }
 
-    /// Compile `bucket` without consulting or updating the cache and
-    /// without touching the hit/miss counters (the engine still counts
-    /// the compile itself). Safe to call from worker threads; pair with
-    /// [`PlanCache::stage`] on the orchestrator.
-    pub fn compile_detached(&self, bucket: usize) -> Result<Plan, EngineError> {
-        self.engine
-            .plan_at(&self.template, self.mech, bucket)
-            .map_err(|e| EngineError::plan(bucket, e))
-    }
-
-    /// Park a detached compile's result for `bucket`; the next
-    /// [`PlanCache::get`] for the bucket consumes it instead of compiling
-    /// inline. A no-op once the bucket is properly cached.
-    pub fn stage(&mut self, bucket: usize, result: Result<Plan, EngineError>) {
-        if !self.plans.contains_key(&bucket) {
-            self.staged.insert(bucket, result);
-        }
-    }
-
-    /// Whether `bucket` has a compiled plan (staged results don't count).
-    pub fn contains(&self, bucket: usize) -> bool {
-        self.plans.contains_key(&bucket)
-    }
-
-    /// Whether a staged result is parked for `bucket`.
-    pub fn has_staged(&self, bucket: usize) -> bool {
-        self.staged.contains_key(&bucket)
-    }
-
-    /// Drop every compiled and staged plan, leaving the plans as freshly
+    /// Drop every compiled plan, leaving the plans as freshly
     /// constructed (the hit and miss counts carry on). The fleet's healer
     /// calls this when a replacement device warms up: its per-(device,
     /// network, bucket) cache starts cold and every discarded plan (the
@@ -119,7 +72,6 @@ impl<'e> PlanCache<'e> {
     pub fn reset(&mut self) -> usize {
         let dropped = self.plans.len();
         self.plans.clear();
-        self.staged.clear();
         dropped
     }
 

@@ -243,12 +243,6 @@ impl RouteIndex {
         self.queued_images
     }
 
-    /// Device `d`'s cached key (refreshed by the last `refresh`).
-    pub(crate) fn key(&self, d: usize) -> Option<(f64, usize, usize)> {
-        debug_assert!(self.stale_keys.is_clean(), "RouteIndex::key called before refresh");
-        self.cached[d]
-    }
-
     /// Tournament comparator: lower `(launch, device)` wins, with IEEE
     /// `==` launch ties going to the lower device index — the linear
     /// scan's strict-`<` first-wins order (see module docs).

@@ -73,7 +73,7 @@ pub fn snapshot() -> BTreeMap<String, u64> {
 /// A lazily resolved, statically cached counter handle for hot paths.
 ///
 /// [`incr`]/[`add`] re-resolve the name through the registry's shared
-/// lock on every call; inner-loop call sites (the fleet's per-barrier
+/// lock on every call; inner-loop call sites (the fleet's per-route
 /// and per-batch counters) instead declare one of these as a `static`
 /// and pay the lock exactly once per process — every later bump is a
 /// single relaxed atomic add on the cached [`Counter`] `Arc`.

@@ -1,8 +1,8 @@
 //! Device-failure integration tests: bit-identical failover replay
-//! across thread counts and across the sequential/parallel fleet
-//! paths, the zero-rate no-op equivalence, the extended accounting
-//! balance invariant (`admitted == completed + shed + rejected +
-//! in_flight + failed_over_in_transit`), and total-fleet-loss survival.
+//! across thread counts, the zero-rate no-op equivalence, the extended
+//! accounting balance invariant (`admitted == completed + shed +
+//! rejected + in_flight + failed_over_in_transit`), and total-fleet-loss
+//! survival.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
 //! perf registry), so everything lives in ONE `#[test]`, run under a
@@ -11,8 +11,8 @@
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan};
 use memcnn::serve::{
-    serve_fleet, serve_fleet_oracle, Arrival, BatchPolicy, FleetConfig, FleetReport, Oracle, Phase,
-    Placement, TenantSpec, WorkloadConfig,
+    serve_fleet, Arrival, BatchPolicy, FleetConfig, FleetReport, Phase, Placement, TenantSpec,
+    WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 
@@ -105,17 +105,7 @@ fn failover_checks() {
         assert_eq!(base, rerun, "failover run diverged under a {threads}-thread budget");
     }
 
-    // (2) Sequential-vs-parallel byte-identity holds WITH device
-    // faults: the legacy loop must reproduce the whole report —
-    // including the health block — byte for byte.
-    let seq = serve_fleet_oracle(&engines, nets, &cfg, Oracle::Sequential).unwrap();
-    assert_eq!(
-        serde_json::to_string(&report).unwrap(),
-        serde_json::to_string(&seq).unwrap(),
-        "sequential and parallel failover reports must be byte-identical"
-    );
-
-    // (3) The fault plan actually fired and the fleet recovered: every
+    // (2) The fault plan actually fired and the fleet recovered: every
     // down device healed, failed-over work was re-placed, and the
     // per-device counts add up to the fleet total.
     let health = report.health.as_ref().unwrap();
@@ -135,7 +125,7 @@ fn failover_checks() {
     );
     assert!(health.warm_compiles > 0, "healing resets warm plan caches cold");
 
-    // (4) Extended balance: per tenant and in aggregate, with the
+    // (3) Extended balance: per tenant and in aggregate, with the
     // transit residual zero on a drained run — nothing is lost
     // silently. The 0.0-latency sentinels are exactly the rejected
     // plus shed requests.
@@ -157,7 +147,7 @@ fn failover_checks() {
     assert!(slo.device_seconds > 0.0, "busy devices must accrue device-seconds");
     assert!(slo.cost().is_finite() && slo.cost() >= 0.0, "slo.cost must be finite");
 
-    // (5) A zero-rate, unscheduled plan is a byte-identical no-op: the
+    // (4) A zero-rate, unscheduled plan is a byte-identical no-op: the
     // run must replay the plan-free schedule field for field (only the
     // config echo differs) and must not fabricate a health report.
     let plain_cfg =
@@ -172,7 +162,7 @@ fn failover_checks() {
         assert!(!plain_json.contains(key), "default-config report leaked new key {key}");
     }
 
-    // (6) Crash K-1 devices at t = 0: the survivor carries the whole
+    // (5) Crash K-1 devices at t = 0: the survivor carries the whole
     // stream (with the deadline ladder shedding what it must) and the
     // run still returns Ok with the books balanced.
     let apocalypse = DeviceFaultPlan::new(11, 0.0, 0.0, 0.0)

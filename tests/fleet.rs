@@ -174,8 +174,8 @@ fn fleet_checks() {
 
     // (3) K = 8: its pinned digest, and the same digest under thread
     // budgets {1, 13} as under 4. A homogeneous 8-device fleet shares one
-    // engine, so the parallel path's barrier batch-compile dedups shared
-    // (network, bucket) misses.
+    // engine, so its devices' cold compiles share its pool-autotune
+    // memo.
     let shared = black();
     let eights: Vec<&Engine> = std::iter::repeat_n(&shared, 8).collect();
     let k8 = || digest(&serve_fleet(&eights, &nets, &cfg).unwrap());
@@ -186,48 +186,13 @@ fn fleet_checks() {
         assert_eq!(k8_base, rerun, "K=8 fleet diverged under a {threads}-thread budget");
     }
 
-    // (4) Sequential-vs-parallel byte-identity: the retained legacy loop
-    // (`Oracle::Sequential`) must reproduce the parallel path's
-    // *entire* report — config echo, latencies, batch records, fault
-    // counters, and the metrics timeline — byte for byte (serde_json
-    // prints f64s shortest-roundtrip, so equal strings == equal bits).
-    // Every serve_fleet call cold-starts its plan caches, so comparing
-    // serve.plan.hit/miss deltas between the two runs is exactly the
-    // cold-start check: batched barrier compilation must leave the same
-    // miss-then-hit discipline (and, via the report's per-network bucket
-    // rollups inside the JSON, the same PlanCache contents) as compiling
-    // serially on first launch.
-    let before_par = memcnn::trace::perf::baseline();
-    let par = serve_fleet(&eights, &nets, &cfg).unwrap();
-    assert_eq!(pin(&serde_json::to_string(&par).unwrap()), PIN_K8_REPORT, "K=8 report drifted");
-    let par_hits = before_par.delta_of("serve.plan.hit");
-    let par_misses = before_par.delta_of("serve.plan.miss");
-    assert!(
-        before_par.delta_of("fleet.barrier.count") > 0,
-        "the parallel path must count routing barriers"
-    );
-    assert!(
-        before_par.delta_of("fleet.step.parallel") > 0,
-        "an 8-device burst must step devices concurrently"
-    );
-    assert!(
-        before_par.delta_of("fleet.plan.batch_compile") > 0,
-        "cold buckets at a barrier must batch-compile"
-    );
-    let before_seq = memcnn::trace::perf::baseline();
-    let seq = serve_fleet_oracle(&eights, &nets, &cfg, Oracle::Sequential).unwrap();
-    assert_eq!(par_hits, before_seq.delta_of("serve.plan.hit"), "plan-cache hits diverged");
-    assert_eq!(par_misses, before_seq.delta_of("serve.plan.miss"), "plan-cache misses diverged");
-    assert_eq!(
-        before_seq.delta_of("fleet.plan.batch_compile"),
-        0,
-        "the sequential loop must not batch-compile"
-    );
-    assert_eq!(
-        serde_json::to_string(&par).unwrap(),
-        serde_json::to_string(&seq).unwrap(),
-        "sequential and parallel fleet reports must be byte-identical"
-    );
+    // (4) The whole K=8 report — config echo, latencies, batch records,
+    // fault counters, and the metrics timeline — is pinned byte for byte
+    // (serde_json prints f64s shortest-roundtrip, so equal strings ==
+    // equal bits).
+    let k8_report = serve_fleet(&eights, &nets, &cfg).unwrap();
+    let k8_json = serde_json::to_string(&k8_report).unwrap();
+    assert_eq!(pin(&k8_json), PIN_K8_REPORT, "K=8 report drifted");
 
     // (5) Route-index equivalence at K = 8 (an existing <=16-device
     // scenario): `Oracle::Linear` retains the pre-index linear
@@ -296,7 +261,7 @@ fn fleet_checks() {
         .map(|(_, engines, nets, cfg)| serve_fleet(engines, nets, cfg).unwrap())
         .collect();
     let indexed: Vec<String> = reports.iter().map(|r| serde_json::to_string(r).unwrap()).collect();
-    assert_eq!(indexed[0], serde_json::to_string(&par).unwrap());
+    assert_eq!(indexed[0], k8_json);
     let health = reports[4].health.as_ref().expect("the device-fault plan is live");
     assert!(
         health.downs >= 3 && health.ups > 0 && health.requeued > 0,
@@ -311,10 +276,9 @@ fn fleet_checks() {
     }
 
     // (6) K = 64 digest matrix: the pinned digest, thread budgets
-    // {1, 13} besides 4, the sequential oracle, and the linear router
-    // must all reproduce the same digest — the index maintains 64
-    // tentative-launch keys incrementally without perturbing a single
-    // selection.
+    // {1, 13} besides 4, and the linear router must all reproduce the
+    // same digest — the index maintains 64 tentative-launch keys
+    // incrementally without perturbing a single selection.
     let sixty_four: Vec<&Engine> = std::iter::repeat_n(&shared, 64).collect();
     let before_k64 = memcnn::trace::perf::baseline();
     let k64 = || digest(&serve_fleet(&sixty_four, &nets, &cfg).unwrap());
@@ -334,16 +298,9 @@ fn fleet_checks() {
         let rerun = rayon::with_max_threads(threads, k64);
         assert_eq!(k64_base, rerun, "K=64 fleet diverged under a {threads}-thread budget");
     }
-    let k64_oracle =
-        |oracle| digest(&serve_fleet_oracle(&sixty_four, &nets, &cfg, oracle).unwrap());
     assert_eq!(
         k64_base,
-        k64_oracle(Oracle::Sequential),
-        "K=64 sequential oracle diverged from the parallel path"
-    );
-    assert_eq!(
-        k64_base,
-        k64_oracle(Oracle::Linear),
+        digest(&serve_fleet_oracle(&sixty_four, &nets, &cfg, Oracle::Linear).unwrap()),
         "K=64 linear scan diverged from the indexed router"
     );
 }

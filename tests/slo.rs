@@ -1,8 +1,7 @@
 //! Multi-tenant SLO integration tests: bit-identical per-tenant
-//! scheduling across thread counts and across the sequential/parallel
-//! fleet paths, the per-tenant accounting balance invariant, exact
-//! zero-tenant byte-identity with the pre-tenant report wire format,
-//! and the weighted-fair bound on best-effort starvation.
+//! scheduling across thread counts, the per-tenant accounting balance
+//! invariant, exact zero-tenant byte-identity with the pre-tenant report
+//! wire format, and the weighted-fair bound on best-effort starvation.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
 //! perf registry), so everything lives in ONE `#[test]`, run under a
@@ -11,8 +10,8 @@
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::DeviceConfig;
 use memcnn::serve::{
-    serve_fleet, serve_fleet_oracle, Arrival, BatchPolicy, FleetConfig, FleetReport, Oracle, Phase,
-    Placement, TenantSpec, WorkloadConfig,
+    serve_fleet, Arrival, BatchPolicy, FleetConfig, FleetReport, Phase, Placement, TenantSpec,
+    WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 
@@ -57,8 +56,8 @@ fn pin(text: &str) -> String {
 /// [`pin`]s of the tenant-enabled base run — the `Debug` text of its
 /// [`digest`] (integers only) and its whole report's JSON — recorded
 /// while the sequential oracle was still switched by an env var. A
-/// change that moves every run alike passes the rerun and oracle
-/// comparisons; it fails here.
+/// change that moves every run alike passes the rerun comparisons; it
+/// fails here.
 const PIN_SLO: &str = "838fff2e4724919f";
 const PIN_SLO_REPORT: &str = "c8374c518d815828";
 
@@ -159,18 +158,7 @@ fn slo_checks() {
         "0.0 latency sentinels are the rejected plus shed requests"
     );
 
-    // (4) Sequential-vs-parallel byte-identity holds WITH tenants: the
-    // legacy loop must reproduce the whole report — including the slo
-    // block and the per-tenant keyed histograms — byte for byte.
-    let seq =
-        serve_fleet_oracle(&engines, std::slice::from_ref(&net), &cfg, Oracle::Sequential).unwrap();
-    assert_eq!(
-        json,
-        serde_json::to_string(&seq).unwrap(),
-        "sequential and parallel SLO reports must be byte-identical"
-    );
-
-    // (5) Zero-tenant byte-identity with the pre-tenant wire format:
+    // (4) Zero-tenant byte-identity with the pre-tenant wire format:
     // the default config emits none of the new keys, so its JSON is
     // exactly what the previous revision serialized.
     let blind_cfg = FleetConfig::new(wl, policy, Placement::LeastLoaded);
